@@ -11,6 +11,9 @@ import numpy as np
 
 from vqcontrast import (
     QuantumLayerParams,
+    cnot,
+    dense_unitary_oracle,
+    ry,
     vqc_batched_forward,
     vqc_forward,
     vqc_parameter_shift_grad,
@@ -51,10 +54,19 @@ print(f"\n{n_qubits} qubits, {n_layers} layers: "
       f"max |shift rule - finite difference| = {worst:.3e}")
 
 # The batched kernel runs whole feature matrices through the circuit at
-# once; each row matches a scalar run bit for bit in exact arithmetic.
+# once. Check each row against the dense Kronecker oracle, which builds the
+# circuit's full 2^n x 2^n unitary gate by gate and shares no code with it.
 batch = rng.uniform(-np.pi, np.pi, size=(4, n_qubits))
 batched = vqc_batched_forward(batch, params)
-rowwise = np.stack([vqc_forward(row, params) for row in batch])
-print("batched vs row-by-row, max |difference|:", np.abs(batched - rowwise).max())
+ring = [cnot(i, (i + 1) % n_qubits) for i in range(n_qubits)]
+signs = 1 - 2 * ((np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1)
+worst = 0.0
+for row, out in zip(batch, batched):
+    gates = [ry(i, row[i]) for i in range(n_qubits)]
+    for l in range(n_layers):
+        gates += ring + [ry(i, weights[l, i]) for i in range(n_qubits)]
+    probs = np.abs(dense_unitary_oracle(gates, n_qubits)[:, 0]) ** 2
+    worst = max(worst, np.abs(out - probs @ signs).max())
+print("batched vs dense oracle, max |difference|:", worst)
 print("\nper-qubit <Z> for the batch:")
 print(np.round(batched, 4))

@@ -35,7 +35,6 @@ from .harness import (
     RetrievalModel,
     RunConfig,
     evaluate_zero_shot,
-    gradcheck_all,
     read_metrics,
     run_protocol,
     train,
@@ -98,7 +97,6 @@ __all__ = [
     "evaluate_zero_shot",
     "gate_matrix",
     "generate_dataset",
-    "gradcheck_all",
     "load_params",
     "load_tensor_file",
     "new_zero_state",

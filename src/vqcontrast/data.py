@@ -29,6 +29,14 @@ LABELS_FILE = "labels.qtns"
 MANIFEST_FILE = "manifest.json"
 
 
+def _class_ids(name: str, values) -> list[int]:
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in values
+    ):
+        raise ConfigurationError(f"{name} must be a list of integer class ids, got {values!r}")
+    return [int(c) for c in values]
+
+
 @dataclass
 class DatasetManifest:
     """Paths and split descriptor for one dataset directory."""
@@ -41,8 +49,11 @@ class DatasetManifest:
     root: Path = field(default_factory=Path, compare=False)
 
     def __post_init__(self):
-        self.train_classes = [int(c) for c in self.train_classes]
-        self.test_classes = [int(c) for c in self.test_classes]
+        for name in ("eeg_path", "image_emb_path", "labels_path"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigurationError(f"{name} must be a path string")
+        self.train_classes = _class_ids("train_classes", self.train_classes)
+        self.test_classes = _class_ids("test_classes", self.test_classes)
         if not self.train_classes or not self.test_classes:
             raise ConfigurationError("both class splits must be non-empty")
         overlap = set(self.train_classes) & set(self.test_classes)

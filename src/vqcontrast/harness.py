@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,7 +33,6 @@ from .data import DatasetManifest, generate_dataset
 from .diffnet import Adam, Tape, Tensor
 from .encoders import EegConvEncoder, EegEncoderConfig, ImageEmbedHead, ImageHeadConfig
 from .errors import ConfigurationError, NumericError, ZeroShotOverlapError
-from .gradcheck import CheckResult, run_all_checks
 from .qtns import load_params, save_params
 
 _DEFAULT_TAU_INIT = float(np.log(1.0 / 0.07))
@@ -96,8 +96,8 @@ class RunConfig:
         for name, v in (("lr", self.lr), ("beta1", self.beta1), ("beta2", self.beta2),
                         ("weight_decay", self.weight_decay), ("tau_init", self.tau_init),
                         ("noise_sigma", self.noise_sigma)):
-            if not np.isfinite(v):
-                raise ConfigurationError(f"{name} must be finite, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
+                raise ConfigurationError(f"{name} must be a finite number, got {v!r}")
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -310,9 +310,10 @@ def train(
                     f"non-finite loss at epoch {epoch}, step {start // config.batch_size} "
                     f"(seed {config.seed}); aborting"
                 )
-            optimizer.zero_grad()
             tape.backward(loss)
             optimizer.step()
+            # cleared here, not before backward, so the returned model holds no gradient
+            optimizer.zero_grad()
             # keep e^tau bounded, as in standard contrastive training
             np.minimum(model.log_tau.data, MAX_LOG_TEMPERATURE, out=model.log_tau.data)
             loss_sum += value * len(idx)
@@ -404,11 +405,3 @@ def run_protocol(config: RunConfig, manifest: DatasetManifest) -> dict:
         report["final_train_loss"] = _summary(final_loss, percent=False)
     return report
 
-
-def gradcheck_all(config: RunConfig) -> list[CheckResult]:
-    """Finite-difference suite over every op and pipeline.
-
-    Checks always run on fixed tiny geometries (2-3 qubits); the config
-    contributes only the seed, so the default config passes out of the box.
-    """
-    return run_all_checks(seed=config.seed)

@@ -126,9 +126,17 @@ def load_params(path) -> dict[str, np.ndarray]:
         raise TensorFormatError(f"parameter index is not valid JSON: {exc}", 0)
     if not isinstance(index, dict) or "container" not in index or "tensors" not in index:
         raise TensorFormatError("parameter index missing container/tensors keys", 0)
+    if not isinstance(index["container"], str) or not isinstance(index["tensors"], dict):
+        raise TensorFormatError(
+            "parameter index needs a container file name and a name->offset object", 0
+        )
     buf = (index_path.parent / index["container"]).read_bytes()
     out: dict[str, np.ndarray] = {}
     for name, offset in index["tensors"].items():
-        array, _ = read_tensor_record(buf, int(offset))
+        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
+            raise TensorFormatError(
+                f"offset of {name!r} must be a non-negative integer, got {offset!r}", 0
+            )
+        array, _ = read_tensor_record(buf, offset)
         out[name] = array.astype(np.float64)
     return out

@@ -1,15 +1,21 @@
-"""Exact pure-state simulator for small qubit registers.
+"""Exact pure-state simulation for small qubit registers.
 
-Amplitudes are stored as a flat complex array indexed by the basis-state
-integer, with qubit 0 as the least significant bit.  Gates are applied in
-place by strided sweeps, so a gate costs O(2^n) instead of the O(4^n) of a
-full matrix product.  Only the two gates the encoding circuit needs are
-provided: the RY rotation and CNOT.
+Amplitudes are indexed by the basis-state integer, with qubit 0 as the least
+significant bit.  Three strided kernels do all the work, each over a
+``(rows, 2^n)`` amplitude array so one call advances many states at once:
+
+- ``ry_rows`` rotates one qubit in place, with a shared angle or one per row,
+  at O(2^n) per row instead of the O(4^n) of a full matrix product;
+- ``cnot_index`` is the gather index that applies one CNOT;
+- ``z_signs`` is the table that turns probabilities into per-qubit <Z>.
+
+The circuit layer in ``vqc`` runs its batches through these kernels, and
+``StateVector`` runs them on a single complex state with gate-by-gate
+checks.  Only the two gates the encoding circuit needs exist: RY and CNOT.
 
 ``dense_unitary_oracle`` builds the full 2^n x 2^n unitary of a gate list by
-explicit Kronecker expansion.  It exists so the fast strided path can be
-checked against an independently constructed matrix; it is not used by any
-production code path.
+explicit Kronecker expansion.  It shares no code with the kernels, so it can
+audit them; no production code path uses it.
 """
 
 from __future__ import annotations
@@ -75,6 +81,36 @@ def cnot(control: int, target: int) -> GateOp:
     return GateOp("cnot", target, control=control)
 
 
+def ry_rows(amps: np.ndarray, qubit: int, angle) -> None:
+    """Rotate ``qubit`` about Y in every row of ``amps``, in place.
+
+    ``amps`` has shape (rows, 2^n); ``angle`` is a scalar shared by all rows
+    or a (rows,) array of per-row angles.
+    """
+    half = 0.5 * np.asarray(angle, dtype=np.float64)
+    c, s = np.cos(half), np.sin(half)
+    if c.ndim == 1:
+        c = c[:, None, None]
+        s = s[:, None, None]
+    view = amps.reshape(amps.shape[0], -1, 2, 1 << qubit)
+    a0 = view[:, :, 0, :].copy()
+    a1 = view[:, :, 1, :]
+    view[:, :, 0, :] = c * a0 - s * a1
+    view[:, :, 1, :] = s * a0 + c * a1
+
+
+def cnot_index(n_qubits: int, control: int, target: int) -> np.ndarray:
+    """Gather index of CNOT: ``amps[:, cnot_index(...)]`` applies the gate."""
+    idx = np.arange(1 << n_qubits)
+    return np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
+
+
+def z_signs(n_qubits: int) -> np.ndarray:
+    """(2^n, n) table of Z eigenvalues; ``probs @ z_signs(n)`` gives each <Z_j>."""
+    idx = np.arange(1 << n_qubits)
+    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(n_qubits)[None, :]) & 1)
+
+
 class StateVector:
     """Pure state of ``n_qubits`` qubits as 2^n complex amplitudes."""
 
@@ -116,13 +152,7 @@ class StateVector:
         self._check_qubit(qubit)
         if not math.isfinite(angle):
             raise NumericError(f"non-finite rotation angle {angle!r}")
-        half = 0.5 * angle
-        c, s = math.cos(half), math.sin(half)
-        view = self.amplitudes.reshape(-1, 2, 1 << qubit)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :]
-        view[:, 0, :] = c * a0 - s * a1
-        view[:, 1, :] = s * a0 + c * a1
+        ry_rows(self.amplitudes[None], qubit, angle)
         self._check_norm()
         return self
 
@@ -132,9 +162,7 @@ class StateVector:
         self._check_qubit(target)
         if control == target:
             raise IndexError("cnot control and target must differ")
-        idx = np.arange(self.amplitudes.size)
-        perm = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-        self.amplitudes = self.amplitudes[perm]
+        self.amplitudes = self.amplitudes[cnot_index(self.n_qubits, control, target)]
         self._check_norm()
         return self
 
@@ -147,8 +175,7 @@ class StateVector:
         """Expectation of Pauli-Z on ``qubit``: +1 for |0>, -1 for |1>."""
         self._check_qubit(qubit)
         probs = self.amplitudes.real**2 + self.amplitudes.imag**2
-        signs = 1.0 - 2.0 * ((np.arange(probs.size) >> qubit) & 1)
-        return float(np.dot(probs, signs))
+        return float(np.dot(probs, z_signs(self.n_qubits)[:, qubit]))
 
 
 def new_zero_state(n_qubits: int) -> StateVector:

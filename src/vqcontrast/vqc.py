@@ -12,15 +12,17 @@ skipped and the layer collapses to a chain of RY rotations.  For
 n_qubits == 2 the ring emits CNOT(0,1) followed by CNOT(1,0) exactly as the
 modular formula states, even though the pair partially undoes itself.
 
+Every evaluation runs a batch of rows through the strided kernels of
+``statevector``.  RY and CNOT are real matrices acting on a real initial
+state, so the amplitudes stay in a float64 array of shape (batch, 2^n).
+``vqc_forward`` is the one-row case of ``vqc_batched_forward``.
+
 Gradients use the parameter-shift rule with shifts of +-pi/2 and a factor of
 1/2, which is exact for RY-generated rotations.  Shifts are applied to the
 trainable weights and to the encoded inputs alike, so gradients flow through
-the layer into whatever classical network feeds it.
-
-``vqc_batched_forward`` evaluates many rows at once.  RY and CNOT are real
-matrices acting on a real initial state, so the batched kernel keeps the
-amplitudes in a float64 array of shape (batch, 2^n); it computes exactly the
-same arithmetic as the per-row simulator path.
+the layer into whatever classical network feeds it.  The rule is written
+once, in ``vqc_batched_vjp``; ``vqc_parameter_shift_grad`` reads the full
+Jacobian of one row off it, one output at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ShapeError
-from .statevector import MAX_QUBITS, new_zero_state
+from .statevector import MAX_QUBITS, cnot_index, ry_rows, z_signs
 
 _SHIFT = 0.5 * np.pi
 
@@ -72,106 +74,39 @@ class VqcGradient:
     d_inputs: np.ndarray  # (n_qubits, n_qubits)
 
 
-def _check_input(x: np.ndarray, n_qubits: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n_qubits,):
-        raise ShapeError(f"expected input of shape ({n_qubits},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("input contains non-finite entries")
-    return x
-
-
 def vqc_forward(x: np.ndarray, params: QuantumLayerParams) -> np.ndarray:
     """Run the circuit for one input row, returning per-qubit <Z>."""
-    n = params.n_qubits
-    x = _check_input(x, n)
-    state = new_zero_state(n)
-    for i in range(n):
-        state.apply_ry(i, x[i])
-    for layer in range(params.n_layers):
-        if n >= 2:
-            for i in range(n):
-                state.apply_cnot(i, (i + 1) % n)
-        for i in range(n):
-            state.apply_ry(i, params.weights[layer, i])
-    return np.array([state.expect_z(j) for j in range(n)])
+    return vqc_batched_forward(np.asarray(x, dtype=np.float64)[None], params)[0]
 
 
 def vqc_parameter_shift_grad(x: np.ndarray, params: QuantumLayerParams) -> VqcGradient:
     """Exact Jacobians of every output w.r.t. every angle, by parameter shift.
 
-    Each partial costs two extra circuit evaluations:
-    d f_j / d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2.
+    Column j is ``vqc_batched_vjp`` of the single row with the j-th basis
+    vector as upstream gradient.
     """
-    n, layers = params.n_qubits, params.n_layers
-    x = _check_input(x, n)
-    weights = params.weights
-
-    d_inputs = np.empty((n, n))
-    for i in range(n):
-        shifted = x.copy()
-        shifted[i] = x[i] + _SHIFT
-        plus = vqc_forward(shifted, params)
-        shifted[i] = x[i] - _SHIFT
-        minus = vqc_forward(shifted, params)
-        d_inputs[i] = 0.5 * (plus - minus)
-
-    d_weights = np.empty((layers, n, n))
-    for layer in range(layers):
-        for i in range(n):
-            shifted = weights.copy()
-            shifted[layer, i] = weights[layer, i] + _SHIFT
-            plus = vqc_forward(x, QuantumLayerParams(n, layers, shifted))
-            shifted[layer, i] = weights[layer, i] - _SHIFT
-            minus = vqc_forward(x, QuantumLayerParams(n, layers, shifted))
-            d_weights[layer, i] = 0.5 * (plus - minus)
-
-    return VqcGradient(d_weights=d_weights, d_inputs=d_inputs)
-
-
-# ---------------------------------------------------------------------------
-# Batched kernel
-
-
-def _ry_rows(amps: np.ndarray, n: int, qubit: int, angle) -> None:
-    """Apply RY on one qubit across all batch rows, in place.
-
-    ``angle`` is either a scalar (shared weight) or a (batch,) array of
-    per-row encoding angles.
-    """
-    half = 0.5 * np.asarray(angle, dtype=np.float64)
-    c, s = np.cos(half), np.sin(half)
-    if c.ndim == 1:
-        c = c[:, None, None]
-        s = s[:, None, None]
-    view = amps.reshape(amps.shape[0], -1, 2, 1 << qubit)
-    a0 = view[:, :, 0, :].copy()
-    a1 = view[:, :, 1, :]
-    view[:, :, 0, :] = c * a0 - s * a1
-    view[:, :, 1, :] = s * a0 + c * a1
-
-
-def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
+    n = params.n_qubits
+    X = np.asarray(x, dtype=np.float64)[None]
+    columns = [vqc_batched_vjp(X, params, e[None]) for e in np.eye(n)]
+    return VqcGradient(
+        d_weights=np.stack([dw for _, dw in columns], axis=-1),
+        d_inputs=np.stack([dx[0] for dx, _ in columns], axis=-1),
+    )
 
 
 def _run_batched(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
     batch, n = X.shape
-    layers = weights.shape[0]
     amps = np.zeros((batch, 1 << n))
     amps[:, 0] = 1.0
     for i in range(n):
-        _ry_rows(amps, n, i, X[:, i])
-    for layer in range(layers):
+        ry_rows(amps, i, X[:, i])
+    for layer in range(weights.shape[0]):
         if n >= 2:
             for i in range(n):
-                amps = amps[:, _cnot_perm(n, i, (i + 1) % n)]
+                amps = amps[:, cnot_index(n, i, (i + 1) % n)]
         for i in range(n):
-            _ry_rows(amps, n, i, weights[layer, i])
-    probs = amps**2
-    signs = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1)
-    return probs @ signs
+            ry_rows(amps, i, weights[layer, i])
+    return amps**2 @ z_signs(n)
 
 
 def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -184,10 +119,7 @@ def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
 
 
 def vqc_batched_forward(X: np.ndarray, params: QuantumLayerParams) -> np.ndarray:
-    """Evaluate the circuit for every row of ``X`` independently.
-
-    Row b of the result equals ``vqc_forward(X[b], params)``.
-    """
+    """Evaluate the circuit for every row of ``X`` independently."""
     X = _check_batch(X, params.n_qubits)
     return _run_batched(X, params.weights)
 
@@ -199,7 +131,8 @@ def vqc_batched_vjp(
 
     ``upstream`` is dL/d(outputs), shape (batch, n_qubits).  Returns
     (dL/dX of shape (batch, n_qubits), dL/dweights of shape
-    (n_layers, n_qubits) summed over the batch).
+    (n_layers, n_qubits) summed over the batch).  Each partial costs two
+    circuit runs: d f_j / d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2.
     """
     n, layers = params.n_qubits, params.n_layers
     X = _check_batch(X, n)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommand wiring and the exit-code contract."""
 
 import json
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -187,3 +189,38 @@ def test_non_finite_dataset_is_a_numeric_failure(tmp_path, config_path, capsys):
     ])
     assert code == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+_MANIFEST = {
+    "eeg_path": EEG_FILE, "image_emb_path": "image_emb.qtns",
+    "labels_path": "labels.qtns", "train_classes": [0, 1], "test_classes": [2, 3],
+}
+
+
+@pytest.mark.parametrize("config,manifest,index", [
+    ({"lr": "abc"}, {}, None),
+    ({}, {"train_classes": ["x"]}, None),
+    ({}, {"train_classes": 5}, None),
+    ({}, {"eeg_path": 5}, None),
+    ({}, {}, {"container": "model.params.qtns", "tensors": []}),
+    ({}, {}, {"container": "model.params.qtns", "tensors": {"log_tau": "abc"}}),
+    ({}, {}, {"container": 5, "tensors": {}}),
+], ids=["config-lr", "manifest-class-id", "manifest-classes", "manifest-path",
+        "index-tensors", "index-offset", "index-container"])
+def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest, index):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY.to_dict(), **config}))
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({**_MANIFEST, **manifest}))
+    params = tmp_path / "model.params"
+    (tmp_path / "model.params.qtns").write_bytes(b"")
+    params.write_text(json.dumps(index))
+    command = ["eval", "--params", str(params)] if index else ["train"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "vqcontrast.cli", *command, "--config", str(config_path),
+         "--data", str(manifest_path), "--out", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

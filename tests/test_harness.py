@@ -16,16 +16,16 @@ from vqcontrast import (
     clip_loss,
     evaluate_zero_shot,
     generate_dataset,
-    gradcheck_all,
     read_metrics,
     run_protocol,
     train,
     write_metrics,
 )
 from vqcontrast import diffnet, harness
-from vqcontrast.diffnet import Tensor
+from vqcontrast.contrastive import clip_logits_op, clip_loss_op
+from vqcontrast.diffnet import Tape, Tensor
 from vqcontrast.errors import ConfigurationError, NumericError, ZeroShotOverlapError
-from vqcontrast.gradcheck import run_all_checks
+from vqcontrast.gradcheck import central_difference, run_all_checks
 
 TINY_RUN = RunConfig(
     n_qubits=2,
@@ -189,6 +189,28 @@ def test_train_is_deterministic(tiny_data):
         np.testing.assert_array_equal(state_a[name], state_b[name], err_msg=name)
 
 
+def test_trained_model_holds_no_gradient(tiny_data):
+    """A fresh backward pass on a trained model sees only its own gradient."""
+    model, _ = train(TINY_RUN, tiny_data)
+    params = model.named_parameters()
+    assert {name: t.grad for name, t in params.items() if t.grad is not None} == {}
+
+    eeg, emb, labels = tiny_data.load_arrays()
+    rows = np.flatnonzero(np.isin(labels, tiny_data.train_classes))[:4]
+
+    def forward():
+        tape = Tape()
+        e = model.eeg_encoder.forward(tape, Tensor(eeg[rows]), train=True)
+        i = model.image_head.forward(tape, Tensor(emb[labels[rows]]))
+        return tape, clip_loss_op(tape, clip_logits_op(tape, e, i, model.log_tau))
+
+    tape, loss = forward()
+    tape.backward(loss)
+    for name in ("log_tau", "eeg.circuit_weights"):
+        numeric = central_difference(lambda: float(forward()[1].data), params[name].data, 1e-6)
+        np.testing.assert_allclose(params[name].grad, numeric, atol=1e-7, err_msg=name)
+
+
 def test_log_temperature_stays_clamped(tiny_data):
     model, _ = train(replace(TINY_RUN, epochs=1, tau_init=10.0), tiny_data)
     assert float(model.log_tau.data) <= MAX_LOG_TEMPERATURE
@@ -348,7 +370,7 @@ def test_run_protocol_single_run_has_zero_std(tiny_data):
 
 
 def test_gradcheck_all_passes_for_default_config():
-    results = gradcheck_all(RunConfig())
+    results = run_all_checks(seed=RunConfig().seed)
     assert results, "suite must not be empty"
     assert all(r.passed for r in results), [str(r) for r in results]
 

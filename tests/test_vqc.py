@@ -5,7 +5,9 @@ import pytest
 
 from vqcontrast import (
     QuantumLayerParams,
+    central_difference,
     cnot,
+    dense_unitary_oracle,
     new_zero_state,
     ry,
     vqc_batched_forward,
@@ -104,35 +106,53 @@ def test_two_qubit_ring_applies_both_directions():
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
-def test_batched_forward_matches_scalar():
+def _dense_z(qubit, n):
+    out = np.ones((1, 1))
+    for q in range(n - 1, -1, -1):
+        out = np.kron(out, np.diag([1.0, -1.0]) if q == qubit else np.eye(2))
+    return out
+
+
+def test_batched_forward_matches_dense_oracle():
+    """Each row against the Kronecker-built unitary of the explicit gate list.
+
+    n=1 has no ring; n=2 has the ring CNOT(0,1), CNOT(1,0).
+    """
     rng = np.random.default_rng(3)
-    for n in (1, 2, 4):
-        layers = 2
-        params = QuantumLayerParams(n, layers, rng.uniform(-np.pi, np.pi, (layers, n)))
+    layers = 2
+    for n in range(1, 6):
+        weights = rng.uniform(-np.pi, np.pi, (layers, n))
         X = rng.uniform(-np.pi, np.pi, (6, n))
-        batched = vqc_batched_forward(X, params)
+        ring = [cnot(i, (i + 1) % n) for i in range(n)] if n >= 2 else []
+
+        batched = vqc_batched_forward(X, QuantumLayerParams(n, layers, weights))
         assert batched.shape == (6, n)
         for b in range(6):
-            np.testing.assert_allclose(batched[b], vqc_forward(X[b], params), atol=1e-13)
+            gates = [ry(i, X[b, i]) for i in range(n)]
+            for layer in range(layers):
+                gates += ring + [ry(i, weights[layer, i]) for i in range(n)]
+            psi = dense_unitary_oracle(gates, n)[:, 0]
+            expected = [np.real(psi.conj() @ _dense_z(j, n) @ psi) for j in range(n)]
+            np.testing.assert_allclose(batched[b], expected, atol=1e-12, err_msg=f"n={n}")
 
 
-def test_batched_vjp_matches_jacobian_contraction():
+def test_batched_vjp_matches_central_differences():
+    """Both outputs of the VJP against central differences of sum(f(X) * upstream)."""
     rng = np.random.default_rng(4)
-    n, layers, batch = 3, 2, 4
+    n, layers, batch = 3, 2, 5
     params = QuantumLayerParams(n, layers, rng.uniform(-np.pi, np.pi, (layers, n)))
     X = rng.uniform(-np.pi, np.pi, (batch, n))
     upstream = rng.standard_normal((batch, n))
 
     d_inputs, d_weights = vqc_batched_vjp(X, params, upstream)
 
-    expected_dx = np.zeros_like(X)
-    expected_dw = np.zeros_like(params.weights)
-    for b in range(batch):
-        jac = vqc_parameter_shift_grad(X[b], params)
-        expected_dx[b] = jac.d_inputs @ upstream[b]
-        expected_dw += jac.d_weights @ upstream[b]
-    np.testing.assert_allclose(d_inputs, expected_dx, atol=1e-12)
-    np.testing.assert_allclose(d_weights, expected_dw, atol=1e-12)
+    def loss():
+        return float((vqc_batched_forward(X, params) * upstream).sum())
+
+    np.testing.assert_allclose(d_inputs, central_difference(loss, X, 1e-6), atol=1e-8)
+    np.testing.assert_allclose(
+        d_weights, central_difference(loss, params.weights, 1e-6), atol=1e-8
+    )
 
 
 def test_parameter_shift_matches_finite_differences():
