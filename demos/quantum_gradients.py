@@ -5,38 +5,38 @@ Exact gradients for quantum circuits
 The parameter-shift rule turns two extra circuit evaluations per angle
 into an exact derivative: d<Z>/dtheta = (f(theta + pi/2) - f(theta - pi/2)) / 2.
 No finite-difference step size to tune, no truncation error.
+
+The circuit layer takes a batch of input rows. ``vqc_batched_vjp`` returns
+the vector-Jacobian product: given dL/d<Z> for every row, it gives dL/dx per
+row and dL/dweights summed over the batch. A single input is a batch of one.
 """
 
 import numpy as np
 
-from vqcontrast import (
-    QuantumLayerParams,
-    cnot,
-    dense_unitary_oracle,
-    ry,
-    vqc_batched_forward,
-    vqc_forward,
-    vqc_parameter_shift_grad,
-)
+from vqcontrast.statevector import cnot, dense_unitary_oracle, ry
+from vqcontrast.vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
 
 # One qubit, one layer: the circuit RY(x) RY(w) measures <Z> = cos(x + w).
 x, w = 0.9, -0.4
 params = QuantumLayerParams(n_qubits=1, n_layers=1, weights=np.array([[w]]))
-out = vqc_forward(np.array([x]), params)
-print("forward:", out[0], " closed form cos(x+w):", np.cos(x + w))
+row = np.array([[x]])
+out = vqc_batched_forward(row, params)
+print("forward:", out[0, 0], " closed form cos(x+w):", np.cos(x + w))
 
-grad = vqc_parameter_shift_grad(np.array([x]), params)
-print("shift-rule d/dw:", grad.d_weights[0, 0, 0],
-      " closed form -sin(x+w):", -np.sin(x + w))
+d_inputs, d_weights = vqc_batched_vjp(row, params, upstream=np.ones((1, 1)))
+print("shift-rule d/dw:", d_weights[0, 0], " closed form -sin(x+w):", -np.sin(x + w))
+print("shift-rule d/dx:", d_inputs[0, 0], " closed form -sin(x+w):", -np.sin(x + w))
 
-# Compare against central finite differences on a larger circuit.
+# Compare against central finite differences on a larger circuit, for the
+# scalar loss L = sum_j r_j <Z_j> with a fixed random r.
 rng = np.random.default_rng(0)
 n_qubits, n_layers = 3, 2
 weights = rng.uniform(-np.pi, np.pi, size=(n_layers, n_qubits))
 params = QuantumLayerParams(n_qubits, n_layers, weights)
-inputs = rng.uniform(-np.pi, np.pi, size=n_qubits)
+inputs = rng.uniform(-np.pi, np.pi, size=(1, n_qubits))
+r = rng.standard_normal((1, n_qubits))
 
-grad = vqc_parameter_shift_grad(inputs, params)
+_, d_weights = vqc_batched_vjp(inputs, params, r)
 h = 1e-6
 worst = 0.0
 for l in range(n_layers):
@@ -46,10 +46,10 @@ for l in range(n_layers):
         dipped = weights.copy()
         dipped[l, i] -= h
         fd = (
-            vqc_forward(inputs, QuantumLayerParams(n_qubits, n_layers, bumped))
-            - vqc_forward(inputs, QuantumLayerParams(n_qubits, n_layers, dipped))
-        ) / (2 * h)
-        worst = max(worst, np.abs(grad.d_weights[l, i] - fd).max())
+            vqc_batched_forward(inputs, QuantumLayerParams(n_qubits, n_layers, bumped))
+            - vqc_batched_forward(inputs, QuantumLayerParams(n_qubits, n_layers, dipped))
+        ) @ r[0] / (2 * h)
+        worst = max(worst, abs(d_weights[l, i] - fd[0]))
 print(f"\n{n_qubits} qubits, {n_layers} layers: "
       f"max |shift rule - finite difference| = {worst:.3e}")
 

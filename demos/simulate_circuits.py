@@ -3,46 +3,78 @@ Statevector simulation basics
 =============================
 
 Build small circuits gate by gate, watch the amplitudes, and cross-check
-the strided simulator against a dense matrix built by Kronecker products.
+the strided kernels against a dense matrix built by Kronecker products.
+The kernels act on a (rows, 2^n) array of amplitudes; one state is one row.
 """
 
 import numpy as np
 
-from vqcontrast import cnot, dense_unitary_oracle, gate_matrix, new_zero_state, ry
+from vqcontrast.statevector import (
+    cnot,
+    cnot_index,
+    dense_unitary_oracle,
+    gate_matrix,
+    ry,
+    ry_rows,
+    z_signs,
+)
 
 np.set_printoptions(precision=4, suppress=True)
 
+
+def zero_state(n_qubits):
+    """|0...0> as a single row of amplitudes."""
+    amps = np.zeros((1, 2**n_qubits))
+    amps[0, 0] = 1.0
+    return amps
+
+
+def expect_z(amps):
+    """Per-qubit <Z> of every row: probabilities times the Z-sign table."""
+    return amps**2 @ z_signs(int(np.log2(amps.shape[1])))
+
+
 # A single qubit rotated by RY(theta) interpolates |0> -> |1>.
 theta = np.pi / 3
-state = new_zero_state(1).apply_ry(0, theta)
-print("RY(pi/3)|0> amplitudes:", state.amplitudes.real)
+state = zero_state(1)
+ry_rows(state, 0, theta)
+print("RY(pi/3)|0> amplitudes:", state[0])
 print("  expected cos/sin of theta/2:", np.cos(theta / 2), np.sin(theta / 2))
-print("  <Z> =", state.expect_z(0), "(should be cos(theta) =", np.cos(theta), ")")
+print("  <Z> =", expect_z(state)[0, 0], "(should be cos(theta) =", np.cos(theta), ")")
 
 # Qubit 0 is the least significant bit of the basis index, so |q1 q0=1>
 # is index 1 and CNOT(control=0, target=1) maps index 1 -> index 3.
-state = new_zero_state(2).apply_ry(0, np.pi)  # flip qubit 0: now |01>
-print("\nafter RY(pi) on qubit 0:", state.amplitudes.real)
-state.apply_cnot(control=0, target=1)
-print("after CNOT(0 -> 1):      ", state.amplitudes.real, " (|11> = index 3)")
+state = zero_state(2)
+ry_rows(state, 0, np.pi)  # flip qubit 0: now |01>
+print("\nafter RY(pi) on qubit 0:", state[0])
+state = state[:, cnot_index(2, control=0, target=1)]
+print("after CNOT(0 -> 1):      ", state[0], " (|11> = index 3)")
 
 # An entangling pair: rotate qubit 0 halfway, then copy onto qubit 1.
-state = new_zero_state(2).apply_ry(0, np.pi / 2).apply_cnot(0, 1)
-print("\nentangled amplitudes:", state.amplitudes.real)
-print("  both qubits now share one random bit: <Z0> =",
-      round(state.expect_z(0), 12), " <Z1> =", round(state.expect_z(1), 12))
+state = zero_state(2)
+ry_rows(state, 0, np.pi / 2)
+state = state[:, cnot_index(2, 0, 1)]
+print("\nentangled amplitudes:", state[0])
+print("  both qubits now share one random bit: <Z0>, <Z1> =",
+      np.round(expect_z(state)[0], 12))
+
+# One call advances many states: here each row gets its own angle.
+angles = np.linspace(0, np.pi, 5)
+rows = np.repeat(zero_state(1), len(angles), axis=0)
+ry_rows(rows, 0, angles)
+print("\n<Z> for RY(0 .. pi), one row each:", expect_z(rows)[:, 0])
 
 # The dense oracle multiplies explicit 2^n x 2^n matrices in gate order.
 # It is exponential and only exists to audit the fast strided kernels.
 ops = [ry(0, 0.7), cnot(0, 1), ry(1, -1.2), cnot(1, 0), ry(0, 2.1)]
-fast = new_zero_state(2)
+fast = zero_state(2)
 for op in ops:
-    fast.apply_gate(op)
-zero = np.zeros(4, dtype=complex)
-zero[0] = 1.0
-dense = dense_unitary_oracle(ops, 2) @ zero
-print("\nstrided vs dense oracle, max |difference|:",
-      np.abs(fast.amplitudes - dense).max())
+    if op.kind == "ry":
+        ry_rows(fast, op.qubit, op.angle)
+    else:
+        fast = fast[:, cnot_index(2, op.control, op.qubit)]
+dense = dense_unitary_oracle(ops, 2)[:, 0]
+print("\nstrided vs dense oracle, max |difference|:", np.abs(fast[0] - dense).max())
 
 # gate_matrix embeds one gate into the full space; CNOT with control on
 # qubit 1 is the textbook block matrix under this bit ordering.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffnet import Tape, Tensor
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, NumericError, ShapeError
 
 # Common clamp on the learned log-temperature: e^tau never exceeds 100.
 MAX_LOG_TEMPERATURE = float(np.log(100.0))
@@ -148,7 +148,8 @@ def topk_accuracy(scores, true_class, k: int) -> float:
     """Fraction of queries whose true class ranks in the top k scores.
 
     Ties are broken in favor of the lowest class index, so the result is
-    deterministic for any score matrix.
+    deterministic for any finite score matrix.  A non-finite score raises
+    ``NumericError``: NaN compares false both ways and would rank first.
     """
     s = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(true_class)
@@ -159,6 +160,8 @@ def topk_accuracy(scores, true_class, k: int) -> float:
         raise ShapeError(f"labels shape {labels.shape} != ({n_query},)")
     if not 1 <= k <= n_class:
         raise ConfigurationError(f"k={k} out of range [1, {n_class}]")
+    if not np.all(np.isfinite(s)):
+        raise NumericError("scores contain non-finite entries")
     labels = labels.astype(np.int64)
     if labels.min() < 0 or labels.max() >= n_class:
         raise ConfigurationError("labels reference out-of-range class indices")

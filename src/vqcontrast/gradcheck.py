@@ -23,7 +23,7 @@ from .encoders import (
     ImageHeadConfig,
     quantum_layer,
 )
-from .vqc import QuantumLayerParams, vqc_forward, vqc_parameter_shift_grad
+from .vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
 
 DEFAULT_H = 1e-5
 OP_TOL = 1e-6
@@ -206,19 +206,17 @@ def _check_quantum_layer(rng):
 
 
 def _check_vqc_parameter_shift(rng):
-    """Parameter-shift Jacobians against central differences, no tape."""
+    """Parameter-shift VJP of one row against central differences, no tape."""
     n, layers, h = 3, 2, DEFAULT_H
     x = rng.uniform(-np.pi, np.pi, n)
     weights = rng.uniform(-np.pi, np.pi, (layers, n))
     r = rng.standard_normal(n)
 
     def scalar() -> float:
-        return float(vqc_forward(x, QuantumLayerParams(n, layers, weights)) @ r)
+        return float(vqc_batched_forward(x[None], QuantumLayerParams(n, layers, weights))[0] @ r)
 
-    grad = vqc_parameter_shift_grad(x, QuantumLayerParams(n, layers, weights))
-    dx = grad.d_inputs @ r
-    dw = grad.d_weights @ r
-    worst = float(np.abs(dx - central_difference(scalar, x, h)).max())
+    dx, dw = vqc_batched_vjp(x[None], QuantumLayerParams(n, layers, weights), r[None])
+    worst = float(np.abs(dx[0] - central_difference(scalar, x, h)).max())
     worst = max(worst, float(np.abs(dw - central_difference(scalar, weights, h)).max()))
     return CheckResult("vqc_parameter_shift", worst, OP_TOL)
 

@@ -87,7 +87,7 @@ class RunConfig:
         for name, v in positive_ints.items():
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.epochs, int) or self.epochs < 0:
+        if not isinstance(self.epochs, int) or isinstance(self.epochs, bool) or self.epochs < 0:
             raise ConfigurationError(f"epochs must be a non-negative integer, got {self.epochs!r}")
         if not isinstance(self.batch_size, int) or self.batch_size < 2:
             raise ConfigurationError(f"batch_size must be an integer >= 2, got {self.batch_size!r}")
@@ -230,6 +230,8 @@ class RetrievalModel:
                     f"parameter mismatch for {name!r}: got {value.size} elements, "
                     f"expected shape {want.shape}"
                 )
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"parameter {name!r} contains non-finite values")
         for name, t in self.named_parameters().items():
             t.data = np.asarray(state[name], dtype=np.float64).reshape(expected[name].shape)
         for k in self.eeg_encoder.buffers:

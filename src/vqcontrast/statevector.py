@@ -9,13 +9,14 @@ significant bit.  Three strided kernels do all the work, each over a
 - ``cnot_index`` is the gather index that applies one CNOT;
 - ``z_signs`` is the table that turns probabilities into per-qubit <Z>.
 
-The circuit layer in ``vqc`` runs its batches through these kernels, and
-``StateVector`` runs them on a single complex state with gate-by-gate
-checks.  Only the two gates the encoding circuit needs exist: RY and CNOT.
+The kernels do not validate their arguments; the circuit layer in ``vqc``
+checks shapes and finiteness before it calls them.  A single state is a
+batch of one row.  Only the two gates the encoding circuit needs exist: RY
+and CNOT.
 
-``dense_unitary_oracle`` builds the full 2^n x 2^n unitary of a gate list by
-explicit Kronecker expansion.  It shares no code with the kernels, so it can
-audit them; no production code path uses it.
+``dense_unitary_oracle`` builds the full 2^n x 2^n unitary of a ``GateOp``
+list by explicit Kronecker expansion.  It shares no code with the kernels,
+so it can audit them; no production code path uses it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import ConfigurationError, NumericError
 
 MAX_QUBITS = 16
 _ORACLE_MAX_QUBITS = 6
-_NORM_TOL = 1e-12
 
 _I2 = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -109,78 +109,6 @@ def z_signs(n_qubits: int) -> np.ndarray:
     """(2^n, n) table of Z eigenvalues; ``probs @ z_signs(n)`` gives each <Z_j>."""
     idx = np.arange(1 << n_qubits)
     return 1.0 - 2.0 * ((idx[:, None] >> np.arange(n_qubits)[None, :]) & 1)
-
-
-class StateVector:
-    """Pure state of ``n_qubits`` qubits as 2^n complex amplitudes."""
-
-    __slots__ = ("n_qubits", "amplitudes")
-
-    def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None):
-        if not 1 <= n_qubits <= MAX_QUBITS:
-            raise ConfigurationError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}"
-            )
-        self.n_qubits = n_qubits
-        dim = 1 << n_qubits
-        if amplitudes is None:
-            amps = np.zeros(dim, dtype=complex)
-            amps[0] = 1.0
-        else:
-            amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
-            if amps.size != dim:
-                raise ConfigurationError(
-                    f"expected {dim} amplitudes for {n_qubits} qubits, got {amps.size}"
-                )
-        self.amplitudes = amps
-        self._check_norm()
-
-    def _check_norm(self):
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise NumericError(f"state norm drifted to {norm!r}")
-
-    def _check_qubit(self, qubit: int):
-        if not 0 <= qubit < self.n_qubits:
-            raise IndexError(f"qubit {qubit} out of range for {self.n_qubits} qubits")
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes)
-
-    def apply_ry(self, qubit: int, angle: float) -> "StateVector":
-        """Rotate ``qubit`` about Y by ``angle`` radians, in place."""
-        self._check_qubit(qubit)
-        if not math.isfinite(angle):
-            raise NumericError(f"non-finite rotation angle {angle!r}")
-        ry_rows(self.amplitudes[None], qubit, angle)
-        self._check_norm()
-        return self
-
-    def apply_cnot(self, control: int, target: int) -> "StateVector":
-        """Flip ``target`` on every basis state whose ``control`` bit is set."""
-        self._check_qubit(control)
-        self._check_qubit(target)
-        if control == target:
-            raise IndexError("cnot control and target must differ")
-        self.amplitudes = self.amplitudes[cnot_index(self.n_qubits, control, target)]
-        self._check_norm()
-        return self
-
-    def apply_gate(self, op: GateOp) -> "StateVector":
-        if op.kind == "ry":
-            return self.apply_ry(op.qubit, op.angle)
-        return self.apply_cnot(op.control, op.qubit)
-
-    def expect_z(self, qubit: int) -> float:
-        """Expectation of Pauli-Z on ``qubit``: +1 for |0>, -1 for |1>."""
-        self._check_qubit(qubit)
-        probs = self.amplitudes.real**2 + self.amplitudes.imag**2
-        return float(np.dot(probs, z_signs(self.n_qubits)[:, qubit]))
-
-
-def new_zero_state(n_qubits: int) -> StateVector:
-    """The all-zeros computational basis state |0...0>."""
-    return StateVector(n_qubits)
 
 
 def _kron_embed(factors: dict[int, np.ndarray], n_qubits: int) -> np.ndarray:

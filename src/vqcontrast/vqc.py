@@ -15,14 +15,14 @@ modular formula states, even though the pair partially undoes itself.
 Every evaluation runs a batch of rows through the strided kernels of
 ``statevector``.  RY and CNOT are real matrices acting on a real initial
 state, so the amplitudes stay in a float64 array of shape (batch, 2^n).
-``vqc_forward`` is the one-row case of ``vqc_batched_forward``.
+A single input is a batch of one row.
 
-Gradients use the parameter-shift rule with shifts of +-pi/2 and a factor of
-1/2, which is exact for RY-generated rotations.  Shifts are applied to the
+The layer's API is ``vqc_batched_forward`` and ``vqc_batched_vjp``.  The VJP
+uses the parameter-shift rule with shifts of +-pi/2 and a factor of 1/2,
+which is exact for RY-generated rotations.  Shifts are applied to the
 trainable weights and to the encoded inputs alike, so gradients flow through
-the layer into whatever classical network feeds it.  The rule is written
-once, in ``vqc_batched_vjp``; ``vqc_parameter_shift_grad`` reads the full
-Jacobian of one row off it, one output at a time.
+the layer into whatever classical network feeds it.  Jacobian column j of a
+row is its VJP with the j-th basis vector as upstream gradient.
 """
 
 from __future__ import annotations
@@ -60,38 +60,6 @@ class QuantumLayerParams:
             )
         if not np.all(np.isfinite(self.weights)):
             raise NumericError("weights contain non-finite entries")
-
-
-@dataclass
-class VqcGradient:
-    """Jacobians of the layer outputs.
-
-    ``d_weights[l, i, j]`` is d<Z_j>/d w[l][i]; ``d_inputs[i, j]`` is
-    d<Z_j>/d x_i.
-    """
-
-    d_weights: np.ndarray  # (n_layers, n_qubits, n_qubits)
-    d_inputs: np.ndarray  # (n_qubits, n_qubits)
-
-
-def vqc_forward(x: np.ndarray, params: QuantumLayerParams) -> np.ndarray:
-    """Run the circuit for one input row, returning per-qubit <Z>."""
-    return vqc_batched_forward(np.asarray(x, dtype=np.float64)[None], params)[0]
-
-
-def vqc_parameter_shift_grad(x: np.ndarray, params: QuantumLayerParams) -> VqcGradient:
-    """Exact Jacobians of every output w.r.t. every angle, by parameter shift.
-
-    Column j is ``vqc_batched_vjp`` of the single row with the j-th basis
-    vector as upstream gradient.
-    """
-    n = params.n_qubits
-    X = np.asarray(x, dtype=np.float64)[None]
-    columns = [vqc_batched_vjp(X, params, e[None]) for e in np.eye(n)]
-    return VqcGradient(
-        d_weights=np.stack([dw for _, dw in columns], axis=-1),
-        d_inputs=np.stack([dx[0] for dx, _ in columns], axis=-1),
-    )
 
 
 def _run_batched(X: np.ndarray, weights: np.ndarray) -> np.ndarray:

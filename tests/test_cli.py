@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vqcontrast import RunConfig, read_metrics, save_tensor_file
+from vqcontrast import RetrievalModel, RunConfig, read_metrics, save_params, save_tensor_file
 from vqcontrast.cli import main
 from vqcontrast.data import EEG_FILE, MANIFEST_FILE
 
@@ -177,6 +177,24 @@ def test_corrupt_dataset_exits_one(tmp_path, config_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_params_file_exits_one(tmp_path, config_path, capsys):
+    """A NaN temperature makes every score NaN, which would rank every true class
+    first; the file is refused on load instead."""
+    manifest = gen_data(tmp_path, config_path)
+    state = RetrievalModel(TINY, np.random.default_rng(0)).named_state()
+    state["log_tau"] = np.array(np.nan)
+    params = tmp_path / "model.params"
+    save_params(params, state)
+    code = main([
+        "eval", "--config", str(config_path), "--data", str(manifest),
+        "--params", str(params), "--out", str(tmp_path / "eval.jsonl"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "'log_tau' contains non-finite" in err, err
+    assert not (tmp_path / "eval.jsonl").exists()
+
+
 def test_non_finite_dataset_is_a_numeric_failure(tmp_path, config_path, capsys):
     manifest = gen_data(tmp_path, config_path)
     save_tensor_file(
@@ -199,13 +217,14 @@ _MANIFEST = {
 
 @pytest.mark.parametrize("config,manifest,index", [
     ({"lr": "abc"}, {}, None),
+    ({"epochs": True}, {}, None),
     ({}, {"train_classes": ["x"]}, None),
     ({}, {"train_classes": 5}, None),
     ({}, {"eeg_path": 5}, None),
     ({}, {}, {"container": "model.params.qtns", "tensors": []}),
     ({}, {}, {"container": "model.params.qtns", "tensors": {"log_tau": "abc"}}),
     ({}, {}, {"container": 5, "tensors": {}}),
-], ids=["config-lr", "manifest-class-id", "manifest-classes", "manifest-path",
+], ids=["config-lr", "config-epochs-bool", "manifest-class-id", "manifest-classes", "manifest-path",
         "index-tensors", "index-offset", "index-container"])
 def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest, index):
     config_path = tmp_path / "config.json"
@@ -224,3 +243,5 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest,
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    for name in config:  # refused by the config check, not by a later stage
+        assert f"{name} must" in proc.stderr, proc.stderr

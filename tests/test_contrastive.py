@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from vqcontrast import (
-    ContrastiveBatch,
+from vqcontrast import clip_logits, clip_loss, topk_accuracy
+from vqcontrast.contrastive import (
     MAX_LOG_TEMPERATURE,
-    Tape,
-    Tensor,
-    clip_logits,
-    clip_loss,
-    topk_accuracy,
+    ContrastiveBatch,
+    clip_logits_op,
+    clip_loss_gradient,
+    clip_loss_op,
 )
-from vqcontrast.contrastive import clip_logits_op, clip_loss_gradient, clip_loss_op
-from vqcontrast.errors import ConfigurationError, ShapeError
+from vqcontrast.diffnet import Tape, Tensor
+from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
 
 
 def unit_rows(rng, b, d):
@@ -220,6 +219,15 @@ def test_topk_k_out_of_range():
         topk_accuracy(np.eye(3), np.arange(3), 0)
     with pytest.raises(ConfigurationError):
         topk_accuracy(np.eye(3), np.arange(3), 4)
+
+
+def test_topk_rejects_non_finite_scores():
+    # a NaN row would otherwise rank its true class first
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = np.eye(3)
+        scores[1, 2] = bad
+        with pytest.raises(NumericError):
+            topk_accuracy(scores, np.arange(3), 1)
 
 
 def test_topk_label_validation():

@@ -4,8 +4,8 @@ update equations."""
 import numpy as np
 import pytest
 
-from vqcontrast import Adam, AdamState, Tape, Tensor, adam_step
 from vqcontrast import diffnet
+from vqcontrast.diffnet import Adam, AdamState, Tape, Tensor, adam_step
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
 
 

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from vqcontrast import (
+from vqcontrast.diffnet import Tape, Tensor
+from vqcontrast.encoders import (
     EegConvEncoder,
     EegEncoderConfig,
     ImageEmbedHead,
     ImageHeadConfig,
-    QuantumLayerParams,
-    Tape,
-    Tensor,
     quantum_layer,
-    vqc_forward,
 )
 from vqcontrast.errors import ConfigurationError, ShapeError
+from vqcontrast.statevector import cnot, ry
 
 TINY = EegEncoderConfig(
     electrodes=4,
@@ -71,14 +69,17 @@ def test_config_rejects_too_many_qubits():
 # Quantum layer op
 
 
-def test_quantum_layer_matches_scalar_circuit():
+def test_quantum_layer_matches_scalar_circuit(oracle_z):
+    """Each row against the dense oracle of its own gate list."""
     rng = np.random.default_rng(0)
     x = rng.uniform(-np.pi, np.pi, size=(3, 2))
     w = rng.uniform(-np.pi, np.pi, size=(2, 2))
     out = quantum_layer(Tape(), Tensor(x), Tensor(w))
-    params = QuantumLayerParams(n_qubits=2, n_layers=2, weights=w)
     for row in range(3):
-        np.testing.assert_allclose(out.data[row], vqc_forward(x[row], params), atol=1e-12)
+        gates = [ry(0, x[row, 0]), ry(1, x[row, 1])]
+        for layer in range(2):
+            gates += [cnot(0, 1), cnot(1, 0), ry(0, w[layer, 0]), ry(1, w[layer, 1])]
+        np.testing.assert_allclose(out.data[row], oracle_z(gates, 2), atol=1e-12)
 
 
 def test_quantum_layer_rejects_flat_weights():

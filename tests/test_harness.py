@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from vqcontrast import (
-    MAX_LOG_TEMPERATURE,
     MetricsRecord,
     RetrievalModel,
     RunConfig,
@@ -22,7 +21,7 @@ from vqcontrast import (
     write_metrics,
 )
 from vqcontrast import diffnet, harness
-from vqcontrast.contrastive import clip_logits_op, clip_loss_op
+from vqcontrast.contrastive import MAX_LOG_TEMPERATURE, clip_logits_op, clip_loss_op
 from vqcontrast.diffnet import Tape, Tensor
 from vqcontrast.errors import ConfigurationError, NumericError, ZeroShotOverlapError
 from vqcontrast.gradcheck import central_difference, run_all_checks
@@ -92,6 +91,7 @@ def test_config_rejects_bad_values():
         {"n_qubits": 0},
         {"n_qubits": True},
         {"epochs": -1},
+        {"epochs": True},
         {"lr": 0.0},
         {"beta1": 1.0},
         {"seed": -1},
@@ -329,6 +329,14 @@ def test_load_state_rejects_mismatched_names(tiny_data):
     model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
     with pytest.raises(ConfigurationError, match="mismatch"):
         model.load_state({})
+
+
+def test_load_state_rejects_non_finite_values():
+    model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
+    state = model.named_state()
+    state["log_tau"] = np.array(np.nan)
+    with pytest.raises(ConfigurationError, match="'log_tau'.*non-finite"):
+        model.load_state(state)
 
 
 def test_from_saved_rejects_other_geometry(tmp_path):

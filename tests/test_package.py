@@ -1,0 +1,63 @@
+"""Package surface: the exported names, and the fast demos that use the API."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vqcontrast
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+# What the README quick start, the CLI and the demos call.  Everything else
+# is imported from its submodule; growing this list is a deliberate choice.
+EXPORTED = [
+    "CheckResult",
+    "ConfigurationError",
+    "DatasetManifest",
+    "MetricsRecord",
+    "NumericError",
+    "RetrievalModel",
+    "RunConfig",
+    "ShapeError",
+    "TensorFormatError",
+    "ZeroShotOverlapError",
+    "clip_logits",
+    "clip_loss",
+    "evaluate_zero_shot",
+    "generate_dataset",
+    "load_params",
+    "load_tensor_file",
+    "read_metrics",
+    "run_all_checks",
+    "run_protocol",
+    "save_params",
+    "save_tensor_file",
+    "topk_accuracy",
+    "train",
+    "write_metrics",
+]
+
+
+def test_all_is_sorted_unique_and_resolves():
+    names = vqcontrast.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(vqcontrast, name) is not None, name
+
+
+def test_all_equals_the_agreed_surface():
+    assert vqcontrast.__all__ == EXPORTED
+
+
+@pytest.mark.parametrize("script", [
+    "simulate_circuits.py", "quantum_gradients.py", "contrastive_objective.py",
+])
+def test_fast_demo_runs(script):
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / script)], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

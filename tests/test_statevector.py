@@ -1,19 +1,24 @@
-"""Simulator correctness: gates, conventions, and the dense oracle."""
+"""Simulator correctness: kernels, bit conventions, and the dense oracle.
+
+The kernels act on ``(rows, 2^n)`` amplitude arrays; a single state is a
+``(1, 2^n)`` row.
+"""
 
 import numpy as np
 import pytest
 
-from vqcontrast import (
+from vqcontrast.errors import ConfigurationError, NumericError
+from vqcontrast.statevector import (
     GateOp,
-    StateVector,
     cnot,
+    cnot_index,
     dense_unitary_oracle,
     gate_matrix,
-    new_zero_state,
     ry,
     ry_matrix,
+    ry_rows,
+    z_signs,
 )
-from vqcontrast.errors import ConfigurationError, NumericError
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -29,18 +34,21 @@ def random_ops(rng, n_qubits, length):
     return ops
 
 
+def zero_row(n_qubits):
+    amps = np.zeros((1, 1 << n_qubits))
+    amps[0, 0] = 1.0
+    return amps
+
+
 def run_ops(n_qubits, ops):
-    state = new_zero_state(n_qubits)
+    """Amplitudes of |0...0> after ``ops``, applied through the kernels."""
+    amps = zero_row(n_qubits)
     for op in ops:
-        state.apply_gate(op)
-    return state
-
-
-def test_zero_state():
-    state = new_zero_state(3)
-    expected = np.zeros(8, dtype=complex)
-    expected[0] = 1.0
-    np.testing.assert_array_equal(state.amplitudes, expected)
+        if op.kind == "ry":
+            ry_rows(amps, op.qubit, op.angle)
+        else:
+            amps = amps[:, cnot_index(n_qubits, op.control, op.qubit)]
+    return amps[0]
 
 
 def test_ry_matrix_entries():
@@ -52,15 +60,14 @@ def test_ry_matrix_entries():
 
 def test_ry_on_single_qubit():
     theta = 1.1
-    state = new_zero_state(1).apply_ry(0, theta)
     np.testing.assert_allclose(
-        state.amplitudes, [np.cos(theta / 2), np.sin(theta / 2)], atol=1e-15
+        run_ops(1, [ry(0, theta)]), [np.cos(theta / 2), np.sin(theta / 2)], atol=1e-15
     )
 
 
 def test_ry_half_pi_gives_plus_like_state():
-    state = new_zero_state(1).apply_ry(0, np.pi / 2)
-    np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+    np.testing.assert_allclose(run_ops(1, [ry(0, np.pi / 2)]), [INV_SQRT2, INV_SQRT2],
+                               atol=1e-15)
 
 
 def test_cnot_msb_control_matrix():
@@ -87,44 +94,46 @@ def test_cnot_lsb_control_matrix():
 
 def test_cnot_flips_target_when_control_set():
     # |q1 q0> = |01>, control qubit 0 -> target qubit 1 flips: |11>
-    state = StateVector(2, [0, 1, 0, 0]).apply_cnot(0, 1)
-    np.testing.assert_array_equal(state.amplitudes, [0, 0, 0, 1])
+    amps = np.array([[0.0, 1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(amps[:, cnot_index(2, 0, 1)], [[0, 0, 0, 1]])
 
 
 def test_cnot_identity_when_control_clear():
-    state = StateVector(2, [0, 0, 1, 0]).apply_cnot(0, 1)  # |10>: control clear
-    np.testing.assert_array_equal(state.amplitudes, [0, 0, 1, 0])
+    amps = np.array([[0.0, 0.0, 1.0, 0.0]])  # |10>: control clear
+    np.testing.assert_array_equal(amps[:, cnot_index(2, 0, 1)], [[0, 0, 1, 0]])
 
 
 def test_bell_like_state():
-    state = new_zero_state(2).apply_ry(0, np.pi / 2).apply_cnot(0, 1)
     np.testing.assert_allclose(
-        state.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15
+        run_ops(2, [ry(0, np.pi / 2), cnot(0, 1)]), [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15
     )
 
 
 def test_expect_z_basics():
-    assert new_zero_state(2).expect_z(0) == 1.0
-    assert new_zero_state(2).expect_z(1) == 1.0
-    flipped = new_zero_state(1).apply_ry(0, np.pi)
-    assert abs(flipped.expect_z(0) + 1.0) < 1e-15
+    # row = basis index |q1 q0>, column = qubit; a set bit reads -1
+    np.testing.assert_array_equal(z_signs(2), [[1, 1], [-1, 1], [1, -1], [-1, -1]])
+    np.testing.assert_array_equal(zero_row(2) ** 2 @ z_signs(2), [[1.0, 1.0]])
+    flipped = run_ops(1, [ry(0, np.pi)])
+    assert abs(flipped**2 @ z_signs(1)[:, 0] + 1.0) < 1e-15
 
 
 def test_expect_z_after_rotation():
+    """One angle per row: row b rotates qubit 1 by theta_b."""
     rng = np.random.default_rng(7)
-    for _ in range(25):
-        theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
-        state = new_zero_state(3).apply_ry(1, theta)
-        assert abs(state.expect_z(1) - np.cos(theta)) < 1e-12
-        assert abs(state.expect_z(0) - 1.0) < 1e-12  # untouched qubit
+    theta = rng.uniform(-2 * np.pi, 2 * np.pi, 25)
+    amps = np.repeat(zero_row(3), 25, axis=0)
+    ry_rows(amps, 1, theta)
+    z = amps**2 @ z_signs(3)
+    np.testing.assert_allclose(z[:, 1], np.cos(theta), atol=1e-12)
+    np.testing.assert_allclose(z[:, 0], 1.0, atol=1e-12)  # untouched qubit
 
 
 def test_norm_preserved_by_random_circuits():
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(1, 5))
-        state = run_ops(n, random_ops(rng, n, int(rng.integers(1, 15))))
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+        amps = run_ops(n, random_ops(rng, n, int(rng.integers(1, 15))))
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_strided_matches_dense_oracle():
@@ -132,11 +141,8 @@ def test_strided_matches_dense_oracle():
     for _ in range(30):
         n = int(rng.integers(1, 5))
         ops = random_ops(rng, n, int(rng.integers(1, 13)))
-        state = run_ops(n, ops)
-        unitary = dense_unitary_oracle(ops, n)
-        start = np.zeros(1 << n, dtype=complex)
-        start[0] = 1.0
-        np.testing.assert_allclose(state.amplitudes, unitary @ start, atol=1e-12)
+        np.testing.assert_allclose(run_ops(n, ops), dense_unitary_oracle(ops, n)[:, 0],
+                                   atol=1e-12)
 
 
 def test_oracle_is_unitary():
@@ -156,49 +162,26 @@ def test_gate_matrix_tensor_placement():
     np.testing.assert_allclose(gate_matrix(ry(1, theta), 2), np.kron(r, eye))
 
 
-def test_apply_gate_dispatch():
-    via_ops = run_ops(2, [ry(0, 0.9), cnot(0, 1)])
-    direct = new_zero_state(2).apply_ry(0, 0.9).apply_cnot(0, 1)
-    np.testing.assert_array_equal(via_ops.amplitudes, direct.amplitudes)
-
-
-def test_copy_is_independent():
-    state = new_zero_state(1)
-    clone = state.copy()
-    clone.apply_ry(0, 1.0)
-    np.testing.assert_array_equal(state.amplitudes, [1, 0])
-
-
 class TestValidation:
     def test_qubit_out_of_range(self):
         with pytest.raises(IndexError):
-            new_zero_state(2).apply_ry(2, 0.1)
+            gate_matrix(ry(2, 0.1), 2)
         with pytest.raises(IndexError):
-            new_zero_state(2).apply_cnot(0, 5)
+            dense_unitary_oracle([cnot(0, 5)], 2)
 
     def test_cnot_needs_distinct_qubits(self):
         with pytest.raises(IndexError):
-            new_zero_state(2).apply_cnot(1, 1)
-        with pytest.raises(IndexError):
             cnot(0, 0)
+        with pytest.raises(IndexError):
+            GateOp("cnot", 1, control=1)
 
     def test_bad_qubit_count(self):
         with pytest.raises(ConfigurationError):
-            StateVector(0)
-        with pytest.raises(ConfigurationError):
-            StateVector(17)
-
-    def test_wrong_amplitude_count(self):
-        with pytest.raises(ConfigurationError):
-            StateVector(2, [1, 0])
-
-    def test_unnormalized_amplitudes(self):
-        with pytest.raises(NumericError):
-            StateVector(1, [1.0, 1.0])
+            dense_unitary_oracle([], 0)
 
     def test_non_finite_angle(self):
         with pytest.raises(NumericError):
-            new_zero_state(1).apply_ry(0, np.nan)
+            ry(0, np.nan)
         with pytest.raises(NumericError):
             ry(0, np.inf)
 
