@@ -123,11 +123,11 @@ def conv_spatial(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     return out
 
 
-def conv_temporal(tape: Tape, x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
+def conv_temporal(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     """1-D convolution along the time axis of (B, F, 1, T).
 
-    Kernel shape (G, F, 1, k); output (B, G, 1, T') with
-    T' = floor((T - k) / stride) + 1.  No padding.
+    Kernel shape (G, F, 1, k); output (B, G, 1, T - k + 1); stride 1, no padding.
+    One matmul per kernel tap, so no (B, F, T', k) window array is built.
     """
     if x.data.ndim != 4 or x.shape[2] != 1:
         raise ShapeError(f"conv_temporal: expected (B, F, 1, T) input, got {x.shape}")
@@ -139,30 +139,30 @@ def conv_temporal(tape: Tape, x: Tensor, kernel: Tensor, stride: int = 1) -> Ten
         raise ShapeError(
             f"conv_temporal: kernel expects {kernel.shape[1]} maps, input has {x.shape[1]}"
         )
-    if stride < 1:
-        raise ConfigurationError(f"stride must be >= 1, got {stride}")
     k = kernel.shape[3]
     t_in = x.shape[3]
     if k > t_in:
         raise ShapeError(f"conv_temporal: kernel length {k} exceeds input length {t_in}")
-    t_out = (t_in - k) // stride + 1
+    t_out = t_in - k + 1
 
     xs = x.data[:, :, 0, :]  # (B, F, T)
     ks = kernel.data[:, :, 0, :]  # (G, F, k)
-    windows = np.lib.stride_tricks.sliding_window_view(xs, k, axis=-1)[:, :, ::stride]
-    windows = windows[:, :, :t_out]  # (B, F, T', k)
-    out = Tensor(np.einsum("bftk,gfk->bgt", windows, ks)[:, :, None, :])
+    acc = ks[:, :, 0] @ xs[:, :, :t_out]
+    for off in range(1, k):
+        acc += ks[:, :, off] @ xs[:, :, off : off + t_out]
+    out = Tensor(acc[:, :, None, :])
 
     def backward():
         g = _grad_of(out)
         if g is None:
             return
         gs = g[:, :, 0, :]  # (B, G, T')
-        kernel.accumulate(np.einsum("bgt,bftk->gfk", gs, windows)[:, :, None, :])
+        gk = np.empty_like(ks)
         gx = np.zeros_like(xs)
-        spread = np.einsum("bgt,gfk->bftk", gs, ks)
         for off in range(k):
-            gx[:, :, off : off + t_out * stride : stride] += spread[:, :, :, off]
+            gk[:, :, off] = (gs @ xs[:, :, off : off + t_out].transpose(0, 2, 1)).sum(0)
+            gx[:, :, off : off + t_out] += ks[:, :, off].T @ gs
+        kernel.accumulate(gk[:, :, None, :])
         x.accumulate(gx[:, :, None, :])
 
     tape.record(backward)

@@ -1,7 +1,7 @@
 """Exact pure-state simulation for small qubit registers.
 
 Amplitudes are indexed by the basis-state integer, with qubit 0 as the least
-significant bit.  Three strided kernels do all the work, each over a
+significant bit.  A gate-level simulator of three strided kernels, each over a
 ``(rows, 2^n)`` amplitude array so one call advances many states at once:
 
 - ``ry_rows`` rotates one qubit in place, with a shared angle or one per row,
@@ -9,10 +9,10 @@ significant bit.  Three strided kernels do all the work, each over a
 - ``cnot_index`` is the gather index that applies one CNOT;
 - ``z_signs`` is the table that turns probabilities into per-qubit <Z>.
 
-The kernels do not validate their arguments; the circuit layer in ``vqc``
-checks shapes and finiteness before it calls them.  A single state is a
-batch of one row.  Only the two gates the encoding circuit needs exist: RY
-and CNOT.
+The kernels do not validate their arguments.  ``vqc`` runs its own fused
+kernel and takes only ``cnot_index`` and ``z_signs`` from here; tests run
+``ry_rows`` gate by gate to audit it.  A single state is a batch of one row.
+Only the two gates the encoding circuit needs exist: RY and CNOT.
 
 ``dense_unitary_oracle`` builds the full 2^n x 2^n unitary of a ``GateOp``
 list by explicit Kronecker expansion.  It shares no code with the kernels,

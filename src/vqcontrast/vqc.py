@@ -12,10 +12,13 @@ skipped and the layer collapses to a chain of RY rotations.  For
 n_qubits == 2 the ring emits CNOT(0,1) followed by CNOT(1,0) exactly as the
 modular formula states, even though the pair partially undoes itself.
 
-Every evaluation runs a batch of rows through the strided kernels of
-``statevector``.  RY and CNOT are real matrices acting on a real initial
-state, so the amplitudes stay in a float64 array of shape (batch, 2^n).
-A single input is a batch of one row.
+Every evaluation runs a batch of rows (one input is one row) through one fused
+kernel on a float64 (batch, 2^n) amplitude array, qubit 0 the least significant
+bit, with at most two such arrays alive.  The encoding is a product state built
+from cos(x_i/2) and sin(x_i/2) by n in-place doublings of the row width; each
+CNOT ring is one gather; each RY layer is two real matrix products on the
+(batch, 2^(n-h), 2^h) view, h = n // 2, by the Kronecker products of the RY
+blocks of qubits h..n-1 (from the left) and 0..h-1 (from the right).
 
 The layer's API is ``vqc_batched_forward`` and ``vqc_batched_vjp``.  The VJP
 uses the parameter-shift rule with shifts of +-pi/2 and a factor of 1/2,
@@ -28,11 +31,12 @@ row is its VJP with the j-th basis vector as upstream gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ShapeError
-from .statevector import MAX_QUBITS, cnot_index, ry_rows, z_signs
+from .statevector import MAX_QUBITS, cnot_index, z_signs
 
 _SHIFT = 0.5 * np.pi
 
@@ -62,19 +66,46 @@ class QuantumLayerParams:
             raise NumericError("weights contain non-finite entries")
 
 
+@lru_cache(maxsize=None)
+def _ring_index(n: int) -> np.ndarray:
+    """One gather index for the CNOT ring CNOT(0,1), ..., CNOT(n-1,0)."""
+    ring = cnot_index(n, 0, 1)
+    for i in range(1, n):
+        ring = ring[cnot_index(n, i, (i + 1) % n)]
+    ring.flags.writeable = False
+    return ring
+
+
+def _ry_factors(angles: np.ndarray) -> np.ndarray:
+    """(L, 2^m, 2^m) Kronecker products of RY blocks of (L, m) angles, angle 0 rightmost."""
+    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    blocks = np.stack([c, -s, s, c], axis=-1).reshape(*angles.shape, 2, 2)
+    factors = np.ones((len(angles), 1, 1))
+    for j in range(angles.shape[1]):
+        outer = blocks[:, j, :, None, :, None] * factors[:, None, :, None, :]
+        factors = outer.reshape(len(angles), 2 * factors.shape[1], -1)
+    return factors
+
+
 def _run_batched(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    batch, n = X.shape
-    amps = np.zeros((batch, 1 << n))
+    rows, n = X.shape
+    h = n // 2
+    amps = np.empty((rows, 1 << n))
     amps[:, 0] = 1.0
-    for i in range(n):
-        ry_rows(amps, i, X[:, i])
-    for layer in range(weights.shape[0]):
-        if n >= 2:
-            for i in range(n):
-                amps = amps[:, cnot_index(n, i, (i + 1) % n)]
-        for i in range(n):
-            ry_rows(amps, i, weights[layer, i])
-    return amps**2 @ z_signs(n)
+    c, s = np.cos(0.5 * X), np.sin(0.5 * X)
+    for i in range(n):  # qubit i is bit i: doubling the width appends it as the MSB
+        amps[:, 1 << i : 2 << i] = s[:, i, None] * amps[:, : 1 << i]
+        amps[:, : 1 << i] *= c[:, i, None]
+    spare = np.empty_like(amps)
+    flat, split = (-1, 1 << h), (rows, 1 << (n - h), 1 << h)
+    for lo, hi in zip(_ry_factors(weights[:, :h]), _ry_factors(weights[:, h:])):
+        if n >= 2:  # mode="clip" gathers straight into ``spare``; "raise" buffers a copy
+            np.take(amps, _ring_index(n), axis=1, out=spare, mode="clip")
+            amps, spare = spare, amps
+        np.matmul(amps.reshape(flat), lo.T, out=spare.reshape(flat))
+        np.matmul(hi, spare.reshape(split), out=amps.reshape(split))
+    np.square(amps, out=amps)
+    return amps @ z_signs(n)
 
 
 def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -111,23 +142,12 @@ def vqc_batched_vjp(
         )
     weights = params.weights
 
-    d_inputs = np.empty_like(X)
-    for i in range(n):
-        shifted = X.copy()
-        shifted[:, i] = X[:, i] + _SHIFT
-        plus = _run_batched(shifted, weights)
-        shifted[:, i] = X[:, i] - _SHIFT
-        minus = _run_batched(shifted, weights)
-        d_inputs[:, i] = (0.5 * (plus - minus) * upstream).sum(axis=1)
+    def shifted(dx, dw):
+        """upstream * (f(angle + pi/2) - f(angle - pi/2)) / 2 for the shifted angle."""
+        plus, minus = _run_batched(X + dx, weights + dw), _run_batched(X - dx, weights - dw)
+        return 0.5 * (plus - minus) * upstream
 
-    d_weights = np.empty_like(weights)
-    for layer in range(layers):
-        for i in range(n):
-            shifted = weights.copy()
-            shifted[layer, i] = weights[layer, i] + _SHIFT
-            plus = _run_batched(X, shifted)
-            shifted[layer, i] = weights[layer, i] - _SHIFT
-            minus = _run_batched(X, shifted)
-            d_weights[layer, i] = (0.5 * (plus - minus) * upstream).sum()
-
+    d_inputs = np.stack([shifted(_SHIFT * e, 0.0).sum(axis=1) for e in np.eye(n)], axis=1)
+    units = _SHIFT * np.eye(layers * n).reshape(-1, layers, n)
+    d_weights = np.array([shifted(0.0, e).sum() for e in units]).reshape(layers, n)
     return d_inputs, d_weights

@@ -3,6 +3,8 @@ import pytest
 
 from vqcontrast.statevector import dense_unitary_oracle
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def oracle_z():
@@ -17,18 +19,28 @@ def oracle_z():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One visible [PASS]/[FAIL] line per acceptance criterion."""
+    """One visible [PASS]/[FAIL]/[NOT RUN] line per acceptance criterion.
+
+    A criterion passes only on a call-phase report whose outcome is passed;
+    one that was deselected or skipped, or errored before its call, did not run.
+    """
+    rank = {"NOT RUN": 0, "PASS": 1, "FAIL": 2}
     verdicts = {}
     for reports in terminalreporter.stats.values():
         for rep in reports:
             nodeid = getattr(rep, "nodeid", "")
             if "test_criterion_" not in nodeid:
                 continue
-            failed = getattr(rep, "outcome", "") == "failed"
-            verdicts[nodeid] = verdicts.get(nodeid, False) or failed
+            outcome = getattr(rep, "outcome", "")
+            if outcome == "failed":
+                verdict = "FAIL"
+            elif outcome == "passed" and getattr(rep, "when", "") == "call":
+                verdict = "PASS"
+            else:
+                verdict = "NOT RUN"
+            verdicts[nodeid] = max(verdicts.get(nodeid, verdict), verdict, key=rank.get)
     if not verdicts:
         return
     terminalreporter.section("acceptance criteria")
     for nodeid in sorted(verdicts):
-        marker = "FAIL" if verdicts[nodeid] else "PASS"
-        terminalreporter.write_line(f"[{marker}] {nodeid.split('::')[-1]}")
+        terminalreporter.write_line(f"[{verdicts[nodeid]}] {nodeid.split('::')[-1]}")

@@ -1,6 +1,8 @@
 """Autodiff engine ops against closed forms and the optimizer against its
 update equations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,17 +71,33 @@ def test_conv_temporal_matches_loops():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 1, 10))
     k = rng.standard_normal((4, 3, 1, 4))
-    for stride in (1, 2, 3):
-        out, _, _ = backprop(
-            lambda t, x_, k_: diffnet.conv_temporal(t, x_, k_, stride=stride), [x, k]
-        )
-        t_out = (10 - 4) // stride + 1
-        assert out.shape == (2, 4, 1, t_out)
-        for b in range(2):
-            for g in range(4):
-                for t in range(t_out):
-                    window = x[b, :, 0, t * stride : t * stride + 4]
-                    assert abs(out[b, g, 0, t] - np.sum(window * k[g, :, 0, :])) < 1e-12
+    out, (dx, dk), r = backprop(lambda t, x_, k_: diffnet.conv_temporal(t, x_, k_), [x, k])
+    assert out.shape == (2, 4, 1, 7)
+    expected_dx, expected_dk = np.zeros_like(x), np.zeros_like(k)
+    for b in range(2):
+        for g in range(4):
+            for t in range(7):
+                window = x[b, :, 0, t : t + 4]
+                assert abs(out[b, g, 0, t] - np.sum(window * k[g, :, 0, :])) < 1e-12
+                expected_dx[b, :, 0, t : t + 4] += r[b, g, 0, t] * k[g, :, 0, :]
+                expected_dk[g, :, 0, :] += r[b, g, 0, t] * window
+    np.testing.assert_allclose(dx, expected_dx, atol=1e-12)
+    np.testing.assert_allclose(dk, expected_dk, atol=1e-12)
+
+
+def test_conv_temporal_never_holds_a_window_array():
+    """Forward and backward at paper-step shape stay below one (B, F, T', k) array."""
+    rng = np.random.default_rng(13)
+    x, k = rng.standard_normal((64, 8, 1, 100)), rng.standard_normal((8, 8, 1, 16))
+    window_bytes = 64 * 8 * (100 - 16 + 1) * 16 * 8
+    tracemalloc.start()
+    try:
+        _, (dx, dk), _ = backprop(lambda t, x_, k_: diffnet.conv_temporal(t, x_, k_), [x, k])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == x.shape and dk.shape == k.shape
+    assert peak < window_bytes
 
 
 def test_batch_norm_train_standardizes():
@@ -216,8 +234,6 @@ def test_shape_validation():
         diffnet.conv_spatial(t, Tensor(np.ones((2, 1, 4, 8))), Tensor(np.ones((3, 1, 5, 1))))
     with pytest.raises(ShapeError):
         diffnet.conv_temporal(t, Tensor(np.ones((2, 3, 1, 4))), Tensor(np.ones((2, 3, 1, 6))))
-    with pytest.raises(ConfigurationError):
-        diffnet.conv_temporal(t, Tensor(np.ones((2, 3, 1, 8))), Tensor(np.ones((2, 3, 1, 4))), stride=0)
     with pytest.raises(ShapeError):
         diffnet.l2_normalize(t, Tensor(np.ones(4)))
 

@@ -1,11 +1,13 @@
 """Variational circuit layer: forward, parameter-shift gradients, batching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
 from vqcontrast.gradcheck import central_difference
-from vqcontrast.statevector import cnot, ry
+from vqcontrast.statevector import cnot, cnot_index, ry, ry_rows, z_signs
 from vqcontrast.vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
 
 
@@ -88,26 +90,70 @@ def test_two_qubit_ring_applies_both_directions(oracle_z):
     assert np.abs(out[0] - single).max() > 0.1
 
 
+def explicit_gates(x, weights):
+    """The circuit of one input row written out gate by gate."""
+    n = len(x)
+    ring = [cnot(i, (i + 1) % n) for i in range(n)] if n >= 2 else []
+    gates = [ry(i, x[i]) for i in range(n)]
+    for layer in weights:
+        gates += ring + [ry(i, layer[i]) for i in range(n)]
+    return gates
+
+
 def test_batched_forward_matches_dense_oracle(oracle_z):
     """Each row against the Kronecker-built unitary of the explicit gate list.
 
-    n=1 has no ring; n=2 has the ring CNOT(0,1), CNOT(1,0).
+    n=1 has no ring; n=2 has the ring CNOT(0,1), CNOT(1,0), which half undoes
+    itself; odd n splits the RY layer into factors of unequal size.
     """
     rng = np.random.default_rng(3)
-    layers = 2
-    for n in range(1, 6):
-        weights = rng.uniform(-np.pi, np.pi, (layers, n))
-        X = rng.uniform(-np.pi, np.pi, (6, n))
-        ring = [cnot(i, (i + 1) % n) for i in range(n)] if n >= 2 else []
+    for n in range(1, 7):
+        for layers in range(1, 4):
+            weights = rng.uniform(-np.pi, np.pi, (layers, n))
+            X = rng.uniform(-np.pi, np.pi, (3, n))
+            batched = vqc_batched_forward(X, QuantumLayerParams(n, layers, weights))
+            assert batched.shape == (3, n)
+            for b in range(3):
+                np.testing.assert_allclose(
+                    batched[b], oracle_z(explicit_gates(X[b], weights), n),
+                    atol=1e-12, err_msg=f"n={n}, layers={layers}",
+                )
 
-        batched = vqc_batched_forward(X, QuantumLayerParams(n, layers, weights))
-        assert batched.shape == (6, n)
-        for b in range(6):
-            gates = [ry(i, X[b, i]) for i in range(n)]
-            for layer in range(layers):
-                gates += ring + [ry(i, weights[layer, i]) for i in range(n)]
-            np.testing.assert_allclose(batched[b], oracle_z(gates, n), atol=1e-12,
-                                       err_msg=f"n={n}")
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_batched_forward_matches_gate_level_kernels(n):
+    """Beyond the dense oracle's reach, against one ry_rows/cnot_index call per gate."""
+    rng = np.random.default_rng(n)
+    layers, rows = 3, 4
+    weights = rng.uniform(-np.pi, np.pi, (layers, n))
+    X = rng.uniform(-np.pi, np.pi, (rows, n))
+    amps = np.zeros((rows, 1 << n))
+    amps[:, 0] = 1.0
+    for b in range(rows):
+        for gate in explicit_gates(X[b], weights):
+            if gate.kind == "ry":
+                ry_rows(amps[b : b + 1], gate.qubit, gate.angle)
+            else:
+                amps[b] = amps[b, cnot_index(n, gate.control, gate.qubit)]
+    expected = amps**2 @ z_signs(n)
+    out = vqc_batched_forward(X, QuantumLayerParams(n, layers, weights))
+    np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def test_batched_forward_holds_at_most_three_states():
+    """Peak traced memory of a 256-row, 10-qubit forward stays under three full states."""
+    rng = np.random.default_rng(6)
+    rows, n = 256, 10
+    params = QuantumLayerParams(n, 4, rng.uniform(-np.pi, np.pi, (4, n)))
+    X = rng.uniform(-np.pi, np.pi, (rows, n))
+    vqc_batched_forward(X, params)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        vqc_batched_forward(X, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rows * (1 << n) * 8
 
 
 def test_batched_vjp_matches_central_differences():
