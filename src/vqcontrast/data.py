@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ZeroShotOverlapError
+from .errors import ConfigurationError, NumericError, ZeroShotOverlapError
 from .qtns import load_tensor_file, save_tensor_file
 
 _MANIFEST_KEYS = {"eeg_path", "image_emb_path", "labels_path", "train_classes", "test_classes"}
@@ -92,9 +92,13 @@ class DatasetManifest:
 
     def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (eeg [N,1,E,T] f64, image_emb [C,D_img] f64, labels [N] int)."""
-        eeg = load_tensor_file(self.root / self.eeg_path).astype(np.float64)
-        emb = load_tensor_file(self.root / self.image_emb_path).astype(np.float64)
+        eeg = load_tensor_file(self.root / self.eeg_path)
+        emb = load_tensor_file(self.root / self.image_emb_path)
         labels_f = load_tensor_file(self.root / self.labels_path)
+        for path, array in ((self.eeg_path, eeg), (self.image_emb_path, emb)):
+            if not np.isfinite(array).all():  # on the float32 payload: half the bytes
+                raise NumericError(f"{path} holds non-finite values")
+        eeg, emb = eeg.astype(np.float64), emb.astype(np.float64)
         if eeg.ndim != 4 or eeg.shape[1] != 1:
             raise ConfigurationError(f"EEG tensor must be [N, 1, E, T], got {eeg.shape}")
         if emb.ndim != 2:

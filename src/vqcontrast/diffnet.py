@@ -29,7 +29,7 @@ class Tensor:
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | None = None  # None: never reached the loss
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -61,11 +61,6 @@ class Tape:
             fn()
 
 
-def _grad_of(t: Tensor) -> np.ndarray | None:
-    # None means the value never reached the loss; nothing to propagate.
-    return t.grad
-
-
 # ---------------------------------------------------------------------------
 # Ops
 
@@ -79,7 +74,7 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.data @ w.data + b.data)
 
     def backward():
-        g = _grad_of(out)
+        g = out.grad
         if g is None:
             return
         x.accumulate(g @ w.data.T)
@@ -109,10 +104,10 @@ def conv_spatial(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
         )
     xs = x.data[:, 0]  # (B, E, T)
     ks = kernel.data[:, 0, :, 0]  # (F, E)
-    out = Tensor(np.einsum("bet,fe->bft", xs, ks)[:, :, None, :])
+    out = Tensor((ks @ xs)[:, :, None, :])
 
     def backward():
-        g = _grad_of(out)
+        g = out.grad
         if g is None:
             return
         gs = g[:, :, 0, :]  # (B, F, T)
@@ -153,7 +148,7 @@ def conv_temporal(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     out = Tensor(acc[:, :, None, :])
 
     def backward():
-        g = _grad_of(out)
+        g = out.grad
         if g is None:
             return
         gs = g[:, :, 0, :]  # (B, G, T')
@@ -182,9 +177,9 @@ def batch_norm(
 ) -> Tensor:
     """Per-feature standardization with a learned affine map.
 
-    Axis 1 is the feature axis for both (B, C) and (B, C, 1, T) inputs.  In
-    train mode the batch statistics are used and the running statistics are
-    updated in place; in eval mode the running statistics are used.
+    Axis 1 is the feature axis for both (B, C) and (B, C, 1, T) inputs.  Train
+    mode uses the batch statistics and updates the running ones in place; eval
+    mode uses the running ones.  The forward is one scale and shift per feature.
     """
     if x.data.ndim not in (2, 4):
         raise ShapeError(f"batch_norm: expected 2-D or 4-D input, got {x.shape}")
@@ -205,17 +200,19 @@ def batch_norm(
         running_var *= 1.0 - momentum
         running_var += momentum * var * count / (count - 1)
     else:
-        mean = running_mean
+        mean = running_mean.copy()  # a later train step updates the buffer in place
         var = running_var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - cast(mean)) * cast(inv_std)
-    out = Tensor(cast(gamma.data) * x_hat + cast(beta.data))
+    scale = gamma.data * inv_std
+    out = Tensor(x.data * cast(scale))
+    out.data += cast(beta.data - mean * scale)
 
     def backward():
-        g = _grad_of(out)
+        g = out.grad
         if g is None:
             return
+        x_hat = (x.data - cast(mean)) * cast(inv_std)
         gamma.accumulate((g * x_hat).sum(axis=axes))
         beta.accumulate(g.sum(axis=axes))
         g_hat = g * cast(gamma.data)
@@ -236,14 +233,15 @@ def batch_norm(
 
 def elu(tape: Tape, x: Tensor) -> Tensor:
     """x for x > 0, exp(x) - 1 otherwise (alpha = 1)."""
-    positive = x.data > 0
-    out = Tensor(np.where(positive, x.data, np.expm1(x.data)))
+    # max(expm1(min(x, 0)), x) needs no sign mask and is exact: expm1(x) >= x
+    out = Tensor(np.expm1(np.minimum(x.data, 0.0)))
+    np.maximum(out.data, x.data, out=out.data)
 
     def backward():
-        g = _grad_of(out)
+        g = out.grad
         if g is None:
             return
-        x.accumulate(g * np.where(positive, 1.0, out.data + 1.0))
+        x.accumulate(g * (np.minimum(out.data, 0.0) + 1.0))  # 1, or exp(x) for x <= 0
 
     tape.record(backward)
     return out
@@ -255,7 +253,7 @@ def angle_squash(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(np.pi * t)
 
     def backward():
-        g = _grad_of(out)
+        g = out.grad
         if g is None:
             return
         x.accumulate(g * np.pi * (1.0 - t * t))
@@ -275,7 +273,7 @@ def l2_normalize(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward():
-        g = _grad_of(out)
+        g = out.grad
         if g is None:
             return
         x.accumulate((g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
@@ -288,7 +286,7 @@ def reshape(tape: Tape, x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
     def backward():
-        g = _grad_of(out)
+        g = out.grad
         if g is None:
             return
         x.accumulate(g.reshape(x.data.shape))
@@ -298,8 +296,8 @@ def reshape(tape: Tape, x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def flatten(tape: Tape, x: Tensor) -> Tensor:
-    """Collapse everything after the batch axis."""
-    return reshape(tape, x, (x.shape[0], -1))
+    """Collapse everything after the batch axis (explicit width: 0 rows work)."""
+    return reshape(tape, x, (x.shape[0], int(np.prod(x.shape[1:]))))
 
 
 # ---------------------------------------------------------------------------

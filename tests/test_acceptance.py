@@ -1,7 +1,8 @@
 """Acceptance gate: the eight release criteria, one test per criterion.
 
 Each test prints a [PASS]/[FAIL] line; conftest.py repeats the verdicts
-in the terminal summary so they stay visible under output capture.
+in the terminal summary so they stay visible under output capture.  One
+further test pins the zero-shot top-k on the acceptance dataset.
 """
 
 import json
@@ -22,6 +23,7 @@ from vqcontrast import (
     generate_dataset,
     run_all_checks,
     run_protocol,
+    train,
 )
 from vqcontrast.cli import main
 from vqcontrast.data import MANIFEST_FILE
@@ -193,6 +195,17 @@ def test_criterion_7_untrained_model_stays_at_chance(desk_data):
         chance = 1.0 / len(desk_data.test_classes)
         se = np.sqrt(chance * (1.0 - chance) / n_queries)
         assert abs(record.top1 - chance) <= 3.0 * se, (record.top1, chance, se)
+
+
+@pytest.mark.parametrize("epochs,top1,top5", [(0, 0.125, 0.625), (5, 0.4, 0.75625)])
+def test_zero_shot_topk_is_pinned_on_the_acceptance_dataset(desk_data, epochs, top1, top5):
+    """Recorded before eval ran in row blocks; the rankings must not move."""
+    if epochs:
+        model, _ = train(replace(DESK, epochs=epochs), desk_data)
+    else:
+        model = RetrievalModel(replace(DESK, seed=1), np.random.default_rng(1))
+    record = evaluate_zero_shot(model, desk_data)
+    assert (record.top1, record.top5) == (top1, top5)
 
 
 def test_criterion_8_metrics_stream_is_byte_reproducible(tmp_path):

@@ -10,7 +10,8 @@ import pytest
 
 from vqcontrast import RetrievalModel, RunConfig, read_metrics, save_params, save_tensor_file
 from vqcontrast.cli import main
-from vqcontrast.data import EEG_FILE, MANIFEST_FILE
+from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, MANIFEST_FILE
+from vqcontrast.qtns import load_tensor_file
 
 TINY = RunConfig(
     n_qubits=2,
@@ -195,18 +196,30 @@ def test_non_finite_params_file_exits_one(tmp_path, config_path, capsys):
     assert not (tmp_path / "eval.jsonl").exists()
 
 
-def test_non_finite_dataset_is_a_numeric_failure(tmp_path, config_path, capsys):
+def test_non_finite_dataset_is_a_numeric_failure(tmp_path, config_path):
+    """A NaN or inf in a tensor file is refused when the dataset is loaded:
+    exit 2 and one stderr line naming the file, before any forward pass."""
     manifest = gen_data(tmp_path, config_path)
-    save_tensor_file(
-        manifest.parent / EEG_FILE,
-        np.full((16, 1, 3, 16), np.inf, dtype=np.float32),
-    )
-    code = main([
-        "train", "--config", str(config_path), "--data", str(manifest),
-        "--out", str(tmp_path / "metrics.jsonl"),
-    ])
-    assert code == 2
-    assert "numeric failure" in capsys.readouterr().err
+    params = tmp_path / "model.params"
+    RetrievalModel(TINY, np.random.default_rng(0)).save(params)
+    cases = [("train", EEG_FILE, np.inf), ("train", IMAGE_EMB_FILE, np.nan),
+             ("eval", EEG_FILE, -np.inf)]
+    for command, name, value in cases:
+        path = manifest.parent / name
+        clean = path.read_bytes()
+        poisoned = load_tensor_file(path)
+        poisoned.flat[3] = value
+        save_tensor_file(path, poisoned)
+        extra = ["--params", str(params)] if command == "eval" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "vqcontrast.cli", command, "--config", str(config_path),
+             "--data", str(manifest), "--out", str(tmp_path / "out.jsonl"), *extra],
+            capture_output=True, text=True,
+        )
+        path.write_bytes(clean)
+        assert proc.returncode == 2, (command, name, proc.stderr)
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numeric failure") and name in proc.stderr, proc.stderr
 
 
 _MANIFEST = {

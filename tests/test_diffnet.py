@@ -143,6 +143,26 @@ def test_batch_norm_affine_params_apply():
     np.testing.assert_allclose(out.data[:, 1], [-1.0 - 3.0, -1.0 + 3.0], atol=1e-4)
 
 
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("shape", [(6, 3), (5, 3, 1, 7)], ids=["2d", "4d"])
+def test_batch_norm_matches_textbook_form(train, shape):
+    """The one-pass scale and shift equals gamma * (x - mean) / sigma + beta."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(shape) * 2.0 + 0.7
+    gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
+    running_mean, running_var = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+    axes = (0,) if len(shape) == 2 else (0, 2, 3)
+    if train:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+    else:
+        mean, var = running_mean.copy(), running_var.copy()
+    cast = (lambda a: a) if len(shape) == 2 else (lambda a: a[:, None, None])
+    expected = cast(gamma) * (x - cast(mean)) / np.sqrt(cast(var) + 1e-5) + cast(beta)
+    out = diffnet.batch_norm(Tape(), Tensor(x), Tensor(gamma), Tensor(beta),
+                             running_mean, running_var, train=train)
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+
 def test_batch_norm_single_sample_train_rejected():
     tape = Tape()
     with pytest.raises(ConfigurationError):
@@ -157,6 +177,19 @@ def test_elu_values():
     np.testing.assert_allclose(
         out.data, [[np.expm1(-2.0), np.expm1(-0.5), 0.5, 2.0]], atol=1e-15
     )
+
+
+def test_elu_is_bitwise_the_where_form():
+    """Value and slope equal the masked form; a large x overflows nothing."""
+    rng = np.random.default_rng(18)
+    x = np.concatenate([rng.standard_normal(200) * 3,
+                        [0.0, -0.0, 1e-300, -1e-300, -800.0, 800.0]])
+    out, (dx,), r = backprop(lambda t, x_: diffnet.elu(t, x_), [x])
+    with np.errstate(over="ignore"):
+        expected = np.where(x > 0, x, np.expm1(x))
+    slope = np.where(x > 0, 1.0, expected + 1.0)
+    np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(dx.view(np.uint64), (r * slope).view(np.uint64))
 
 
 def test_angle_squash_bounds():
@@ -192,6 +225,11 @@ def test_flatten_shape_and_gradient():
     out, (dx,), r = backprop(lambda t, x_: diffnet.flatten(t, x_), [x])
     assert out.shape == (3, 8)
     np.testing.assert_allclose(dx, r.reshape(x.shape), atol=1e-15)
+
+
+def test_flatten_keeps_the_width_of_a_zero_row_batch():
+    out = diffnet.flatten(Tape(), Tensor(np.zeros((0, 2, 1, 4))))
+    assert out.shape == (0, 8)
 
 
 # ---------------------------------------------------------------------------

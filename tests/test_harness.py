@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -271,6 +272,56 @@ def test_duplicated_pair_batch_scores_uniformly(tiny_data):
     v = model.embed_images(np.repeat(emb[:1], 2, axis=0))
     loss = clip_loss(clip_logits(e, v, 1.3))
     assert abs(loss - np.log(2.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Blocked eval-mode embedding
+
+BLOCK = harness._EVAL_BLOCK_ROWS
+
+
+def _model_with_running_stats(config, seed):
+    """A model whose batch norms hold non-trivial running statistics."""
+    model = RetrievalModel(config, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for name, buf in model.eeg_encoder.buffers.items():
+        buf[:] = rng.uniform(0.5, 1.5, buf.shape) * (1 if name.endswith("var") else 0.3)
+    return model
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+def test_blocked_embeddings_match_one_unblocked_forward(n):
+    model = _model_with_running_stats(TINY_RUN, 4)
+    rng = np.random.default_rng(n)
+    eeg = rng.standard_normal((n, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+    emb = rng.standard_normal((n, TINY_RUN.image_dim))
+    whole_eeg = model.eeg_encoder.forward(Tape(), Tensor(eeg), train=False).data
+    whole_img = model.image_head.forward(Tape(), Tensor(emb), train=False).data
+    np.testing.assert_allclose(model.embed_eeg(eeg), whole_eeg, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.embed_images(emb), whole_img, rtol=0, atol=1e-12)
+
+
+def test_zero_row_batch_embeds_to_an_empty_matrix():
+    model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
+    eeg = np.zeros((0, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+    assert model.embed_eeg(eeg).shape == (0, TINY_RUN.embed_dim)
+    assert model.embed_images(np.zeros((0, TINY_RUN.image_dim))).shape == (0, TINY_RUN.embed_dim)
+
+
+def test_embed_eeg_peak_memory_stays_cache_sized():
+    """1024 queries at the default geometry: an unblocked forward peaks at 64 MiB."""
+    config = RunConfig()
+    model = _model_with_running_stats(config, 5)
+    eeg = np.random.default_rng(6).standard_normal(
+        (1024, 1, config.electrodes, config.time_samples))
+    tracemalloc.start()
+    try:
+        out = model.embed_eeg(eeg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1024, config.embed_dim)
+    assert peak <= 16 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
