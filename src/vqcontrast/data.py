@@ -31,9 +31,12 @@ MANIFEST_FILE = "manifest.json"
 
 def _class_ids(name: str, values) -> list[int]:
     if not isinstance(values, (list, tuple)) or not all(
-        isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in values
+        isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
+        for c in values
     ):
-        raise ConfigurationError(f"{name} must be a list of integer class ids, got {values!r}")
+        raise ConfigurationError(
+            f"{name} must be a list of non-negative integer class ids, got {values!r}"
+        )
     return [int(c) for c in values]
 
 
@@ -77,9 +80,9 @@ class DatasetManifest:
     def load(cls, path) -> "DatasetManifest":
         path = Path(path)
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"manifest is not valid JSON: {exc}")
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"manifest is not valid UTF-8 JSON: {exc}")
         if not isinstance(doc, dict):
             raise ConfigurationError("manifest must be a JSON object")
         unknown = set(doc) - _MANIFEST_KEYS
@@ -113,8 +116,10 @@ class DatasetManifest:
         known = set(self.train_classes) | set(self.test_classes)
         if labels.size and not set(np.unique(labels)) <= known:
             raise ConfigurationError("labels reference classes outside both splits")
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= emb.shape[0]:
-            raise ConfigurationError("labels index past the image embedding table")
+        # training indexes the table by label, evaluation by every test class
+        top = max(labels.max(initial=0), *self.test_classes)
+        if top >= emb.shape[0]:
+            raise ConfigurationError(f"class {top} indexes past the image embedding table")
         return eeg, emb, labels
 
 

@@ -9,12 +9,12 @@ a dense linear layer, the two EEG convolutions (a spatial convolution that
 collapses the electrode axis, then a 1-D temporal convolution), batch
 normalization, ELU, an angle squash pi*tanh(x) used to bound rotation
 angles, row-wise L2 normalization, and reshape.  Optimization is Adam with
-bias correction and optional decoupled weight decay.
+bias correction and optional decoupled weight decay; its hyperparameters
+come from the caller (the defaults live in ``RunConfig``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -164,6 +164,10 @@ def conv_temporal(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     return out
 
 
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
+BN_EPS = 1e-5
+
+
 def batch_norm(
     tape: Tape,
     x: Tensor,
@@ -172,8 +176,6 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     train: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-feature standardization with a learned affine map.
 
@@ -195,15 +197,15 @@ def batch_norm(
     if train:
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * count / (count - 1)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * count / (count - 1)
     else:
         mean = running_mean.copy()  # a later train step updates the buffer in place
         var = running_var
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv_std
     out = Tensor(x.data * cast(scale))
     out.data += cast(beta.data - mean * scale)
@@ -304,62 +306,29 @@ def flatten(tape: Tape, x: Tensor) -> Tensor:
 # Optimizer
 
 
-@dataclass
-class AdamState:
-    """Per-parameter Adam moments plus hyperparameters."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    lr: float = 0.0002
-    beta1: float = 0.5
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-
-    @classmethod
-    def for_param(cls, param: np.ndarray, **hyper) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param), **hyper)
-
-
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
-    """One Adam update with bias correction and decoupled weight decay."""
-    if params.shape != grads.shape or params.shape != state.m.shape:
-        raise ShapeError(
-            f"adam_step: mismatched shapes {params.shape} / {grads.shape} / {state.m.shape}"
-        )
-    state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    update = m_hat / (np.sqrt(v_hat) + state.eps)
-    if state.weight_decay != 0.0:
-        update = update + state.weight_decay * params
-    # asarray keeps 0-d parameters (e.g. a scalar temperature) as ndarrays
-    return np.asarray(params - state.lr * update)
-
-
 class Adam:
-    """Adam over a named collection of parameter tensors."""
+    """Adam with bias correction and decoupled weight decay over named tensors.
+
+    Moments and step counts are kept per parameter.  A parameter whose
+    gradient is None is skipped: its moments and its bias-correction step
+    count stay as they were.
+    """
+
+    EPS = 1e-8
 
     def __init__(
         self,
         params: dict[str, Tensor],
-        lr: float = 0.0002,
-        beta1: float = 0.5,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
+        lr: float,
+        beta1: float,
+        beta2: float,
+        weight_decay: float,
     ):
         self.params = params
-        self.states = {
-            name: AdamState.for_param(
-                t.data, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                weight_decay=weight_decay,
-            )
-            for name, t in params.items()
-        }
+        self.lr, self.beta1, self.beta2, self.weight_decay = lr, beta1, beta2, weight_decay
+        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.steps = dict.fromkeys(params, 0)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -367,6 +336,19 @@ class Adam:
 
     def step(self) -> None:
         for name, t in self.params.items():
-            if t.grad is None:
+            g = t.grad
+            if g is None:
                 continue
-            t.data = adam_step(t.data, t.grad, self.states[name])
+            if g.shape != t.data.shape:
+                raise ShapeError(f"Adam: gradient {g.shape} for {name!r} of shape {t.shape}")
+            self.steps[name] += 1
+            step = self.steps[name]
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g**2
+            m_hat = self.m[name] / (1.0 - self.beta1**step)
+            v_hat = self.v[name] / (1.0 - self.beta2**step)
+            update = m_hat / (np.sqrt(v_hat) + self.EPS)
+            if self.weight_decay != 0.0:
+                update = update + self.weight_decay * t.data
+            # asarray keeps 0-d parameters (e.g. a scalar temperature) as ndarrays
+            t.data = np.asarray(t.data - self.lr * update)

@@ -1,11 +1,13 @@
 """Modality encoders: an EEG convolutional front end and an image head.
 
-Both encoders share a tail: squash features to rotation angles in
-(-pi, pi), run the variational quantum layer, project to the shared
-embedding dimension, and L2-normalize.  The EEG path prepends a spatial
-convolution across electrodes and a temporal convolution along samples;
-the image path starts from precomputed backbone embeddings, which are
-input data and never trained.
+Both encoders take their geometry from a ``RunConfig`` and end in the same
+tail, built by ``_tail_params`` and run by ``_tail``: project features to
+the qubit count, squash them to rotation angles in (-pi, pi), run the
+variational quantum layer, project to the shared embedding dimension,
+and L2-normalize.  The EEG path prepends a spatial convolution across
+electrodes and a temporal convolution along samples; the image path
+starts from precomputed backbone embeddings, which are input data and
+never trained.
 
 Trainable values live in ``Tensor`` objects keyed by name; batch-norm
 running statistics are plain arrays ("buffers") that persist with the
@@ -14,15 +16,17 @@ parameters but receive no gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import diffnet
 from .diffnet import Tape, Tensor
-from .errors import ConfigurationError, ShapeError
-from .statevector import MAX_QUBITS
+from .errors import ShapeError
 from .vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
+
+if TYPE_CHECKING:
+    from .harness import RunConfig
 
 
 def quantum_layer(tape: Tape, x: Tensor, weights: Tensor) -> Tensor:
@@ -51,73 +55,6 @@ def quantum_layer(tape: Tape, x: Tensor, weights: Tensor) -> Tensor:
     return out
 
 
-def _check_positive(**fields):
-    for name, value in fields.items():
-        if int(value) != value or value < 1:
-            raise ConfigurationError(f"{name} must be a positive integer, got {value}")
-
-
-@dataclass(frozen=True)
-class EegEncoderConfig:
-    """Geometry of the EEG encoder."""
-
-    electrodes: int
-    time_samples: int
-    spatial_maps: int
-    temporal_maps: int
-    temporal_kernel: int
-    embed_dim: int
-    n_qubits: int
-    n_layers: int
-
-    def __post_init__(self):
-        _check_positive(
-            electrodes=self.electrodes,
-            time_samples=self.time_samples,
-            spatial_maps=self.spatial_maps,
-            temporal_maps=self.temporal_maps,
-            temporal_kernel=self.temporal_kernel,
-            embed_dim=self.embed_dim,
-            n_qubits=self.n_qubits,
-            n_layers=self.n_layers,
-        )
-        if self.temporal_kernel > self.time_samples:
-            raise ConfigurationError(
-                f"temporal kernel {self.temporal_kernel} exceeds "
-                f"{self.time_samples} time samples"
-            )
-        if self.n_qubits > MAX_QUBITS:
-            raise ConfigurationError(f"n_qubits must be <= {MAX_QUBITS}")
-
-    @property
-    def temporal_out(self) -> int:
-        return self.time_samples - self.temporal_kernel + 1
-
-    @property
-    def flat_dim(self) -> int:
-        return self.temporal_maps * self.temporal_out
-
-
-@dataclass(frozen=True)
-class ImageHeadConfig:
-    """Geometry of the image embedding head."""
-
-    input_dim: int
-    embed_dim: int
-    n_qubits: int
-    n_layers: int
-
-    def __post_init__(self):
-        _check_positive(
-            input_dim=self.input_dim,
-            embed_dim=self.embed_dim,
-            n_qubits=self.n_qubits,
-            n_layers=self.n_layers,
-        )
-        if self.n_qubits > MAX_QUBITS:
-            raise ConfigurationError(f"n_qubits must be <= {MAX_QUBITS}")
-
-
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -130,17 +67,36 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nd
 ANGLE_INIT_SCALE = 0.1
 
 
-def init_circuit_weights(rng: np.random.Generator, n_layers: int, n_qubits: int):
-    return rng.uniform(-np.pi, np.pi, size=(n_layers, n_qubits))
+def _tail_params(
+    rng: np.random.Generator, in_dim: int, config: RunConfig
+) -> dict[str, Tensor]:
+    """The tail's five parameters for ``in_dim`` input features."""
+    q, d = config.n_qubits, config.embed_dim
+    return {
+        "angle_w": Tensor(ANGLE_INIT_SCALE * _glorot(rng, (in_dim, q), in_dim, q)),
+        "angle_b": Tensor(np.zeros(q)),
+        "circuit_weights": Tensor(rng.uniform(-np.pi, np.pi, size=(config.n_layers, q))),
+        "proj_w": Tensor(_glorot(rng, (q, d), q, d)),
+        "proj_b": Tensor(np.zeros(d)),
+    }
+
+
+def _tail(tape: Tape, h: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """Linear -> angle squash -> quantum layer -> linear -> L2 norm."""
+    h = diffnet.linear(tape, h, params["angle_w"], params["angle_b"])
+    h = diffnet.angle_squash(tape, h)
+    h = quantum_layer(tape, h, params["circuit_weights"])
+    h = diffnet.linear(tape, h, params["proj_w"], params["proj_b"])
+    return diffnet.l2_normalize(tape, h)
 
 
 class EegConvEncoder:
-    """Spatial conv -> BN -> ELU -> temporal conv -> BN -> ELU -> flatten
-    -> linear -> angle squash -> quantum layer -> linear -> L2 norm."""
+    """Spatial conv -> BN -> ELU -> temporal conv -> BN -> ELU -> flatten,
+    then the shared quantum tail; geometry from a ``RunConfig``."""
 
-    def __init__(self, config: EegEncoderConfig, rng: np.random.Generator):
-        self.config = config
-        c = config
+    def __init__(self, config: RunConfig, rng: np.random.Generator):
+        self.config = c = config
+        flat_dim = c.temporal_maps * (c.time_samples - c.temporal_kernel + 1)
         self.params: dict[str, Tensor] = {
             "spatial_kernel": Tensor(
                 _glorot(rng, (c.spatial_maps, 1, c.electrodes, 1),
@@ -155,13 +111,7 @@ class EegConvEncoder:
             ),
             "bn2_gamma": Tensor(np.ones(c.temporal_maps)),
             "bn2_beta": Tensor(np.zeros(c.temporal_maps)),
-            "angle_w": Tensor(ANGLE_INIT_SCALE * _glorot(rng, (c.flat_dim, c.n_qubits),
-                                                         c.flat_dim, c.n_qubits)),
-            "angle_b": Tensor(np.zeros(c.n_qubits)),
-            "circuit_weights": Tensor(init_circuit_weights(rng, c.n_layers, c.n_qubits)),
-            "proj_w": Tensor(_glorot(rng, (c.n_qubits, c.embed_dim),
-                                     c.n_qubits, c.embed_dim)),
-            "proj_b": Tensor(np.zeros(c.embed_dim)),
+            **_tail_params(rng, flat_dim, c),
         }
         self.buffers: dict[str, np.ndarray] = {
             "bn1_mean": np.zeros(c.spatial_maps),
@@ -185,39 +135,20 @@ class EegConvEncoder:
         h = diffnet.batch_norm(tape, h, p["bn2_gamma"], p["bn2_beta"],
                                b["bn2_mean"], b["bn2_var"], train)
         h = diffnet.elu(tape, h)
-        h = diffnet.flatten(tape, h)
-        h = diffnet.linear(tape, h, p["angle_w"], p["angle_b"])
-        h = diffnet.angle_squash(tape, h)
-        h = quantum_layer(tape, h, p["circuit_weights"])
-        h = diffnet.linear(tape, h, p["proj_w"], p["proj_b"])
-        return diffnet.l2_normalize(tape, h)
+        return _tail(tape, diffnet.flatten(tape, h), p)
 
 
 class ImageEmbedHead:
-    """Linear -> angle squash -> quantum layer -> linear -> L2 norm over
-    precomputed (frozen) backbone embeddings."""
+    """The shared quantum tail over precomputed (frozen) backbone embeddings
+    of width ``config.image_dim``."""
 
-    def __init__(self, config: ImageHeadConfig, rng: np.random.Generator):
+    def __init__(self, config: RunConfig, rng: np.random.Generator):
         self.config = config
-        c = config
-        self.params: dict[str, Tensor] = {
-            "angle_w": Tensor(ANGLE_INIT_SCALE * _glorot(rng, (c.input_dim, c.n_qubits),
-                                                         c.input_dim, c.n_qubits)),
-            "angle_b": Tensor(np.zeros(c.n_qubits)),
-            "circuit_weights": Tensor(init_circuit_weights(rng, c.n_layers, c.n_qubits)),
-            "proj_w": Tensor(_glorot(rng, (c.n_qubits, c.embed_dim),
-                                     c.n_qubits, c.embed_dim)),
-            "proj_b": Tensor(np.zeros(c.embed_dim)),
-        }
+        self.params: dict[str, Tensor] = _tail_params(rng, config.image_dim, config)
         self.buffers: dict[str, np.ndarray] = {}
 
-    def forward(self, tape: Tape, x: Tensor, train: bool = False) -> Tensor:
-        c = self.config
-        if x.data.ndim != 2 or x.shape[1] != c.input_dim:
-            raise ShapeError(f"expected (B, {c.input_dim}) embeddings, got {x.shape}")
-        p = self.params
-        h = diffnet.linear(tape, x, p["angle_w"], p["angle_b"])
-        h = diffnet.angle_squash(tape, h)
-        h = quantum_layer(tape, h, p["circuit_weights"])
-        h = diffnet.linear(tape, h, p["proj_w"], p["proj_b"])
-        return diffnet.l2_normalize(tape, h)
+    def forward(self, tape: Tape, x: Tensor) -> Tensor:
+        width = self.config.image_dim
+        if x.data.ndim != 2 or x.shape[1] != width:
+            raise ShapeError(f"expected (B, {width}) embeddings, got {x.shape}")
+        return _tail(tape, x, self.params)

@@ -16,13 +16,8 @@ import numpy as np
 from . import diffnet
 from .contrastive import clip_logits_op, clip_loss_op
 from .diffnet import Tape, Tensor
-from .encoders import (
-    EegConvEncoder,
-    EegEncoderConfig,
-    ImageEmbedHead,
-    ImageHeadConfig,
-    quantum_layer,
-)
+from .encoders import EegConvEncoder, ImageEmbedHead, quantum_layer
+from .harness import RunConfig
 from .vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
 
 DEFAULT_H = 1e-5
@@ -67,9 +62,7 @@ def check_gradients(
     name: str,
     build: Callable[..., Tensor],
     arrays: Sequence[np.ndarray],
-    h: float = DEFAULT_H,
     tolerance: float = OP_TOL,
-    seed: int = 0,
 ) -> CheckResult:
     """Compare tape gradients of ``build(tape, *tensors)`` against FD.
 
@@ -83,7 +76,7 @@ def check_gradients(
         return tensors, build(tape, *tensors)
 
     probe_out = forward(Tape())[1]
-    r = np.random.default_rng(seed).standard_normal(probe_out.data.shape)
+    r = np.random.default_rng(0).standard_normal(probe_out.data.shape)
 
     def scalar() -> float:
         return float(np.sum(forward(Tape())[1].data * r))
@@ -103,7 +96,7 @@ def check_gradients(
     worst = 0.0
     for t, a in zip(tensors, arrays):
         analytic = t.grad if t.grad is not None else np.zeros_like(a)
-        numeric = central_difference(scalar, a, h)
+        numeric = central_difference(scalar, a, DEFAULT_H)
         worst = max(worst, float(np.abs(analytic - numeric).max()))
     return CheckResult(name=name, max_deviation=worst, tolerance=tolerance)
 
@@ -221,20 +214,19 @@ def _check_vqc_parameter_shift(rng):
     return CheckResult("vqc_parameter_shift", worst, OP_TOL)
 
 
-_TINY_EEG = EegEncoderConfig(
+_TINY = RunConfig(
     electrodes=4, time_samples=32, spatial_maps=2, temporal_maps=2,
-    temporal_kernel=8, embed_dim=6, n_qubits=2, n_layers=2,
+    temporal_kernel=8, embed_dim=6, n_qubits=2, n_layers=2, image_dim=5,
 )
-_TINY_IMG = ImageHeadConfig(input_dim=5, embed_dim=6, n_qubits=2, n_layers=2)
 
 
 def _check_eeg_pipeline(rng):
-    template = EegConvEncoder(_TINY_EEG, np.random.default_rng(1))
+    template = EegConvEncoder(_TINY, np.random.default_rng(1))
     keys = sorted(template.params)
-    x = rng.standard_normal((3, 1, _TINY_EEG.electrodes, _TINY_EEG.time_samples))
+    x = rng.standard_normal((3, 1, _TINY.electrodes, _TINY.time_samples))
 
     def build(tape, *tensors):
-        enc = EegConvEncoder(_TINY_EEG, np.random.default_rng(1))
+        enc = EegConvEncoder(_TINY, np.random.default_rng(1))
         enc.params = dict(zip(keys, tensors))
         return enc.forward(tape, Tensor(x), train=True)
 
@@ -244,12 +236,12 @@ def _check_eeg_pipeline(rng):
 
 
 def _check_image_pipeline(rng):
-    template = ImageEmbedHead(_TINY_IMG, np.random.default_rng(2))
+    template = ImageEmbedHead(_TINY, np.random.default_rng(2))
     keys = sorted(template.params)
-    x = rng.standard_normal((3, _TINY_IMG.input_dim))
+    x = rng.standard_normal((3, _TINY.image_dim))
 
     def build(tape, *tensors):
-        head = ImageEmbedHead(_TINY_IMG, np.random.default_rng(2))
+        head = ImageEmbedHead(_TINY, np.random.default_rng(2))
         head.params = dict(zip(keys, tensors))
         return head.forward(tape, Tensor(x))
 

@@ -1,6 +1,8 @@
 """Experiment orchestration: configs, training, evaluation, protocols.
 
 A run is fully determined by a ``RunConfig`` and a dataset manifest.  The
+config is the one place each setting is declared, defaulted and validated:
+the encoders read their geometry from it and Adam its hyperparameters.  The
 training loop optimizes both encoders and the log-temperature jointly;
 classical gradients come from the tape, quantum ones from the
 parameter-shift rule, and a single Adam instance updates everything.
@@ -34,9 +36,10 @@ from .contrastive import (
 )
 from .data import DatasetManifest, generate_dataset
 from .diffnet import Adam, Tape, Tensor
-from .encoders import EegConvEncoder, EegEncoderConfig, ImageEmbedHead, ImageHeadConfig
+from .encoders import EegConvEncoder, ImageEmbedHead
 from .errors import ConfigurationError, NumericError, ZeroShotOverlapError
 from .qtns import load_params, save_params
+from .statevector import MAX_QUBITS
 
 _DEFAULT_TAU_INIT = float(np.log(1.0 / 0.07))
 _EVAL_BLOCK_ROWS = 64  # 64 and 128 tie on a 2 MiB-L2 Xeon core; 32 and 256 are ~15% slower
@@ -108,6 +111,8 @@ class RunConfig:
             raise ConfigurationError("betas must lie in [0, 1)")
         if self.weight_decay < 0 or self.noise_sigma < 0:
             raise ConfigurationError("weight_decay and noise_sigma must be >= 0")
+        if self.n_qubits > MAX_QUBITS:
+            raise ConfigurationError(f"n_qubits must be <= {MAX_QUBITS}, got {self.n_qubits}")
         if self.temporal_kernel > self.time_samples:
             raise ConfigurationError(
                 f"temporal_kernel {self.temporal_kernel} exceeds "
@@ -135,24 +140,10 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config is not valid JSON: {exc}")
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"config is not valid UTF-8 JSON: {exc}")
         return cls.from_dict(doc)
-
-    def eeg_encoder_config(self) -> EegEncoderConfig:
-        return EegEncoderConfig(
-            electrodes=self.electrodes, time_samples=self.time_samples,
-            spatial_maps=self.spatial_maps, temporal_maps=self.temporal_maps,
-            temporal_kernel=self.temporal_kernel, embed_dim=self.embed_dim,
-            n_qubits=self.n_qubits, n_layers=self.n_layers,
-        )
-
-    def image_head_config(self) -> ImageHeadConfig:
-        return ImageHeadConfig(
-            input_dim=self.image_dim, embed_dim=self.embed_dim,
-            n_qubits=self.n_qubits, n_layers=self.n_layers,
-        )
 
 
 @dataclass(frozen=True)
@@ -202,8 +193,8 @@ class RetrievalModel:
 
     def __init__(self, config: RunConfig, rng: np.random.Generator):
         self.config = config
-        self.eeg_encoder = EegConvEncoder(config.eeg_encoder_config(), rng)
-        self.image_head = ImageEmbedHead(config.image_head_config(), rng)
+        self.eeg_encoder = EegConvEncoder(config, rng)
+        self.image_head = ImageEmbedHead(config, rng)
         self.log_tau = Tensor(np.array(config.tau_init))
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -343,9 +334,7 @@ def train(
     return model, records
 
 
-def evaluate_zero_shot(
-    model: RetrievalModel, manifest: DatasetManifest, k_list=(1, 5)
-) -> MetricsRecord:
+def evaluate_zero_shot(model: RetrievalModel, manifest: DatasetManifest) -> MetricsRecord:
     """Score held-out EEG queries against held-out class image embeddings."""
     config = model.config
     eeg, emb, labels = _load_and_check(config, manifest)
@@ -365,12 +354,10 @@ def evaluate_zero_shot(
     gallery_f = model.embed_images(emb[test_classes])
     scores = clip_logits(query_f, gallery_f, float(model.log_tau.data))
 
-    accuracy = {
-        k: topk_accuracy(scores, true_idx, min(k, len(test_classes)))
-        for k in k_list
-    }
     return MetricsRecord(
-        run_id=config.seed, top1=accuracy.get(1), top5=accuracy.get(5),
+        run_id=config.seed,
+        top1=topk_accuracy(scores, true_idx, 1),
+        top5=topk_accuracy(scores, true_idx, min(5, len(test_classes))),
         wall_time=time.perf_counter() - started,
     )
 

@@ -121,9 +121,9 @@ def load_params(path) -> dict[str, np.ndarray]:
     """Inverse of save_params; arrays come back as float64 for compute."""
     index_path = Path(path)
     try:
-        index = json.loads(index_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TensorFormatError(f"parameter index is not valid JSON: {exc}", 0)
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise TensorFormatError(f"parameter index is not valid UTF-8 JSON: {exc}", 0)
     if not isinstance(index, dict) or "container" not in index or "tensors" not in index:
         raise TensorFormatError("parameter index missing container/tensors keys", 0)
     if not isinstance(index["container"], str) or not isinstance(index["tensors"], dict):

@@ -228,6 +228,14 @@ _MANIFEST = {
 }
 
 
+_NOT_UTF8 = b"\xff\xfe{}"
+
+
+def _json_bytes(doc, base) -> bytes:
+    """``doc`` merged over ``base`` as JSON, or ``doc`` itself when it is raw bytes."""
+    return doc if isinstance(doc, bytes) else json.dumps({**base, **doc}).encode()
+
+
 @pytest.mark.parametrize("config,manifest,index", [
     ({"lr": "abc"}, {}, None),
     ({"epochs": True}, {}, None),
@@ -237,16 +245,20 @@ _MANIFEST = {
     ({}, {}, {"container": "model.params.qtns", "tensors": []}),
     ({}, {}, {"container": "model.params.qtns", "tensors": {"log_tau": "abc"}}),
     ({}, {}, {"container": 5, "tensors": {}}),
+    (_NOT_UTF8, {}, None),
+    ({}, _NOT_UTF8, None),
+    ({}, {}, _NOT_UTF8),
 ], ids=["config-lr", "config-epochs-bool", "manifest-class-id", "manifest-classes", "manifest-path",
-        "index-tensors", "index-offset", "index-container"])
+        "index-tensors", "index-offset", "index-container",
+        "config-not-utf8", "manifest-not-utf8", "index-not-utf8"])
 def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest, index):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({**TINY.to_dict(), **config}))
+    config_path.write_bytes(_json_bytes(config, TINY.to_dict()))
     manifest_path = tmp_path / "manifest.json"
-    manifest_path.write_text(json.dumps({**_MANIFEST, **manifest}))
+    manifest_path.write_bytes(_json_bytes(manifest, _MANIFEST))
     params = tmp_path / "model.params"
     (tmp_path / "model.params.qtns").write_bytes(b"")
-    params.write_text(json.dumps(index))
+    params.write_bytes(index if isinstance(index, bytes) else json.dumps(index).encode())
     command = ["eval", "--params", str(params)] if index else ["train"]
     proc = subprocess.run(
         [sys.executable, "-m", "vqcontrast.cli", *command, "--config", str(config_path),
@@ -256,5 +268,29 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest,
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    for name in config:  # refused by the config check, not by a later stage
-        assert f"{name} must" in proc.stderr, proc.stderr
+    if _NOT_UTF8 in (config, manifest, index):
+        assert "not valid UTF-8" in proc.stderr, proc.stderr
+    else:
+        for name in config:  # refused by the config check, not by a later stage
+            assert f"{name} must" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("test_classes", [[2, 3, -1], [2, 3, 4]], ids=["negative", "past-table"])
+def test_test_class_outside_image_table_exits_one(tmp_path, config_path, capsys, test_classes):
+    """A held-out class id must name a row of the image table: a negative one
+    would wrap around to another class's row, one past the end would index
+    out of bounds."""
+    manifest = gen_data(tmp_path, config_path)
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                    "test_classes": test_classes}))
+    params = tmp_path / "model.params"
+    RetrievalModel(TINY, np.random.default_rng(0)).save(params)
+    capsys.readouterr()
+    code = main([
+        "eval", "--config", str(config_path), "--data", str(manifest),
+        "--params", str(params), "--out", str(tmp_path / "eval.jsonl"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "class" in err, err
+    assert not (tmp_path / "eval.jsonl").exists()

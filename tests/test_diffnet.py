@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from vqcontrast import diffnet
-from vqcontrast.diffnet import Adam, AdamState, Tape, Tensor, adam_step
+from vqcontrast import RunConfig
+from vqcontrast.diffnet import Adam, Tape, Tensor
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
 
 
@@ -117,7 +118,8 @@ def test_batch_norm_running_stats_update():
     mean, var = np.zeros(4), np.ones(4)
     tape = Tape()
     diffnet.batch_norm(tape, Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                       mean, var, train=True, momentum=0.1)
+                       mean, var, train=True)
+    assert diffnet.BN_MOMENTUM == 0.1
     np.testing.assert_allclose(mean, 0.1 * x.mean(axis=0), atol=1e-14)
     # running variance uses the unbiased estimator
     np.testing.assert_allclose(var, 0.9 + 0.1 * x.var(axis=0) * 20 / 19, atol=1e-14)
@@ -128,8 +130,9 @@ def test_batch_norm_eval_uses_running_stats():
     mean, var = np.array([1.0, 1.0]), np.array([4.0, 4.0])
     tape = Tape()
     out = diffnet.batch_norm(tape, Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                             mean, var, train=False, eps=0.0)
-    np.testing.assert_allclose(out.data, (x - 1.0) / 2.0, atol=1e-14)
+                             mean, var, train=False)
+    expected = (x - 1.0) / np.sqrt(4.0 + diffnet.BN_EPS)
+    np.testing.assert_allclose(out.data, expected, atol=1e-14)
     np.testing.assert_array_equal(mean, [1.0, 1.0])  # untouched in eval
 
 
@@ -280,12 +283,27 @@ def test_shape_validation():
 # Optimizer
 
 
+def adam_on(p, **hyper):
+    """An Adam over one tensor ``p``, hyperparameters defaulting to RunConfig's."""
+    d = RunConfig()
+    kw = dict(lr=d.lr, beta1=d.beta1, beta2=d.beta2, weight_decay=d.weight_decay)
+    params = {"p": Tensor(p)}
+    return params["p"], Adam(params, **{**kw, **hyper})
+
+
+def step_with(t, opt, g):
+    t.grad = np.asarray(g, dtype=np.float64)
+    opt.step()
+    opt.zero_grad()
+    return t.data
+
+
 def test_adam_first_step_closed_form():
     rng = np.random.default_rng(10)
     p = rng.standard_normal(6)
     g = rng.standard_normal(6)
-    state = AdamState.for_param(p, lr=0.01, beta1=0.5, beta2=0.999)
-    updated = adam_step(p.copy(), g, state)
+    t, opt = adam_on(p.copy(), lr=0.01, beta1=0.5, beta2=0.999)
+    updated = step_with(t, opt, g)
     # after bias correction the first step is lr * g / (|g| + eps)
     np.testing.assert_allclose(updated, p - 0.01 * g / (np.abs(g) + 1e-8), atol=1e-12)
 
@@ -293,59 +311,65 @@ def test_adam_first_step_closed_form():
 def test_adam_matches_reference_loop():
     rng = np.random.default_rng(11)
     p = rng.standard_normal((3, 2))
-    state = AdamState.for_param(p, lr=0.05, beta1=0.5, beta2=0.9)
-    p_ours = p.copy()
+    t, opt = adam_on(p.copy(), lr=0.05, beta1=0.5, beta2=0.9)
 
     m = np.zeros_like(p)
     v = np.zeros_like(p)
     p_ref = p.copy()
-    for t in range(1, 8):
+    for step in range(1, 8):
         g = rng.standard_normal(p.shape)
-        p_ours = adam_step(p_ours, g, state)
+        p_ours = step_with(t, opt, g)
         m = 0.5 * m + 0.5 * g
         v = 0.9 * v + 0.1 * g**2
-        m_hat = m / (1 - 0.5**t)
-        v_hat = v / (1 - 0.9**t)
+        m_hat = m / (1 - 0.5**step)
+        v_hat = v / (1 - 0.9**step)
         p_ref = p_ref - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
     np.testing.assert_allclose(p_ours, p_ref, atol=1e-12)
 
 
 def test_adam_decoupled_weight_decay():
-    p = np.array([2.0])
-    g = np.array([0.0])
-    state = AdamState.for_param(p, lr=0.1, weight_decay=0.5)
-    updated = adam_step(p.copy(), g, state)
+    t, opt = adam_on(np.array([2.0]), lr=0.1, weight_decay=0.5)
+    updated = step_with(t, opt, [0.0])
     # zero gradient: only the decay term moves the parameter
     np.testing.assert_allclose(updated, [2.0 - 0.1 * 0.5 * 2.0], atol=1e-12)
 
 
 def test_adam_default_hyperparameters():
-    state = AdamState.for_param(np.zeros(1))
-    assert state.lr == 0.0002
-    assert state.beta1 == 0.5
-    assert state.beta2 == 0.999
-    assert state.eps == 1e-8
-    assert state.weight_decay == 0.0
+    """The defaults live in RunConfig; only eps is fixed by the optimizer."""
+    d = RunConfig()
+    assert (d.lr, d.beta1, d.beta2, d.weight_decay) == (0.0002, 0.5, 0.999, 0.0)
+    assert Adam.EPS == 1e-8
 
 
 def test_adam_wrapper_skips_missing_grads():
+    """A parameter without a gradient keeps its value, moments and step count,
+    so its bias correction resumes where it left off."""
     params = {"a": Tensor(np.ones(2)), "b": Tensor(np.ones(2))}
-    opt = Adam(params, lr=0.1)
+    opt = Adam(params, lr=0.1, beta1=0.5, beta2=0.999, weight_decay=0.0)
     params["a"].grad = np.ones(2)
     opt.step()
     assert not np.array_equal(params["a"].data, np.ones(2))
     np.testing.assert_array_equal(params["b"].data, np.ones(2))
+    np.testing.assert_array_equal(opt.m["b"], np.zeros(2))
+    np.testing.assert_array_equal(opt.v["b"], np.zeros(2))
+    assert opt.steps == {"a": 1, "b": 0}
     opt.zero_grad()
     assert params["a"].grad is None
+    # b's first real step is a first step: lr * g / (|g| + eps)
+    params["b"].grad = np.full(2, 3.0)
+    opt.step()
+    np.testing.assert_allclose(params["b"].data, 1.0 - 0.1 * 3.0 / (3.0 + 1e-8), atol=1e-12)
+    assert opt.steps == {"a": 1, "b": 1}
 
 
 def test_adam_step_shape_mismatch():
-    state = AdamState.for_param(np.zeros(3))
+    t, opt = adam_on(np.zeros(3))
+    t.grad = np.zeros(4)
     with pytest.raises(ShapeError):
-        adam_step(np.zeros(3), np.zeros(4), state)
+        opt.step()
 
 
 def test_adam_preserves_zero_dim_parameters():
-    state = AdamState.for_param(np.array(1.0), lr=0.1)
-    updated = adam_step(np.array(1.0), np.array(2.0), state)
+    t, opt = adam_on(np.array(1.0), lr=0.1)
+    updated = step_with(t, opt, np.array(2.0))
     assert isinstance(updated, np.ndarray) and updated.shape == ()

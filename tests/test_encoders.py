@@ -3,18 +3,13 @@
 import numpy as np
 import pytest
 
+from vqcontrast import RunConfig
 from vqcontrast.diffnet import Tape, Tensor
-from vqcontrast.encoders import (
-    EegConvEncoder,
-    EegEncoderConfig,
-    ImageEmbedHead,
-    ImageHeadConfig,
-    quantum_layer,
-)
+from vqcontrast.encoders import EegConvEncoder, ImageEmbedHead, quantum_layer
 from vqcontrast.errors import ConfigurationError, ShapeError
-from vqcontrast.statevector import cnot, ry
+from vqcontrast.statevector import MAX_QUBITS, cnot, ry
 
-TINY = EegEncoderConfig(
+TINY = RunConfig(
     electrodes=4,
     time_samples=32,
     spatial_maps=2,
@@ -23,9 +18,8 @@ TINY = EegEncoderConfig(
     embed_dim=6,
     n_qubits=2,
     n_layers=2,
+    image_dim=5,
 )
-
-IMG_TINY = ImageHeadConfig(input_dim=5, embed_dim=6, n_qubits=2, n_layers=2)
 
 
 def scalarize(tape, out, r):
@@ -44,25 +38,35 @@ def scalarize(tape, out, r):
 
 
 def test_config_derived_dimensions():
-    assert TINY.temporal_out == 25
-    assert TINY.flat_dim == 75
+    """Both heads size their tails from the config and share its names."""
+    eeg = EegConvEncoder(TINY, np.random.default_rng(0))
+    img = ImageEmbedHead(TINY, np.random.default_rng(0))
+    # 3 temporal maps x (32 - 8 + 1) samples flatten to 75 features
+    assert eeg.params["angle_w"].shape == (75, TINY.n_qubits)
+    assert img.params["angle_w"].shape == (TINY.image_dim, TINY.n_qubits)
+    tail = ["angle_w", "angle_b", "circuit_weights", "proj_w", "proj_b"]
+    assert list(img.params) == tail
+    assert list(eeg.params)[-5:] == tail
+    for head in (eeg, img):
+        assert head.params["circuit_weights"].shape == (TINY.n_layers, TINY.n_qubits)
+        assert head.params["proj_w"].shape == (TINY.n_qubits, TINY.embed_dim)
 
 
 def test_config_rejects_nonpositive_fields():
-    with pytest.raises(ConfigurationError):
-        EegEncoderConfig(0, 32, 2, 3, 8, 6, 2, 2)
-    with pytest.raises(ConfigurationError):
-        ImageHeadConfig(input_dim=5, embed_dim=0, n_qubits=2, n_layers=2)
+    for field in ("electrodes", "embed_dim", "image_dim"):
+        with pytest.raises(ConfigurationError, match=field):
+            RunConfig(**{field: 0})
 
 
 def test_config_rejects_kernel_longer_than_signal():
-    with pytest.raises(ConfigurationError):
-        EegEncoderConfig(4, 8, 2, 3, 9, 6, 2, 2)
+    with pytest.raises(ConfigurationError, match="temporal_kernel"):
+        RunConfig(time_samples=8, temporal_kernel=9)
 
 
 def test_config_rejects_too_many_qubits():
-    with pytest.raises(ConfigurationError):
-        ImageHeadConfig(input_dim=5, embed_dim=6, n_qubits=17, n_layers=2)
+    assert RunConfig(n_qubits=MAX_QUBITS).n_qubits == MAX_QUBITS
+    with pytest.raises(ConfigurationError, match="n_qubits"):
+        RunConfig(n_qubits=MAX_QUBITS + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +190,21 @@ def test_eeg_encoder_gradients_reach_every_parameter():
 
 def test_image_head_output_is_unit_rows():
     rng = np.random.default_rng(9)
-    head = ImageEmbedHead(IMG_TINY, rng)
+    head = ImageEmbedHead(TINY, rng)
     out = head.forward(Tape(), Tensor(rng.standard_normal((5, 5))))
-    assert out.shape == (5, IMG_TINY.embed_dim)
+    assert out.shape == (5, TINY.embed_dim)
     np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
 
 
 def test_image_head_rejects_wrong_width():
-    head = ImageEmbedHead(IMG_TINY, np.random.default_rng(10))
+    head = ImageEmbedHead(TINY, np.random.default_rng(10))
     with pytest.raises(ShapeError):
         head.forward(Tape(), Tensor(np.zeros((5, 4))))
 
 
 def test_image_head_is_per_sample():
     rng = np.random.default_rng(11)
-    head = ImageEmbedHead(IMG_TINY, rng)
+    head = ImageEmbedHead(TINY, rng)
     x = rng.standard_normal((6, 5))
     perm = rng.permutation(6)
     out = head.forward(Tape(), Tensor(x))
@@ -210,7 +214,7 @@ def test_image_head_is_per_sample():
 
 def test_image_head_gradients_reach_every_parameter():
     rng = np.random.default_rng(12)
-    head = ImageEmbedHead(IMG_TINY, rng)
+    head = ImageEmbedHead(TINY, rng)
     tape = Tape()
     out = head.forward(tape, Tensor(rng.standard_normal((4, 5))))
     tape.backward(scalarize(tape, out, rng.standard_normal(out.data.shape)))
