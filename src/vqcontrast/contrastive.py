@@ -77,32 +77,31 @@ def clip_logits(eeg_features, image_features, log_temperature: float) -> np.ndar
     return (e @ v.T) * np.exp(log_temperature)
 
 
-def _directional_loss(logits: np.ndarray) -> float:
-    # Row-wise softmax cross-entropy against the diagonal, max-stabilized.
+def _directional_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
+    # Row-wise softmax cross-entropy against the diagonal, max-stabilized,
+    # and the row softmax, which shares its exponentials and row sums.
     m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    return float(np.mean(lse - np.diagonal(logits)))
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(s[:, 0])
+    return float(np.mean(lse - np.diagonal(logits))), e / s
+
 
 def clip_loss(logits) -> float:
     """Mean of row-wise and column-wise cross-entropy, halved."""
-    l = np.asarray(logits, dtype=np.float64)
-    if l.ndim != 2 or l.shape[0] != l.shape[1]:
-        raise ShapeError(f"contrastive logits must be square, got {l.shape}")
-    return (_directional_loss(l) + _directional_loss(l.T)) / 2.0
+    return clip_loss_gradient(logits)[0]
 
 
 def clip_loss_gradient(logits) -> tuple[float, np.ndarray]:
-    """Loss value plus d(loss)/d(logits)."""
+    """Loss value plus d(loss)/d(logits), from one softmax per direction."""
     l = np.asarray(logits, dtype=np.float64)
-    value = clip_loss(l)
-    b = l.shape[0]
-    eye = np.eye(b)
-    rows = np.exp(l - l.max(axis=1, keepdims=True))
-    rows /= rows.sum(axis=1, keepdims=True)
-    cols = np.exp(l - l.max(axis=0, keepdims=True))
-    cols /= cols.sum(axis=0, keepdims=True)
-    grad = ((rows - eye) + (cols - eye)) / (2.0 * b)
-    return value, grad
+    if l.ndim != 2 or l.shape[0] != l.shape[1]:
+        raise ShapeError(f"contrastive logits must be square, got {l.shape}")
+    row_loss, rows = _directional_loss(l)
+    col_loss, cols = _directional_loss(l.T)
+    eye = np.eye(l.shape[0])
+    grad = ((rows - eye) + (cols.T - eye)) / (2.0 * l.shape[0])
+    return (row_loss + col_loss) / 2.0, grad
 
 
 def clip_logits_op(tape: Tape, eeg: Tensor, image: Tensor, log_tau: Tensor) -> Tensor:

@@ -53,8 +53,8 @@ class DatasetManifest:
 
     def __post_init__(self):
         for name in ("eeg_path", "image_emb_path", "labels_path"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigurationError(f"{name} must be a path string")
+            if not isinstance(path := getattr(self, name), str) or "\0" in path:
+                raise ConfigurationError(f"{name} must be a path string without NUL")
         self.train_classes = _class_ids("train_classes", self.train_classes)
         self.test_classes = _class_ids("test_classes", self.test_classes)
         if not self.train_classes or not self.test_classes:
@@ -66,15 +66,8 @@ class DatasetManifest:
             )
 
     def save(self, path) -> None:
-        path = Path(path)
-        doc = {
-            "eeg_path": self.eeg_path,
-            "image_emb_path": self.image_emb_path,
-            "labels_path": self.labels_path,
-            "train_classes": self.train_classes,
-            "test_classes": self.test_classes,
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        doc = {key: getattr(self, key) for key in _MANIFEST_KEYS}
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
@@ -110,7 +103,8 @@ class DatasetManifest:
             raise ConfigurationError(
                 f"labels shape {labels_f.shape} does not match {eeg.shape[0]} samples"
             )
-        labels = labels_f.astype(np.int64)
+        with np.errstate(invalid="ignore"):  # NaN, inf or huge labels fail the test below
+            labels = labels_f.astype(np.int64)
         if np.any(labels_f != labels):
             raise ConfigurationError("labels must be integral class indices")
         known = set(self.train_classes) | set(self.test_classes)

@@ -4,19 +4,25 @@ Each check builds a scalar loss sum(output * R) with a fixed random R,
 computes analytic gradients (tape replay or parameter shift), then
 re-evaluates the loss with every input element nudged by +/- h to form
 central differences.  The maximum absolute deviation per op is reported.
+
+The standard suite, ``STANDARD_CHECKS``, is one ordered table of
+``(name, build, draw)`` op specs, one pipeline check for both encoder heads
+and the tape-free parameter-shift check.  Ops are looked up at call time,
+so a patched op is the one checked; check ``i`` draws from ``default_rng(seed + i)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import diffnet
+from . import diffnet, encoders
 from .contrastive import clip_logits_op, clip_loss_op
 from .diffnet import Tape, Tensor
-from .encoders import EegConvEncoder, ImageEmbedHead, quantum_layer
+from .encoders import EegConvEncoder, ImageEmbedHead
 from .harness import RunConfig
 from .vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
 
@@ -58,12 +64,8 @@ def central_difference(f: Callable[[], float], x: np.ndarray, h: float) -> np.nd
     return grad
 
 
-def check_gradients(
-    name: str,
-    build: Callable[..., Tensor],
-    arrays: Sequence[np.ndarray],
-    tolerance: float = OP_TOL,
-) -> CheckResult:
+def check_gradients(name: str, build: Callable[..., Tensor], arrays: Sequence[np.ndarray],
+                    tolerance: float = OP_TOL) -> CheckResult:
     """Compare tape gradients of ``build(tape, *tensors)`` against FD.
 
     ``build`` must be a pure function of the current array values; the
@@ -75,23 +77,15 @@ def check_gradients(
         tensors = [Tensor(a) for a in arrays]
         return tensors, build(tape, *tensors)
 
-    probe_out = forward(Tape())[1]
-    r = np.random.default_rng(0).standard_normal(probe_out.data.shape)
+    tape = Tape()
+    tensors, out = forward(tape)
+    r = np.random.default_rng(0).standard_normal(out.shape)
+    loss = Tensor(np.sum(out.data * r))
+    tape.record(lambda: out.accumulate(r))  # d loss / d out; backward seeds loss.grad = 1
+    tape.backward(loss)
 
     def scalar() -> float:
         return float(np.sum(forward(Tape())[1].data * r))
-
-    tape = Tape()
-    tensors, out = forward(tape)
-    loss = Tensor(np.sum(out.data * r))
-    out_ref = out
-
-    def seed_backward():
-        if loss.grad is not None:
-            out_ref.accumulate(float(loss.grad) * r)
-
-    tape.record(seed_backward)
-    tape.backward(loss)
 
     worst = 0.0
     for t, a in zip(tensors, arrays):
@@ -105,32 +99,11 @@ def check_gradients(
 # Standard suite
 
 
-def _check_linear(rng):
-    return check_gradients(
-        "linear",
-        lambda tape, x, w, b: diffnet.linear(tape, x, w, b),
-        [rng.standard_normal((4, 3)), rng.standard_normal((3, 5)),
-         rng.standard_normal(5)],
-    )
+def _op(name: str, module=diffnet) -> Callable[..., Tensor]:
+    return lambda tape, *tensors: getattr(module, name)(tape, *tensors)
 
 
-def _check_conv_spatial(rng):
-    return check_gradients(
-        "conv_spatial",
-        lambda tape, x, k: diffnet.conv_spatial(tape, x, k),
-        [rng.standard_normal((3, 1, 4, 6)), rng.standard_normal((2, 1, 4, 1))],
-    )
-
-
-def _check_conv_temporal(rng):
-    return check_gradients(
-        "conv_temporal",
-        diffnet.conv_temporal,
-        [rng.standard_normal((2, 2, 1, 9)), rng.standard_normal((3, 2, 1, 4))],
-    )
-
-
-def _bn_build(train: bool, n_features: int):
+def _bn(train: bool, n_features: int) -> Callable[..., Tensor]:
     def build(tape, x, gamma, beta):
         return diffnet.batch_norm(
             tape, x, gamma, beta,
@@ -141,61 +114,18 @@ def _bn_build(train: bool, n_features: int):
     return build
 
 
-def _check_batch_norm_train_2d(rng):
-    return check_gradients(
-        "batch_norm_train_2d", _bn_build(True, 3),
-        [rng.standard_normal((5, 3)), rng.standard_normal(3), rng.standard_normal(3)],
-    )
+def _clip_chain(tape, e_raw, i_raw, log_tau):
+    e = diffnet.l2_normalize(tape, e_raw)
+    i = diffnet.l2_normalize(tape, i_raw)
+    return clip_loss_op(tape, clip_logits_op(tape, e, i, log_tau))
 
 
-def _check_batch_norm_train_4d(rng):
-    return check_gradients(
-        "batch_norm_train_4d", _bn_build(True, 2),
-        [rng.standard_normal((3, 2, 1, 4)), rng.standard_normal(2),
-         rng.standard_normal(2)],
-    )
+def _normal(*shapes) -> Callable[[np.random.Generator], list]:
+    return lambda rng: [rng.standard_normal(s) for s in shapes]
 
 
-def _check_batch_norm_eval(rng):
-    return check_gradients(
-        "batch_norm_eval", _bn_build(False, 3),
-        [rng.standard_normal((4, 3)), rng.standard_normal(3), rng.standard_normal(3)],
-    )
-
-
-def _check_elu(rng):
-    return check_gradients(
-        "elu", lambda tape, x: diffnet.elu(tape, x), [rng.standard_normal((4, 5))]
-    )
-
-
-def _check_angle_squash(rng):
-    return check_gradients(
-        "angle_squash", lambda tape, x: diffnet.angle_squash(tape, x),
-        [rng.standard_normal((4, 5))],
-    )
-
-
-def _check_l2_normalize(rng):
-    return check_gradients(
-        "l2_normalize", lambda tape, x: diffnet.l2_normalize(tape, x),
-        [rng.standard_normal((4, 6))],
-    )
-
-
-def _check_flatten(rng):
-    return check_gradients(
-        "flatten", lambda tape, x: diffnet.flatten(tape, x),
-        [rng.standard_normal((3, 2, 1, 4))],
-    )
-
-
-def _check_quantum_layer(rng):
-    return check_gradients(
-        "quantum_layer",
-        lambda tape, x, w: quantum_layer(tape, x, w),
-        [rng.uniform(-np.pi, np.pi, (4, 3)), rng.uniform(-np.pi, np.pi, (2, 3))],
-    )
+def _check_spec(name: str, build, draw, rng: np.random.Generator) -> CheckResult:
+    return check_gradients(name, build, draw(rng))
 
 
 def _check_vqc_parameter_shift(rng):
@@ -220,71 +150,47 @@ _TINY = RunConfig(
 )
 
 
-def _check_eeg_pipeline(rng):
-    template = EegConvEncoder(_TINY, np.random.default_rng(1))
-    keys = sorted(template.params)
-    x = rng.standard_normal((3, 1, _TINY.electrodes, _TINY.time_samples))
+def _check_pipeline(name, head_cls, init_seed, shape, rng, **forward_kwargs):
+    """Gradients of every head parameter through one whole forward pass."""
+    template = head_cls(_TINY, np.random.default_rng(init_seed)).params
+    keys = sorted(template)
+    x = rng.standard_normal(shape)
 
     def build(tape, *tensors):
-        enc = EegConvEncoder(_TINY, np.random.default_rng(1))
-        enc.params = dict(zip(keys, tensors))
-        return enc.forward(tape, Tensor(x), train=True)
-
-    arrays = [template.params[k].data for k in keys]
-    return check_gradients("eeg_encoder_pipeline", build, arrays,
-                           tolerance=PIPELINE_TOL)
-
-
-def _check_image_pipeline(rng):
-    template = ImageEmbedHead(_TINY, np.random.default_rng(2))
-    keys = sorted(template.params)
-    x = rng.standard_normal((3, _TINY.image_dim))
-
-    def build(tape, *tensors):
-        head = ImageEmbedHead(_TINY, np.random.default_rng(2))
+        # a fresh head per call: train-mode batch norm updates its buffers
+        head = head_cls(_TINY, np.random.default_rng(init_seed))
         head.params = dict(zip(keys, tensors))
-        return head.forward(tape, Tensor(x))
+        return head.forward(tape, Tensor(x), **forward_kwargs)
 
-    arrays = [template.params[k].data for k in keys]
-    return check_gradients("image_head_pipeline", build, arrays,
+    return check_gradients(name, build, [template[k].data for k in keys],
                            tolerance=PIPELINE_TOL)
 
 
-def _check_clip_loss_chain(rng):
-    def build(tape, e_raw, i_raw, log_tau):
-        e = diffnet.l2_normalize(tape, e_raw)
-        i = diffnet.l2_normalize(tape, i_raw)
-        return clip_loss_op(tape, clip_logits_op(tape, e, i, log_tau))
-
-    return check_gradients(
-        "clip_loss_chain", build,
-        [rng.standard_normal((5, 7)), rng.standard_normal((5, 7)),
-         np.array(0.3)],
-    )
-
-
-STANDARD_CHECKS: tuple[Callable, ...] = (
-    _check_linear,
-    _check_conv_spatial,
-    _check_conv_temporal,
-    _check_batch_norm_train_2d,
-    _check_batch_norm_train_4d,
-    _check_batch_norm_eval,
-    _check_elu,
-    _check_angle_squash,
-    _check_l2_normalize,
-    _check_flatten,
-    _check_quantum_layer,
+STANDARD_CHECKS: tuple[Callable[[np.random.Generator], CheckResult], ...] = (
+    *(partial(_check_spec, *spec) for spec in (
+        ("linear", _op("linear"), _normal((4, 3), (3, 5), 5)),
+        ("conv_spatial", _op("conv_spatial"), _normal((3, 1, 4, 6), (2, 1, 4, 1))),
+        ("conv_temporal", _op("conv_temporal"), _normal((2, 2, 1, 9), (3, 2, 1, 4))),
+        ("batch_norm_train_2d", _bn(True, 3), _normal((5, 3), 3, 3)),
+        ("batch_norm_train_4d", _bn(True, 2), _normal((3, 2, 1, 4), 2, 2)),
+        ("batch_norm_eval", _bn(False, 3), _normal((4, 3), 3, 3)),
+        ("elu", _op("elu"), _normal((4, 5))),
+        ("angle_squash", _op("angle_squash"), _normal((4, 5))),
+        ("l2_normalize", _op("l2_normalize"), _normal((4, 6))),
+        ("flatten", _op("flatten"), _normal((3, 2, 1, 4))),
+        ("quantum_layer", _op("quantum_layer", encoders),
+         lambda rng: [rng.uniform(-np.pi, np.pi, s) for s in ((4, 3), (2, 3))]),
+    )),
     _check_vqc_parameter_shift,
-    _check_eeg_pipeline,
-    _check_image_pipeline,
-    _check_clip_loss_chain,
+    partial(_check_pipeline, "eeg_encoder_pipeline", EegConvEncoder, 1,
+            (3, 1, _TINY.electrodes, _TINY.time_samples), train=True),
+    partial(_check_pipeline, "image_head_pipeline", ImageEmbedHead, 2,
+            (3, _TINY.image_dim)),
+    partial(_check_spec, "clip_loss_chain", _clip_chain,
+            lambda rng: [*_normal((5, 7), (5, 7))(rng), np.array(0.3)]),
 )
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
     """Run the standard suite; one result per op, deterministic given seed."""
-    results = []
-    for i, check in enumerate(STANDARD_CHECKS):
-        results.append(check(np.random.default_rng(seed + i)))
-    return results
+    return [check(np.random.default_rng(seed + i)) for i, check in enumerate(STANDARD_CHECKS)]

@@ -42,6 +42,7 @@ from .qtns import load_params, save_params
 from .statevector import MAX_QUBITS
 
 _DEFAULT_TAU_INIT = float(np.log(1.0 / 0.07))
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # np.isfinite cannot take an int this large
 _EVAL_BLOCK_ROWS = 64  # 64 and 128 tie on a 2 MiB-L2 Xeon core; 32 and 256 are ~15% slower
 
 
@@ -103,7 +104,9 @@ class RunConfig:
         for name, v in (("lr", self.lr), ("beta1", self.beta1), ("beta2", self.beta2),
                         ("weight_decay", self.weight_decay), ("tau_init", self.tau_init),
                         ("noise_sigma", self.noise_sigma)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+                abs(v) <= _FLOAT_MAX if isinstance(v, int) else np.isfinite(v)
+            ):
                 raise ConfigurationError(f"{name} must be a finite number, got {v!r}")
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
@@ -195,7 +198,7 @@ class RetrievalModel:
         self.config = config
         self.eeg_encoder = EegConvEncoder(config, rng)
         self.image_head = ImageEmbedHead(config, rng)
-        self.log_tau = Tensor(np.array(config.tau_init))
+        self.log_tau = Tensor(np.array(min(config.tau_init, MAX_LOG_TEMPERATURE)))
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {f"eeg.{k}": t for k, t in self.eeg_encoder.params.items()}
@@ -220,19 +223,17 @@ class RetrievalModel:
             )
         for name, want in expected.items():
             value = np.asarray(state[name], dtype=np.float64)
-            if value.size != want.size:
+            if value.shape != want.shape:
                 raise ConfigurationError(
-                    f"parameter mismatch for {name!r}: got {value.size} elements, "
-                    f"expected shape {want.shape}"
+                    f"parameter mismatch for {name!r}: got shape {value.shape}, "
+                    f"expected {want.shape}"
                 )
             if not np.all(np.isfinite(value)):
                 raise ConfigurationError(f"parameter {name!r} contains non-finite values")
         for name, t in self.named_parameters().items():
-            t.data = np.asarray(state[name], dtype=np.float64).reshape(expected[name].shape)
+            t.data = np.asarray(state[name], dtype=np.float64)
         for k in self.eeg_encoder.buffers:
-            self.eeg_encoder.buffers[k] = np.asarray(
-                state[f"eeg.buffers.{k}"], dtype=np.float64
-            ).reshape(self.eeg_encoder.buffers[k].shape)
+            self.eeg_encoder.buffers[k] = np.asarray(state[f"eeg.buffers.{k}"], dtype=np.float64)
 
     def save(self, path) -> None:
         save_params(path, self.named_state())
@@ -362,15 +363,10 @@ def evaluate_zero_shot(model: RetrievalModel, manifest: DatasetManifest) -> Metr
     )
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
+def _summary(values: list[float], percent: bool) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
     std = 0.0 if arr.size < 2 else float(arr.std(ddof=1))
-    return mean, std
-
-
-def _summary(values: list[float], percent: bool) -> dict:
-    mean, std = _mean_std(values)
     scale = 100.0 if percent else 1.0
     return {
         "per_run": values,
@@ -383,13 +379,11 @@ def _summary(values: list[float], percent: bool) -> dict:
 def run_protocol(config: RunConfig, manifest: DatasetManifest) -> dict:
     """Train + evaluate with seeds seed..seed+n_runs-1; report mean +/- std."""
     top1, top5, first_loss, final_loss, seeds = [], [], [], [], []
-    per_run_eval: list[MetricsRecord] = []
     for offset in range(config.n_runs):
         run_config = replace(config, seed=config.seed + offset)
         model, records = train(run_config, manifest)
         evaluation = evaluate_zero_shot(model, manifest)
         seeds.append(run_config.seed)
-        per_run_eval.append(evaluation)
         top1.append(evaluation.top1)
         top5.append(evaluation.top5)
         if records:

@@ -126,11 +126,13 @@ def load_params(path) -> dict[str, np.ndarray]:
         raise TensorFormatError(f"parameter index is not valid UTF-8 JSON: {exc}", 0)
     if not isinstance(index, dict) or "container" not in index or "tensors" not in index:
         raise TensorFormatError("parameter index missing container/tensors keys", 0)
-    if not isinstance(index["container"], str) or not isinstance(index["tensors"], dict):
+    container = index["container"]
+    if (not isinstance(container, str) or "\0" in container
+            or not isinstance(index["tensors"], dict)):
         raise TensorFormatError(
             "parameter index needs a container file name and a name->offset object", 0
         )
-    buf = (index_path.parent / index["container"]).read_bytes()
+    buf = (index_path.parent / container).read_bytes()
     out: dict[str, np.ndarray] = {}
     for name, offset in index["tensors"].items():
         if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
@@ -138,5 +140,6 @@ def load_params(path) -> dict[str, np.ndarray]:
                 f"offset of {name!r} must be a non-negative integer, got {offset!r}", 0
             )
         array, _ = read_tensor_record(buf, offset)
-        out[name] = array.astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, no warning
+            out[name] = array.astype(np.float64)
     return out

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vqcontrast.statevector import dense_unitary_oracle
 
 pytest_plugins = ["pytester"]
+
+# Property tests draw the same bounded examples on every run.
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=100,
+                          deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -196,6 +196,23 @@ def test_non_finite_params_file_exits_one(tmp_path, config_path, capsys):
     assert not (tmp_path / "eval.jsonl").exists()
 
 
+def test_transposed_params_file_exits_one(tmp_path, config_path, capsys):
+    """A tensor with the right element count but another shape is refused."""
+    manifest = gen_data(tmp_path, config_path)
+    state = RetrievalModel(TINY, np.random.default_rng(0)).named_state()
+    state["img.angle_w"] = state["img.angle_w"].T
+    params = tmp_path / "model.params"
+    save_params(params, state)
+    code = main([
+        "eval", "--config", str(config_path), "--data", str(manifest),
+        "--params", str(params), "--out", str(tmp_path / "eval.jsonl"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "mismatch for 'img.angle_w'" in err, err
+    assert not (tmp_path / "eval.jsonl").exists()
+
+
 def test_non_finite_dataset_is_a_numeric_failure(tmp_path, config_path):
     """A NaN or inf in a tensor file is refused when the dataset is loaded:
     exit 2 and one stderr line naming the file, before any forward pass."""
@@ -239,17 +256,21 @@ def _json_bytes(doc, base) -> bytes:
 @pytest.mark.parametrize("config,manifest,index", [
     ({"lr": "abc"}, {}, None),
     ({"epochs": True}, {}, None),
+    ({"tau_init": 10**400}, {}, None),
     ({}, {"train_classes": ["x"]}, None),
     ({}, {"train_classes": 5}, None),
     ({}, {"eeg_path": 5}, None),
+    ({}, {"eeg_path": "eeg\0.qtns"}, None),
     ({}, {}, {"container": "model.params.qtns", "tensors": []}),
     ({}, {}, {"container": "model.params.qtns", "tensors": {"log_tau": "abc"}}),
     ({}, {}, {"container": 5, "tensors": {}}),
+    ({}, {}, {"container": "model\0.qtns", "tensors": {}}),
     (_NOT_UTF8, {}, None),
     ({}, _NOT_UTF8, None),
     ({}, {}, _NOT_UTF8),
-], ids=["config-lr", "config-epochs-bool", "manifest-class-id", "manifest-classes", "manifest-path",
-        "index-tensors", "index-offset", "index-container",
+], ids=["config-lr", "config-epochs-bool", "config-tau-huge-int", "manifest-class-id",
+        "manifest-classes", "manifest-path", "manifest-path-nul", "index-tensors",
+        "index-offset", "index-container", "index-container-nul",
         "config-not-utf8", "manifest-not-utf8", "index-not-utf8"])
 def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest, index):
     config_path = tmp_path / "config.json"

@@ -117,6 +117,25 @@ def test_loss_gradient_matches_finite_differences():
             assert abs(grad[i, j] - fd) < 1e-8
 
 
+def test_loss_and_gradient_are_the_two_softmax_form_bitwise():
+    # one exponential per direction gives exactly the separate-pass arithmetic
+    rng = np.random.default_rng(8)
+    for b, scale in ((1, 1.0), (2, 0.1), (7, 3.0), (33, 100.0)):
+        l = rng.standard_normal((b, b)) * scale
+        rows = np.exp(l - l.max(axis=1, keepdims=True))
+        rows /= rows.sum(axis=1, keepdims=True)
+        cols = np.exp(l - l.max(axis=0, keepdims=True))
+        cols /= cols.sum(axis=0, keepdims=True)
+        eye = np.eye(b)
+        want = ((rows - eye) + (cols - eye)) / (2.0 * b)
+        lse_r = l.max(axis=1) + np.log(np.exp(l - l.max(axis=1, keepdims=True)).sum(axis=1))
+        lse_c = l.max(axis=0) + np.log(np.exp(l - l.max(axis=0, keepdims=True)).sum(axis=0))
+        d = np.diagonal(l)
+        value, grad = clip_loss_gradient(l)
+        assert value == clip_loss(l) == (float(np.mean(lse_r - d)) + float(np.mean(lse_c - d))) / 2
+        assert np.array_equal(grad, want)
+
+
 def test_loss_op_backward_through_logits_and_temperature():
     rng = np.random.default_rng(5)
     e = unit_rows(rng, 4, 6)

@@ -155,6 +155,16 @@ def test_load_arrays_rejects_fractional_labels(tmp_path):
         DatasetManifest.load(tmp_path / MANIFEST_FILE).load_arrays()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
+def test_load_arrays_rejects_non_integral_labels_without_a_warning(tmp_path, bad):
+    generate_dataset(tmp_path, seed=7, **GEN_KW)
+    labels = load_tensor_file(tmp_path / LABELS_FILE).astype(np.float64)
+    labels[0] = bad
+    save_tensor_file(tmp_path / LABELS_FILE, labels)
+    with pytest.raises(ConfigurationError, match="integral"):
+        DatasetManifest.load(tmp_path / MANIFEST_FILE).load_arrays()
+
+
 def test_load_arrays_rejects_labels_outside_splits(tmp_path):
     generate_dataset(tmp_path, seed=8, **GEN_KW)
     labels = load_tensor_file(tmp_path / LABELS_FILE).astype(np.float64)

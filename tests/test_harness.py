@@ -21,11 +21,12 @@ from vqcontrast import (
     train,
     write_metrics,
 )
-from vqcontrast import diffnet, harness
+from vqcontrast import diffnet, encoders, gradcheck, harness
 from vqcontrast.contrastive import MAX_LOG_TEMPERATURE, clip_logits_op, clip_loss_op
 from vqcontrast.diffnet import Tape, Tensor
 from vqcontrast.errors import ConfigurationError, NumericError, ZeroShotOverlapError
 from vqcontrast.gradcheck import central_difference, run_all_checks
+from vqcontrast.qtns import save_params
 
 TINY_RUN = RunConfig(
     n_qubits=2,
@@ -100,6 +101,7 @@ def test_config_rejects_bad_values():
         {"noise_sigma": -0.5},
         {"temporal_kernel": 101},
         {"tau_init": float("inf")},
+        {"lr": 10**400},  # an int too large for a float
     ):
         with pytest.raises(ConfigurationError):
             RunConfig(**kw)
@@ -206,6 +208,17 @@ def test_trained_model_holds_no_gradient(tiny_data):
 
 def test_log_temperature_stays_clamped(tiny_data):
     model, _ = train(replace(TINY_RUN, epochs=1, tau_init=10.0), tiny_data)
+    assert float(model.log_tau.data) <= MAX_LOG_TEMPERATURE
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tau_init_above_the_clamp_starts_at_the_clamp(tiny_data):
+    # e^1000 overflows: the first step must already run at the clamp
+    config = replace(TINY_RUN, epochs=1, tau_init=1000.0)
+    assert float(RetrievalModel(config, np.random.default_rng(0)).log_tau.data) \
+        == MAX_LOG_TEMPERATURE
+    model, records = train(config, tiny_data)
+    assert all(np.isfinite(r.train_loss) for r in records)
     assert float(model.log_tau.data) <= MAX_LOG_TEMPERATURE
 
 
@@ -382,6 +395,18 @@ def test_load_state_rejects_non_finite_values():
         model.load_state(state)
 
 
+def test_from_saved_rejects_a_transposed_tensor(tmp_path):
+    # same element count, other shape: refused, not reshaped into scrambled weights
+    model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
+    state = model.named_state()
+    assert state["img.angle_w"].shape == (TINY_RUN.image_dim, TINY_RUN.n_qubits)
+    state["img.angle_w"] = state["img.angle_w"].T
+    path = tmp_path / "model.params"
+    save_params(path, state)
+    with pytest.raises(ConfigurationError, match="mismatch for 'img.angle_w'"):
+        RetrievalModel.from_saved(TINY_RUN, path)
+
+
 def test_from_saved_rejects_other_geometry(tmp_path):
     # same parameter names, different shapes: must fail cleanly, not in reshape
     model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
@@ -424,6 +449,44 @@ def test_gradcheck_all_passes_for_default_config():
     results = run_all_checks(seed=RunConfig().seed)
     assert results, "suite must not be empty"
     assert all(r.passed for r in results), [str(r) for r in results]
+
+
+SUITE = [
+    "linear", "conv_spatial", "conv_temporal", "batch_norm_train_2d",
+    "batch_norm_train_4d", "batch_norm_eval", "elu", "angle_squash", "l2_normalize",
+    "flatten", "quantum_layer", "vqc_parameter_shift", "eeg_encoder_pipeline",
+    "image_head_pipeline", "clip_loss_chain",
+]
+
+
+def test_gradcheck_suite_is_pinned():
+    assert [r.name for r in run_all_checks(0)] == SUITE
+
+
+# each table op -> the module it is looked up on and the checks that run it
+TABLE_OPS = {
+    "linear": (diffnet, ["linear"]),
+    "conv_spatial": (diffnet, ["conv_spatial"]),
+    "conv_temporal": (diffnet, ["conv_temporal"]),
+    "batch_norm": (diffnet, ["batch_norm_train_2d", "batch_norm_train_4d", "batch_norm_eval"]),
+    "elu": (diffnet, ["elu"]),
+    "angle_squash": (diffnet, ["angle_squash"]),
+    "l2_normalize": (diffnet, ["l2_normalize", "clip_loss_chain"]),
+    "flatten": (diffnet, ["flatten"]),
+    "quantum_layer": (encoders, ["quantum_layer"]),
+}
+
+
+@pytest.mark.parametrize("op", TABLE_OPS)
+def test_gradcheck_looks_each_op_up_at_call_time(monkeypatch, op):
+    module, checks = TABLE_OPS[op]
+    real = getattr(module, op)
+    # the real forward on a throwaway tape: no gradient reaches the inputs
+    monkeypatch.setattr(module, op, lambda tape, *args, **kwargs: real(Tape(), *args, **kwargs))
+    for name in checks:
+        i = SUITE.index(name)
+        result = gradcheck.STANDARD_CHECKS[i](np.random.default_rng(i))
+        assert result.name == name and not result.passed, str(result)
 
 
 def test_gradcheck_flags_a_broken_backward(monkeypatch):

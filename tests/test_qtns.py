@@ -171,3 +171,14 @@ def test_params_index_rejects_missing_keys(tmp_path):
     path.write_text(json.dumps({"tensors": {}}))
     with pytest.raises(TensorFormatError):
         load_params(path)
+
+
+def test_params_with_a_signaling_nan_load_as_nan_without_a_warning(tmp_path):
+    # widening a float32 signaling NaN warns unless asked not to; the NaN
+    # itself is refused later, by RetrievalModel.load_state
+    path = tmp_path / "model.params"
+    save_params(path, {"w": np.zeros(2)})
+    container = tmp_path / "model.params.qtns"
+    container.write_bytes(container.read_bytes()[:-4] + bytes.fromhex("0100807f"))
+    loaded = load_params(path)["w"]
+    assert loaded[0] == 0.0 and np.isnan(loaded[1])
