@@ -157,6 +157,8 @@ def topk_accuracy(scores, true_class, k: int) -> float:
     n_query, n_class = s.shape
     if labels.shape != (n_query,):
         raise ShapeError(f"labels shape {labels.shape} != ({n_query},)")
+    if n_query == 0:
+        raise ShapeError("topk_accuracy needs at least one query")
     if not 1 <= k <= n_class:
         raise ConfigurationError(f"k={k} out of range [1, {n_class}]")
     if not np.all(np.isfinite(s)):

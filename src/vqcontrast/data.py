@@ -42,7 +42,14 @@ def _class_ids(name: str, values) -> list[int]:
 
 @dataclass
 class DatasetManifest:
-    """Paths and split descriptor for one dataset directory."""
+    """Paths and split descriptor for one dataset directory.
+
+    ``load_arrays`` reads its three files once: later calls return the same
+    read-only arrays for as long as every field keeps its value, and editing a
+    field reads and checks them again.  A file changed on disk is not noticed;
+    a fresh ``DatasetManifest.load`` reads it.  Copies and pickles leave the
+    arrays behind.
+    """
 
     eeg_path: str
     image_emb_path: str
@@ -50,6 +57,7 @@ class DatasetManifest:
     train_classes: list[int]
     test_classes: list[int]
     root: Path = field(default_factory=Path, compare=False)
+    _loaded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("eeg_path", "image_emb_path", "labels_path"):
@@ -86,8 +94,21 @@ class DatasetManifest:
             raise ConfigurationError(f"manifest missing keys: {sorted(missing)}")
         return cls(root=path.parent, **{k: doc[k] for k in _MANIFEST_KEYS})
 
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_loaded": None}
+
     def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (eeg [N,1,E,T] f64, image_emb [C,D_img] f64, labels [N] int)."""
+        """Return (eeg [N,1,E,T] f64, image_emb [C,D_img] f64, labels [N] int), read-only."""
+        key = (Path(self.root), self.eeg_path, self.image_emb_path, self.labels_path,
+               tuple(self.train_classes), tuple(self.test_classes))
+        if self._loaded is None or self._loaded[0] != key:
+            arrays = self._read_arrays()
+            for array in arrays:
+                array.flags.writeable = False
+            self._loaded = (key, arrays)
+        return self._loaded[1]
+
+    def _read_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eeg = load_tensor_file(self.root / self.eeg_path)
         emb = load_tensor_file(self.root / self.image_emb_path)
         labels_f = load_tensor_file(self.root / self.labels_path)

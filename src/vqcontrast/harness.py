@@ -6,9 +6,9 @@ the encoders read their geometry from it and Adam its hyperparameters.  The
 training loop optimizes both encoders and the log-temperature jointly;
 classical gradients come from the tape, quantum ones from the
 parameter-shift rule, and a single Adam instance updates everything.
-Evaluation embeds rows in cache-sized blocks; in eval mode every op, batch
-norm included, acts on each row alone, so blocking moves results only by
-rounding (about 1e-15).
+Evaluation gathers and embeds rows in cache-sized blocks; in eval mode every
+op, batch norm included, acts on each row alone, so blocking moves results
+only by rounding (about 1e-15).
 
 Metrics are emitted as JSON lines.  Wall time is tracked on the records
 but deliberately left out of the serialized form so that identical
@@ -244,18 +244,20 @@ class RetrievalModel:
         model.load_state(load_params(path))
         return model
 
-    def embed_eeg(self, eeg: np.ndarray) -> np.ndarray:
-        """Eval-mode EEG embeddings, run in row blocks (see the module doc)."""
-        return _blocked(self.eeg_encoder.forward, eeg, train=False)
+    def embed_eeg(self, eeg: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Eval-mode embeddings of ``eeg``, or of ``eeg[rows]`` gathered block by
+        block, run in row blocks (see the module doc)."""
+        return _blocked(self.eeg_encoder.forward, eeg, rows, train=False)
 
     def embed_images(self, embeddings: np.ndarray) -> np.ndarray:
         """Image-head embeddings, run in row blocks (see the module doc)."""
         return _blocked(self.image_head.forward, embeddings)
 
 
-def _blocked(forward, rows: np.ndarray, **kwargs) -> np.ndarray:
-    starts = range(0, max(len(rows), 1), _EVAL_BLOCK_ROWS)  # 0 rows: one empty block
-    blocks = (rows[i : i + _EVAL_BLOCK_ROWS] for i in starts)
+def _blocked(forward, data: np.ndarray, rows: np.ndarray | None = None, **kwargs) -> np.ndarray:
+    n = len(data if rows is None else rows)
+    spans = (slice(i, i + _EVAL_BLOCK_ROWS) for i in range(0, max(n, 1), _EVAL_BLOCK_ROWS))
+    blocks = (data[s] if rows is None else data[rows[s]] for s in spans)  # 0 rows: one empty block
     return np.concatenate([forward(Tape(), Tensor(b), **kwargs).data for b in blocks])
 
 
@@ -347,11 +349,9 @@ def evaluate_zero_shot(model: RetrievalModel, manifest: DatasetManifest) -> Metr
     mask = np.isin(labels, test_classes)
     if not mask.any():
         raise ConfigurationError("no samples belong to the test classes")
-    queries = eeg[mask]
-    position = {c: i for i, c in enumerate(test_classes)}
-    true_idx = np.array([position[c] for c in labels[mask]])
+    true_idx = np.searchsorted(test_classes, labels[mask])
 
-    query_f = model.embed_eeg(queries)
+    query_f = model.embed_eeg(eeg, np.flatnonzero(mask))
     gallery_f = model.embed_images(emb[test_classes])
     scores = clip_logits(query_f, gallery_f, float(model.log_tau.data))
 

@@ -14,11 +14,15 @@ modular formula states, even though the pair partially undoes itself.
 
 Every evaluation runs a batch of rows (one input is one row) through one fused
 kernel on a float64 (batch, 2^n) amplitude array, qubit 0 the least significant
-bit, with at most two such arrays alive.  The encoding is a product state built
-from cos(x_i/2) and sin(x_i/2) by n in-place doublings of the row width; each
-CNOT ring is one gather; each RY layer is two real matrix products on the
-(batch, 2^(n-h), 2^h) view, h = n // 2, by the Kronecker products of the RY
-blocks of qubits h..n-1 (from the left) and 0..h-1 (from the right).
+bit, with at most two such arrays alive.  The (batch, 2^(n-h), 2^h) view,
+h = n // 2, splits the register into qubits h..n-1 (its rows) and 0..h-1 (its
+columns).  The encoding is written once into that view as the outer product
+of the two halves' product states, each built from cos(x_i/2) and sin(x_i/2)
+by doublings up to width 2^(n-h) or 2^h.  Each CNOT ring is one gather; each
+RY layer is two real matrix products on the view by the Kronecker products of
+the RY blocks of qubits h..n-1 (from the left) and 0..h-1 (from the right).
+The readout multiplies the squared amplitudes by a Z-sign table built once
+per width, and the RY factors are built once per distinct weight matrix.
 
 The layer's API is ``vqc_batched_forward`` and ``vqc_batched_vjp``.  The VJP
 uses the parameter-shift rule with shifts of +-pi/2 and a factor of 1/2,
@@ -76,6 +80,14 @@ def _ring_index(n: int) -> np.ndarray:
     return ring
 
 
+@lru_cache(maxsize=None)
+def _z_table(n: int) -> np.ndarray:
+    """``z_signs(n)``, built once per width and read-only."""
+    table = z_signs(n)
+    table.flags.writeable = False
+    return table
+
+
 def _ry_factors(angles: np.ndarray) -> np.ndarray:
     """(L, 2^m, 2^m) Kronecker products of RY blocks of (L, m) angles, angle 0 rightmost."""
     c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
@@ -84,28 +96,45 @@ def _ry_factors(angles: np.ndarray) -> np.ndarray:
     for j in range(angles.shape[1]):
         outer = blocks[:, j, :, None, :, None] * factors[:, None, :, None, :]
         factors = outer.reshape(len(angles), 2 * factors.shape[1], -1)
+    factors.flags.writeable = False
     return factors
+
+
+@lru_cache(maxsize=16)
+def _layer_factors(weight_bytes: bytes, n_layers: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """RY factors of qubits 0..h-1 and h..n-1 per layer, keyed on the weights' bytes.
+
+    The row blocks of one evaluation share their weights, so they build these once.
+    """
+    weights = np.frombuffer(weight_bytes).reshape(n_layers, n)
+    return _ry_factors(weights[:, : n // 2]), _ry_factors(weights[:, n // 2 :])
+
+
+def _product_state(angles: np.ndarray) -> np.ndarray:
+    """(rows, 2^m) product state of RY(angle) on m qubits from |0>, angle 0 the LSB."""
+    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    state = np.ones((len(angles), 1))
+    for j in range(angles.shape[1]):  # qubit j is bit j: doubling appends it as the MSB
+        state = np.concatenate([c[:, j, None] * state, s[:, j, None] * state], axis=1)
+    return state
 
 
 def _run_batched(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
     rows, n = X.shape
     h = n // 2
     amps = np.empty((rows, 1 << n))
-    amps[:, 0] = 1.0
-    c, s = np.cos(0.5 * X), np.sin(0.5 * X)
-    for i in range(n):  # qubit i is bit i: doubling the width appends it as the MSB
-        amps[:, 1 << i : 2 << i] = s[:, i, None] * amps[:, : 1 << i]
-        amps[:, : 1 << i] *= c[:, i, None]
     spare = np.empty_like(amps)
     flat, split = (-1, 1 << h), (rows, 1 << (n - h), 1 << h)
-    for lo, hi in zip(_ry_factors(weights[:, :h]), _ry_factors(weights[:, h:])):
+    high, low = _product_state(X[:, h:]), _product_state(X[:, :h])
+    np.multiply(high[:, :, None], low[:, None, :], out=amps.reshape(split))
+    for lo, hi in zip(*_layer_factors(weights.tobytes(), *weights.shape)):
         if n >= 2:  # mode="clip" gathers straight into ``spare``; "raise" buffers a copy
             np.take(amps, _ring_index(n), axis=1, out=spare, mode="clip")
             amps, spare = spare, amps
         np.matmul(amps.reshape(flat), lo.T, out=spare.reshape(flat))
         np.matmul(hi, spare.reshape(split), out=amps.reshape(split))
     np.square(amps, out=amps)
-    return amps @ z_signs(n)
+    return amps @ _z_table(n)
 
 
 def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:

@@ -254,3 +254,8 @@ def test_topk_label_validation():
         topk_accuracy(np.eye(3), np.arange(2), 1)
     with pytest.raises(ConfigurationError):
         topk_accuracy(np.eye(3), np.array([0, 1, 3]), 1)
+
+
+def test_topk_rejects_zero_queries():
+    with pytest.raises(ShapeError, match="at least one query"):
+        topk_accuracy(np.zeros((0, 4)), np.zeros(0, int), 1)

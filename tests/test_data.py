@@ -1,11 +1,14 @@
 """Synthetic dataset generation and the manifest contract."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from vqcontrast import DatasetManifest, generate_dataset, load_tensor_file, save_tensor_file
+from vqcontrast import (
+    DatasetManifest, data, generate_dataset, load_tensor_file, save_tensor_file,
+)
 from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE, MANIFEST_FILE
 from vqcontrast.errors import ConfigurationError, ZeroShotOverlapError
 
@@ -186,3 +189,58 @@ def test_load_arrays_rejects_label_count_mismatch(tmp_path):
     save_tensor_file(tmp_path / LABELS_FILE, np.zeros(7))
     with pytest.raises(ConfigurationError):
         DatasetManifest.load(tmp_path / MANIFEST_FILE).load_arrays()
+
+
+# ---------------------------------------------------------------------------
+# Reading once
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Names of the files read through ``data.load_tensor_file``, in order."""
+    names = []
+
+    def counting(path):
+        names.append(path.name)
+        return load_tensor_file(path)
+
+    monkeypatch.setattr(data, "load_tensor_file", counting)
+    return names
+
+
+def test_load_arrays_reads_each_file_once(tmp_path, reads):
+    generate_dataset(tmp_path, seed=7, **GEN_KW)
+    manifest = DatasetManifest.load(tmp_path / MANIFEST_FILE)
+    first = manifest.load_arrays()
+    assert sorted(reads) == sorted([EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE])
+    second = manifest.load_arrays()
+    assert len(reads) == 3
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_loaded_arrays_are_read_only(tmp_path):
+    manifest = generate_dataset(tmp_path, seed=7, **GEN_KW)
+    for array in manifest.load_arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_edited_copy_reads_and_checks_again(tmp_path, reads):
+    manifest = generate_dataset(tmp_path, seed=7, **GEN_KW)
+    eeg, _, _ = manifest.load_arrays()
+    twin = copy.deepcopy(manifest)
+    twin.test_classes.append(5)  # classes are 0..4: no image embedding for 5
+    with pytest.raises(ConfigurationError, match="past the image embedding table"):
+        twin.load_arrays()
+    assert len(reads) == 6
+    assert manifest.load_arrays()[0] is eeg
+    assert len(reads) == 6
+
+
+def test_copy_reads_its_own_read_only_arrays(tmp_path, reads):
+    manifest = generate_dataset(tmp_path, seed=7, **GEN_KW)
+    eeg, _, _ = manifest.load_arrays()
+    twin_eeg, _, _ = copy.deepcopy(manifest).load_arrays()
+    assert len(reads) == 6
+    np.testing.assert_array_equal(twin_eeg, eeg)
+    assert not twin_eeg.flags.writeable

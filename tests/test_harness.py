@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vqcontrast import (
+    DatasetManifest,
     MetricsRecord,
     RetrievalModel,
     RunConfig,
@@ -16,13 +17,15 @@ from vqcontrast import (
     clip_loss,
     evaluate_zero_shot,
     generate_dataset,
+    load_tensor_file,
     read_metrics,
     run_protocol,
     train,
     write_metrics,
 )
-from vqcontrast import diffnet, encoders, gradcheck, harness
+from vqcontrast import data, diffnet, encoders, gradcheck, harness
 from vqcontrast.contrastive import MAX_LOG_TEMPERATURE, clip_logits_op, clip_loss_op
+from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE, MANIFEST_FILE
 from vqcontrast.diffnet import Tape, Tensor
 from vqcontrast.errors import ConfigurationError, NumericError, ZeroShotOverlapError
 from vqcontrast.gradcheck import central_difference, run_all_checks
@@ -306,6 +309,15 @@ def test_blocked_embeddings_match_one_unblocked_forward(n):
     np.testing.assert_allclose(model.embed_images(emb), whole_img, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("picked", [0, 1, BLOCK + 1])
+def test_embedding_picked_rows_equals_embedding_their_copy(picked):
+    model = _model_with_running_stats(TINY_RUN, 4)
+    rng = np.random.default_rng(picked)
+    eeg = rng.standard_normal((2 * BLOCK, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+    rows = np.sort(rng.choice(len(eeg), picked, replace=False))
+    np.testing.assert_array_equal(model.embed_eeg(eeg, rows), model.embed_eeg(eeg[rows]))
+
+
 def test_zero_row_batch_embeds_to_an_empty_matrix():
     model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
     eeg = np.zeros((0, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
@@ -433,6 +445,19 @@ def test_run_protocol_reports_per_seed_results(tiny_data):
         assert abs(mean - np.mean(values)) < 1e-12
         assert abs(summary["std"] - np.std(values, ddof=1)) < 1e-12
     assert report["top1"]["formatted"].endswith("%")
+
+
+def test_run_protocol_reads_each_file_once(tiny_data, monkeypatch):
+    names = []
+
+    def counting(path):
+        names.append(path.name)
+        return load_tensor_file(path)
+
+    monkeypatch.setattr(data, "load_tensor_file", counting)
+    manifest = DatasetManifest.load(tiny_data.root / MANIFEST_FILE)
+    run_protocol(replace(TINY_RUN, epochs=1, n_runs=2), manifest)
+    assert sorted(names) == sorted([EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE])
 
 
 def test_run_protocol_single_run_has_zero_std(tiny_data):

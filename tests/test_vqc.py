@@ -8,7 +8,7 @@ import pytest
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
 from vqcontrast.gradcheck import central_difference
 from vqcontrast.statevector import cnot, cnot_index, ry, ry_rows, z_signs
-from vqcontrast.vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
+from vqcontrast.vqc import QuantumLayerParams, _z_table, vqc_batched_forward, vqc_batched_vjp
 
 
 def single_qubit_params(w):
@@ -120,7 +120,7 @@ def test_batched_forward_matches_dense_oracle(oracle_z):
                 )
 
 
-@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("n", [10, 11, 12])
 def test_batched_forward_matches_gate_level_kernels(n):
     """Beyond the dense oracle's reach, against one ry_rows/cnot_index call per gate."""
     rng = np.random.default_rng(n)
@@ -138,6 +138,27 @@ def test_batched_forward_matches_gate_level_kernels(n):
     expected = amps**2 @ z_signs(n)
     out = vqc_batched_forward(X, QuantumLayerParams(n, layers, weights))
     np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def test_z_table_is_cached_and_read_only():
+    for n in (1, 4, 11):
+        table = _z_table(n)
+        np.testing.assert_array_equal(table, z_signs(n))
+        assert table is _z_table(n)
+        assert not table.flags.writeable
+
+
+def test_forward_follows_weights_edited_in_place(oracle_z):
+    """The RY factors are cached by the weights' bytes, not by the array object."""
+    rng = np.random.default_rng(8)
+    params = QuantumLayerParams(5, 2, rng.uniform(-np.pi, np.pi, (2, 5)))
+    X = rng.uniform(-np.pi, np.pi, (1, 5))
+    vqc_batched_forward(X, params)
+    params.weights[1, 3] += 0.5
+    np.testing.assert_allclose(
+        vqc_batched_forward(X, params)[0], oracle_z(explicit_gates(X[0], params.weights), 5),
+        atol=1e-12,
+    )
 
 
 def test_batched_forward_holds_at_most_three_states():
