@@ -4,7 +4,8 @@ Each class owns a latent vector; fixed random linear maps turn it into an
 EEG prototype and an image-embedding prototype, so the two modalities are
 genuinely correlated and cross-modal retrieval is learnable.  Samples are
 the class prototype plus Gaussian noise.  Everything is deterministic
-given the seed, down to the bytes on disk.
+given the seed, down to the bytes on disk.  The EEG tensor, the largest
+object, is written ``_CHUNK_ROWS`` samples at a time and read in one piece.
 
 The manifest is a small JSON file naming the three tensor files and the
 train/test class split; tensor paths are stored relative to the manifest.
@@ -13,13 +14,14 @@ train/test class split; tensor paths are stored relative to the manifest.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ZeroShotOverlapError
-from .qtns import load_tensor_file, save_tensor_file
+from .qtns import load_tensor_file, save_tensor_file, tensor_header_bytes
 
 _MANIFEST_KEYS = {"eeg_path", "image_emb_path", "labels_path", "train_classes", "test_classes"}
 
@@ -27,6 +29,26 @@ EEG_FILE = "eeg.qtns"
 IMAGE_EMB_FILE = "image_emb.qtns"
 LABELS_FILE = "labels.qtns"
 MANIFEST_FILE = "manifest.json"
+
+_CHUNK_ROWS = 64  # EEG samples drawn and written at a time by generate_dataset
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # np.isfinite cannot take an int this large
+
+
+def require_ints(least: int, **values) -> None:
+    """Each value must be an int, not a bool, and at least ``least`` (0 or 1)."""
+    kind = "positive" if least else "non-negative"
+    for name, v in values.items():
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            raise ConfigurationError(f"{name} must be a {kind} integer, got {v!r}")
+
+
+def require_finite(**values) -> None:
+    """Each value must be a finite real number, not a bool."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+            abs(v) <= _FLOAT_MAX if isinstance(v, int) else np.isfinite(v)
+        ):
+            raise ConfigurationError(f"{name} must be a finite number, got {v!r}")
 
 
 def _class_ids(name: str, values) -> list[int]:
@@ -150,15 +172,14 @@ def generate_dataset(
     noise_sigma: float,
     latent_dim: int = 2,
 ) -> DatasetManifest:
-    """Write the three tensor files plus manifest.json into ``out_dir``."""
-    for name, v in (
-        ("n_train_classes", n_train_classes), ("n_test_classes", n_test_classes),
-        ("samples_per_class", samples_per_class), ("electrodes", electrodes),
-        ("time_samples", time_samples), ("image_dim", image_dim),
-        ("latent_dim", latent_dim),
-    ):
-        if v < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {v}")
+    """Check the arguments as ``RunConfig`` does, then write the dataset into ``out_dir``."""
+    require_ints(
+        1, n_train_classes=n_train_classes, n_test_classes=n_test_classes,
+        samples_per_class=samples_per_class, electrodes=electrodes,
+        time_samples=time_samples, image_dim=image_dim, latent_dim=latent_dim,
+    )
+    require_ints(0, seed=seed)
+    require_finite(noise_sigma=noise_sigma)
     if noise_sigma < 0:
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
 
@@ -176,10 +197,14 @@ def generate_dataset(
     img_protos = latents @ img_map * scale
 
     labels = np.repeat(np.arange(n_classes), samples_per_class)
-    noise = rng.standard_normal((n_samples, electrodes, time_samples))
-    eeg = (eeg_protos[labels] + noise_sigma * noise)[:, None, :, :]
-
-    save_tensor_file(out_dir / EEG_FILE, eeg)
+    with open(out_dir / EEG_FILE, "wb") as f:
+        f.write(tensor_header_bytes((n_samples, 1, electrodes, time_samples)))
+        for start in range(0, n_samples, _CHUNK_ROWS):  # draws in sequence: the one-shot draw
+            rows = labels[start : start + _CHUNK_ROWS]
+            eeg = rng.standard_normal((len(rows), electrodes, time_samples))
+            eeg *= noise_sigma
+            eeg += eeg_protos[rows]
+            eeg.astype("<f4").tofile(f)
     save_tensor_file(out_dir / IMAGE_EMB_FILE, img_protos)
     save_tensor_file(out_dir / LABELS_FILE, labels.astype(np.float64))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,7 +33,7 @@ from .contrastive import (
     clip_loss_op,
     topk_accuracy,
 )
-from .data import DatasetManifest, generate_dataset
+from .data import DatasetManifest, generate_dataset, require_finite, require_ints
 from .diffnet import Adam, Tape, Tensor
 from .encoders import EegConvEncoder, ImageEmbedHead
 from .errors import ConfigurationError, NumericError, ZeroShotOverlapError
@@ -42,7 +41,6 @@ from .qtns import load_params, save_params
 from .statevector import MAX_QUBITS
 
 _DEFAULT_TAU_INIT = float(np.log(1.0 / 0.07))
-_FLOAT_MAX = float(np.finfo(np.float64).max)  # np.isfinite cannot take an int this large
 _EVAL_BLOCK_ROWS = 64  # 64 and 128 tie on a 2 MiB-L2 Xeon core; 32 and 256 are ~15% slower
 
 
@@ -82,32 +80,21 @@ class RunConfig:
     data_manifest: str | None = None
 
     def __post_init__(self):
-        positive_ints = {
-            "n_qubits": self.n_qubits, "n_layers": self.n_layers,
-            "electrodes": self.electrodes, "time_samples": self.time_samples,
-            "spatial_maps": self.spatial_maps, "temporal_maps": self.temporal_maps,
-            "temporal_kernel": self.temporal_kernel, "embed_dim": self.embed_dim,
-            "image_dim": self.image_dim, "n_train_classes": self.n_train_classes,
-            "n_test_classes": self.n_test_classes,
-            "samples_per_class": self.samples_per_class,
-            "latent_dim": self.latent_dim, "n_runs": self.n_runs,
-        }
-        for name, v in positive_ints.items():
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.epochs, int) or isinstance(self.epochs, bool) or self.epochs < 0:
-            raise ConfigurationError(f"epochs must be a non-negative integer, got {self.epochs!r}")
+        require_ints(
+            1, n_qubits=self.n_qubits, n_layers=self.n_layers,
+            electrodes=self.electrodes, time_samples=self.time_samples,
+            spatial_maps=self.spatial_maps, temporal_maps=self.temporal_maps,
+            temporal_kernel=self.temporal_kernel, embed_dim=self.embed_dim,
+            image_dim=self.image_dim, n_train_classes=self.n_train_classes,
+            n_test_classes=self.n_test_classes, samples_per_class=self.samples_per_class,
+            latent_dim=self.latent_dim, n_runs=self.n_runs,
+        )
+        require_ints(0, epochs=self.epochs, seed=self.seed)
         if not isinstance(self.batch_size, int) or self.batch_size < 2:
             raise ConfigurationError(f"batch_size must be an integer >= 2, got {self.batch_size!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name, v in (("lr", self.lr), ("beta1", self.beta1), ("beta2", self.beta2),
-                        ("weight_decay", self.weight_decay), ("tau_init", self.tau_init),
-                        ("noise_sigma", self.noise_sigma)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
-                abs(v) <= _FLOAT_MAX if isinstance(v, int) else np.isfinite(v)
-            ):
-                raise ConfigurationError(f"{name} must be a finite number, got {v!r}")
+        require_finite(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
+                       weight_decay=self.weight_decay, tau_init=self.tau_init,
+                       noise_sigma=self.noise_sigma)
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

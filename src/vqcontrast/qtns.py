@@ -7,7 +7,9 @@ Record layout, all integers little-endian:
 
 Compute happens in double precision; files always store float32.  Parse
 errors raise ``TensorFormatError`` carrying the byte offset at which the
-file stopped making sense.
+file stopped making sense; the header writer refuses what the parser
+rejects.  A tensor file is read as its header, then its payload straight
+into the array; ``data.generate_dataset`` writes one in row chunks.
 
 A parameter set is persisted as one container file of concatenated QTNS
 records plus a JSON index file mapping parameter names to byte offsets
@@ -17,6 +19,8 @@ inside the container.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -28,20 +32,57 @@ MAGIC = b"QTNS"
 VERSION = 1
 DTYPE_FLOAT32 = 1
 _MAX_NDIM = 8
+_MAX_HEADER = 13 + 4 * _MAX_NDIM  # magic, version, dtype, ndim, dims
 
 # Suffix of the record container that accompanies a parameter index file.
 CONTAINER_SUFFIX = ".qtns"
+
+
+def _parse_header(head: bytes, offset: int, size: int) -> tuple[tuple[int, ...], int, int]:
+    """Check the header at ``offset`` of ``head``, the start of a ``size``-byte
+    buffer; return (dims, payload start, end)."""
+    if len(head) < offset + 4 or head[offset : offset + 4] != MAGIC:
+        raise TensorFormatError("bad magic, expected b'QTNS'", offset)
+    pos = offset + 4
+    if len(head) < pos + 5:
+        raise TensorFormatError("truncated header", pos)
+    version, dtype = struct.unpack_from("<IB", head, pos)
+    if version != VERSION:
+        raise TensorFormatError(f"unsupported version {version}", pos)
+    if dtype != DTYPE_FLOAT32:
+        raise TensorFormatError(f"unsupported dtype code {dtype}", pos + 4)
+    pos += 5
+    if len(head) < pos + 4:
+        raise TensorFormatError("truncated ndim field", pos)
+    (ndim,) = struct.unpack_from("<I", head, pos)
+    if ndim > _MAX_NDIM:
+        raise TensorFormatError(f"ndim {ndim} exceeds limit {_MAX_NDIM}", pos)
+    pos += 4
+    if len(head) < pos + 4 * ndim:
+        raise TensorFormatError("truncated dimension list", pos)
+    dims = struct.unpack_from(f"<{ndim}I", head, pos)
+    for i, d in enumerate(dims):
+        if d == 0:
+            raise TensorFormatError("zero-length dimension", pos + 4 * i)
+    pos += 4 * ndim
+    need = 4 * math.prod(dims)
+    if size < pos + need:
+        raise TensorFormatError(f"payload needs {need} bytes, only {size - pos} present", pos)
+    return dims, pos, pos + need
+
+
+def tensor_header_bytes(shape) -> bytes:
+    """Header of a float32 record of ``shape``; raises what reading it back would."""
+    header = MAGIC + struct.pack(f"<IBI{len(shape)}I", VERSION, DTYPE_FLOAT32, len(shape), *shape)
+    _parse_header(header, 0, len(header) + 4 * math.prod(shape))
+    return header
 
 
 def tensor_record_bytes(array) -> bytes:
     """Serialize one array as a QTNS record (cast to float32)."""
     # not ascontiguousarray: that would promote 0-d arrays to shape (1,)
     a = np.asarray(array, dtype=np.float32, order="C")
-    header = MAGIC + struct.pack("<IB", VERSION, DTYPE_FLOAT32)
-    header += struct.pack("<I", a.ndim)
-    header += struct.pack(f"<{a.ndim}I", *a.shape)
-    payload = a.astype("<f4", copy=False).tobytes(order="C")
-    return header + payload
+    return tensor_header_bytes(a.shape) + a.astype("<f4", copy=False).tobytes(order="C")
 
 
 def read_tensor_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -50,40 +91,9 @@ def read_tensor_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     Trailing bytes after the record are the caller's business, which lets
     containers hold several concatenated records.
     """
-    if len(buf) < offset + 4 or buf[offset : offset + 4] != MAGIC:
-        raise TensorFormatError("bad magic, expected b'QTNS'", offset)
-    pos = offset + 4
-    if len(buf) < pos + 5:
-        raise TensorFormatError("truncated header", pos)
-    version, dtype = struct.unpack_from("<IB", buf, pos)
-    if version != VERSION:
-        raise TensorFormatError(f"unsupported version {version}", pos)
-    if dtype != DTYPE_FLOAT32:
-        raise TensorFormatError(f"unsupported dtype code {dtype}", pos + 4)
-    pos += 5
-    if len(buf) < pos + 4:
-        raise TensorFormatError("truncated ndim field", pos)
-    (ndim,) = struct.unpack_from("<I", buf, pos)
-    if ndim > _MAX_NDIM:
-        raise TensorFormatError(f"ndim {ndim} exceeds limit {_MAX_NDIM}", pos)
-    pos += 4
-    if len(buf) < pos + 4 * ndim:
-        raise TensorFormatError("truncated dimension list", pos)
-    dims = struct.unpack_from(f"<{ndim}I", buf, pos)
-    for i, d in enumerate(dims):
-        if d == 0:
-            raise TensorFormatError("zero-length dimension", pos + 4 * i)
-    pos += 4 * ndim
-    count = 1
-    for d in dims:
-        count *= d
-    need = 4 * count
-    if len(buf) < pos + need:
-        raise TensorFormatError(
-            f"payload needs {need} bytes, only {len(buf) - pos} present", pos
-        )
-    array = np.frombuffer(buf, dtype="<f4", count=count, offset=pos).reshape(dims)
-    return array.copy(), pos + need
+    dims, pos, end = _parse_header(buf, offset, len(buf))
+    array = np.frombuffer(buf, dtype="<f4", count=(end - pos) // 4, offset=pos)
+    return array.reshape(dims).copy(), end
 
 
 def save_tensor_file(path, array) -> None:
@@ -91,12 +101,20 @@ def save_tensor_file(path, array) -> None:
 
 
 def load_tensor_file(path) -> np.ndarray:
-    """Read a single-tensor file; payload round-trips bit-exactly."""
-    buf = Path(path).read_bytes()
-    array, end = read_tensor_record(buf, 0)
-    if end != len(buf):
-        raise TensorFormatError(f"{len(buf) - end} trailing bytes after record", end)
-    return array
+    """Read a single-tensor file; payload round-trips bit-exactly.
+
+    Errors are ``read_tensor_record``'s on the file's bytes, or trailing bytes.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        dims, pos, end = _parse_header(f.read(_MAX_HEADER), 0, size)
+        if end != size:
+            raise TensorFormatError(f"{size - end} trailing bytes after record", end)
+        f.seek(pos)
+        array = np.fromfile(f, dtype="<f4", count=(end - pos) // 4)
+    if (got := 4 * array.size) != end - pos:  # the file shrank after fstat
+        raise TensorFormatError(f"payload needs {end - pos} bytes, only {got} present", pos)
+    return array.reshape(dims)
 
 
 def _container_path(index_path: Path) -> Path:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vqcontrast import (
 )
 from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE, MANIFEST_FILE
 from vqcontrast.errors import ConfigurationError, ZeroShotOverlapError
+from vqcontrast.qtns import tensor_record_bytes
 
 GEN_KW = dict(
     n_train_classes=3,
@@ -88,6 +90,80 @@ def test_generate_rejects_invalid_sizes(tmp_path):
         generate_dataset(tmp_path, seed=0, **dict(GEN_KW, n_test_classes=0))
     with pytest.raises(ConfigurationError):
         generate_dataset(tmp_path, seed=0, **dict(GEN_KW, noise_sigma=-0.1))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(noise_sigma=float("nan")),
+    dict(noise_sigma=float("inf")),
+    dict(noise_sigma="0.2"),
+    dict(samples_per_class=2.5),
+    dict(electrodes=True),
+    dict(image_dim=np.int64(6)),
+    dict(seed=-1),
+    dict(seed=1.0),
+], ids=str)
+def test_generate_rejects_arguments_before_writing(tmp_path, bad):
+    kw = {**GEN_KW, "seed": 0, **bad}
+    with pytest.raises(ConfigurationError, match=next(iter(bad))):
+        generate_dataset(tmp_path / "out", **kw)
+    assert not (tmp_path / "out").exists()
+
+
+CHUNK = data._CHUNK_ROWS
+
+
+def one_shot_files(seed, n_classes, samples_per_class, electrodes, time_samples, image_dim,
+                   noise_sigma, latent_dim=2):
+    """The three tensor files as bytes, the EEG noise drawn in one call."""
+    rng = np.random.default_rng(seed)
+    eeg_map = rng.standard_normal((latent_dim, electrodes * time_samples))
+    img_map = rng.standard_normal((latent_dim, image_dim))
+    latents = rng.standard_normal((n_classes, latent_dim))
+    scale = 1.0 / np.sqrt(latent_dim)
+    protos = (latents @ eeg_map * scale).reshape(n_classes, electrodes, time_samples)
+    labels = np.repeat(np.arange(n_classes), samples_per_class)
+    noise = rng.standard_normal((len(labels), electrodes, time_samples))
+    eeg = (protos[labels] + noise_sigma * noise)[:, None, :, :]
+    return {EEG_FILE: tensor_record_bytes(eeg),
+            IMAGE_EMB_FILE: tensor_record_bytes(latents @ img_map * scale),
+            LABELS_FILE: tensor_record_bytes(labels)}
+
+
+@pytest.mark.parametrize("n_classes, samples_per_class", [
+    (2, 1),              # the fewest samples a dataset can have: one per split
+    (CHUNK - 1, 1),
+    (CHUNK, 1),
+    (CHUNK + 1, 1),
+    (5, 2 * CHUNK // 5 + 1),  # three chunks, the last one short
+])
+def test_streamed_files_equal_the_one_shot_draw(tmp_path, n_classes, samples_per_class):
+    geometry = dict(samples_per_class=samples_per_class, electrodes=3, time_samples=10,
+                    image_dim=6, noise_sigma=0.2)
+    generate_dataset(tmp_path, seed=11, n_train_classes=n_classes - 1, n_test_classes=1,
+                     **geometry)
+    for name, expected in one_shot_files(11, n_classes, **geometry).items():
+        assert (tmp_path / name).read_bytes() == expected, name
+
+
+def generation_peak(out_dir, samples_per_class) -> int:
+    """Peak bytes numpy and Python allocate while generating at retrieval-eval geometry."""
+    tracemalloc.start()
+    try:
+        generate_dataset(out_dir, seed=7, n_train_classes=8, n_test_classes=32,
+                         samples_per_class=samples_per_class, electrodes=17,
+                         time_samples=100, image_dim=512, noise_sigma=0.3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_memory_is_a_few_chunks_whatever_the_sample_count(tmp_path):
+    generation_peak(tmp_path / "warm", 1)  # first-call allocations are not the data's
+    chunk = CHUNK * 17 * 100 * 8  # one chunk of float64 samples
+    small = generation_peak(tmp_path / "small", 32)  # 1280 samples, 8.3 MiB as float32
+    large = generation_peak(tmp_path / "large", 128)
+    assert small < 4 * chunk
+    assert large < small + chunk / 4
 
 
 # ---------------------------------------------------------------------------

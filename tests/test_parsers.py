@@ -2,7 +2,8 @@
 valid input gives a typed error or a valid object, never another exception.
 
 The parsers are ``read_tensor_record``, ``load_params``,
-``DatasetManifest.load`` and ``RunConfig.from_dict``.  The only other
+``DatasetManifest.load`` and ``RunConfig.from_dict``; ``load_tensor_file``
+must agree with ``read_tensor_record`` on the same bytes.  The only other
 exception allowed is ``OSError`` from ``load_params`` when the index names a
 container that cannot be read.  Example counts and seeds come from the
 ``tier1`` profile in ``conftest.py``.
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vqcontrast import RunConfig, load_params, save_params
+from vqcontrast import RunConfig, load_params, load_tensor_file, save_params
 from vqcontrast.data import DatasetManifest
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError, TensorFormatError
 from vqcontrast.qtns import read_tensor_record, tensor_record_bytes
@@ -93,6 +94,35 @@ def test_read_tensor_record_on_mutated_records(record):
 def scratch(tmp_path_factory):
     """One directory for every example: each overwrites the files it reads."""
     return tmp_path_factory.mktemp("parsers")
+
+
+@st.composite
+def tensor_files(draw) -> bytes:
+    """A record, mutated or followed by trailing bytes."""
+    record = tensor_record_bytes(draw(arrays))
+    if draw(st.booleans()):
+        return draw(mutated(record))
+    return record + draw(st.binary(min_size=1, max_size=8))
+
+
+@given(blob=tensor_files())
+def test_load_tensor_file_agrees_with_read_tensor_record(scratch, blob):
+    path = scratch / "tensor.qtns"
+    path.write_bytes(blob)
+    try:
+        array, end = read_tensor_record(blob, 0)
+    except TensorFormatError as exc:
+        expected = exc
+    else:
+        if end == len(blob):
+            back = load_tensor_file(path)
+            assert back.dtype == array.dtype and back.shape == array.shape
+            assert back.tobytes() == array.tobytes()
+            return
+        expected = TensorFormatError(f"{len(blob) - end} trailing bytes after record", end)
+    with pytest.raises(TensorFormatError) as info:
+        load_tensor_file(path)
+    assert (str(info.value), info.value.offset) == (str(expected), expected.offset)
 
 
 @given(data=st.data())

@@ -3,12 +3,16 @@
 import json
 import struct
 
+import types
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given
 
-from vqcontrast import load_params, load_tensor_file, save_params, save_tensor_file
+from vqcontrast import load_params, load_tensor_file, qtns, save_params, save_tensor_file
 from vqcontrast.errors import TensorFormatError
-from vqcontrast.qtns import read_tensor_record, tensor_record_bytes
+from vqcontrast.qtns import read_tensor_record, tensor_header_bytes, tensor_record_bytes
 
 
 def test_record_bytes_match_hand_built_layout():
@@ -118,6 +122,19 @@ def test_trailing_bytes_rejected_for_single_tensor_file(tmp_path):
         load_tensor_file(path)
 
 
+def test_file_that_shrinks_after_its_size_is_read_is_a_truncated_payload(tmp_path,
+                                                                        monkeypatch):
+    path = tmp_path / "t.qtns"
+    record = tensor_record_bytes(np.ones((2, 2), dtype=np.float32))
+    path.write_bytes(record[:-4])
+    # the size stat reports is the whole record's, as if the file was cut after fstat
+    monkeypatch.setattr(qtns, "os", types.SimpleNamespace(
+        fstat=lambda fd: types.SimpleNamespace(st_size=len(record))))
+    with pytest.raises(TensorFormatError, match="payload needs 16 bytes, only 12") as info:
+        load_tensor_file(path)
+    assert info.value.offset == 21
+
+
 def test_offset_error_at_container_position():
     good = tensor_record_bytes(np.zeros(1, dtype=np.float32))
     blob = good + b"JUNK" + good
@@ -182,3 +199,38 @@ def test_params_with_a_signaling_nan_load_as_nan_without_a_warning(tmp_path):
     container.write_bytes(container.read_bytes()[:-4] + bytes.fromhex("0100807f"))
     loaded = load_params(path)["w"]
     assert loaded[0] == 0.0 and np.isnan(loaded[1])
+
+
+# ---------------------------------------------------------------------------
+# The writer refuses what the reader rejects
+
+
+@pytest.mark.parametrize("shape, offset, match", [
+    ((0, 3), 13, "zero-length dimension"),
+    ((3, 2, 0), 21, "zero-length dimension"),
+    ((1,) * 9, 9, "ndim 9 exceeds limit 8"),
+])
+def test_writer_refuses_a_shape_the_reader_rejects(tmp_path, shape, offset, match):
+    with pytest.raises(TensorFormatError, match=match) as info:
+        tensor_header_bytes(shape)
+    assert info.value.offset == offset
+    with pytest.raises(TensorFormatError, match=match):
+        save_tensor_file(tmp_path / "t.qtns", np.zeros(shape))
+    with pytest.raises(TensorFormatError, match=match):
+        save_params(tmp_path / "model.params", {"a": np.ones(2), "b": np.zeros(shape)})
+    assert not list(tmp_path.iterdir())
+
+
+@given(hnp.arrays(np.uint32, hnp.array_shapes(min_dims=0, max_dims=10, min_side=0,
+                                              max_side=2)))
+def test_every_array_the_writer_accepts_reads_back_bit_for_bit(bits):
+    array = bits.view(np.float32)  # any bit pattern, signaling NaNs included
+    try:
+        record = tensor_record_bytes(array)
+    except TensorFormatError:
+        assert 0 in array.shape or array.ndim > 8
+        return
+    back, end = read_tensor_record(record)
+    assert end == len(record)
+    assert back.dtype == np.float32 and back.shape == array.shape
+    assert back.tobytes() == array.tobytes()
