@@ -6,6 +6,9 @@ genuinely correlated and cross-modal retrieval is learnable.  Samples are
 the class prototype plus Gaussian noise.  Everything is deterministic
 given the seed, down to the bytes on disk.  The EEG tensor, the largest
 object, is written ``_CHUNK_ROWS`` samples at a time and read in one piece.
+Both float tensors stay float32 in memory, as stored; compute widens each
+batch or block to float64 exactly (``diffnet.Tensor``), so nothing is
+rounded and the resident copy is the size of the file.
 
 The manifest is a small JSON file naming the three tensor files and the
 train/test class split; tensor paths are stored relative to the manifest.
@@ -120,7 +123,7 @@ class DatasetManifest:
         return {**self.__dict__, "_loaded": None}
 
     def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (eeg [N,1,E,T] f64, image_emb [C,D_img] f64, labels [N] int), read-only."""
+        """Return (eeg [N,1,E,T] f32, image_emb [C,D_img] f32, labels [N] int), read-only."""
         key = (Path(self.root), self.eeg_path, self.image_emb_path, self.labels_path,
                tuple(self.train_classes), tuple(self.test_classes))
         if self._loaded is None or self._loaded[0] != key:
@@ -135,9 +138,9 @@ class DatasetManifest:
         emb = load_tensor_file(self.root / self.image_emb_path)
         labels_f = load_tensor_file(self.root / self.labels_path)
         for path, array in ((self.eeg_path, eeg), (self.image_emb_path, emb)):
-            if not np.isfinite(array).all():  # on the float32 payload: half the bytes
+            # min and max carry any NaN or inf (no tensor file is empty), and need no mask
+            if not (np.isfinite(array.min()) and np.isfinite(array.max())):
                 raise NumericError(f"{path} holds non-finite values")
-        eeg, emb = eeg.astype(np.float64), emb.astype(np.float64)
         if eeg.ndim != 4 or eeg.shape[1] != 1:
             raise ConfigurationError(f"EEG tensor must be [N, 1, E, T], got {eeg.shape}")
         if emb.ndim != 2:

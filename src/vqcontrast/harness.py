@@ -5,10 +5,14 @@ config is the one place each setting is declared, defaulted and validated:
 the encoders read their geometry from it and Adam its hyperparameters.  The
 training loop optimizes both encoders and the log-temperature jointly;
 classical gradients come from the tape, quantum ones from the
-parameter-shift rule, and a single Adam instance updates everything.
-Evaluation gathers and embeds rows in cache-sized blocks; in eval mode every
-op, batch norm included, acts on each row alone, so blocking moves results
-only by rounding (about 1e-15).
+parameter-shift rule, and a single Adam instance updates everything.  Each
+batch is gathered by row index from the dataset's resident float32 arrays
+and widened to float64 as it enters the tape; the training split is never
+copied whole.  Evaluation gathers and embeds rows in cache-sized blocks on a
+tape that records no backward closures, so each op's inputs are freed as
+soon as the next op has used them.  In eval mode every op, batch norm
+included, acts on each row alone, so blocking moves results only by
+rounding (about 1e-15).
 
 Metrics are emitted as JSON lines.  Wall time is tracked on the records
 but deliberately left out of the serialized form so that identical
@@ -241,11 +245,19 @@ class RetrievalModel:
         return _blocked(self.image_head.forward, embeddings)
 
 
+class _ForwardOnlyTape(Tape):
+    """An eval forward's tape: it records no backward closure, so none keeps
+    an op's inputs alive."""
+
+    def record(self, backward_fn) -> None:
+        pass
+
+
 def _blocked(forward, data: np.ndarray, rows: np.ndarray | None = None, **kwargs) -> np.ndarray:
     n = len(data if rows is None else rows)
     spans = (slice(i, i + _EVAL_BLOCK_ROWS) for i in range(0, max(n, 1), _EVAL_BLOCK_ROWS))
     blocks = (data[s] if rows is None else data[rows[s]] for s in spans)  # 0 rows: one empty block
-    return np.concatenate([forward(Tape(), Tensor(b), **kwargs).data for b in blocks])
+    return np.concatenate([forward(_ForwardOnlyTape(), Tensor(b), **kwargs).data for b in blocks])
 
 
 def _load_and_check(config: RunConfig, manifest: DatasetManifest):
@@ -268,11 +280,9 @@ def train(
 ) -> tuple[RetrievalModel, list[MetricsRecord]]:
     """Optimize both encoders and tau; one MetricsRecord per epoch."""
     eeg, emb, labels = _load_and_check(config, manifest)
-    train_mask = np.isin(labels, manifest.train_classes)
-    if not train_mask.any():
+    train_rows = np.flatnonzero(np.isin(labels, manifest.train_classes))
+    if not train_rows.size:
         raise ConfigurationError("no samples belong to the training classes")
-    x_train = eeg[train_mask]
-    y_train = labels[train_mask]
 
     rng = np.random.default_rng(config.seed)
     model = RetrievalModel(config, rng)
@@ -282,19 +292,19 @@ def train(
     )
 
     records: list[MetricsRecord] = []
-    n = len(x_train)
+    n = len(train_rows)
     for epoch in range(config.epochs):
         started = time.perf_counter()
         order = rng.permutation(n)
         loss_sum = 0.0
         seen = 0
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            if len(idx) < 2:
+            rows = train_rows[order[start : start + config.batch_size]]
+            if len(rows) < 2:
                 continue  # batch norm needs at least two rows in train mode
             tape = Tape()
-            eeg_f = model.eeg_encoder.forward(tape, Tensor(x_train[idx]), train=True)
-            img_f = model.image_head.forward(tape, Tensor(emb[y_train[idx]]))
+            eeg_f = model.eeg_encoder.forward(tape, Tensor(eeg[rows]), train=True)
+            img_f = model.image_head.forward(tape, Tensor(emb[labels[rows]]))
             ContrastiveBatch(eeg_f.data, img_f.data, float(model.log_tau.data))
             loss = clip_loss_op(
                 tape, clip_logits_op(tape, eeg_f, img_f, model.log_tau)
@@ -311,8 +321,8 @@ def train(
             optimizer.zero_grad()
             # keep e^tau bounded, as in standard contrastive training
             np.minimum(model.log_tau.data, MAX_LOG_TEMPERATURE, out=model.log_tau.data)
-            loss_sum += value * len(idx)
-            seen += len(idx)
+            loss_sum += value * len(rows)
+            seen += len(rows)
         if seen == 0:
             raise ConfigurationError(
                 "every batch was smaller than 2 samples; shrink batch_size"

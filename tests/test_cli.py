@@ -1,9 +1,11 @@
 """Command-line interface: subcommand wiring and the exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +152,16 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "gen-data" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vqcontrast", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "gen-data" in proc.stdout
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

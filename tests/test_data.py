@@ -145,13 +145,16 @@ def test_streamed_files_equal_the_one_shot_draw(tmp_path, n_classes, samples_per
         assert (tmp_path / name).read_bytes() == expected, name
 
 
+EVAL_GEOMETRY = dict(n_train_classes=8, n_test_classes=32, electrodes=17, time_samples=100,
+                     image_dim=512, noise_sigma=0.3)  # the retrieval-eval bench workload's
+
+
 def generation_peak(out_dir, samples_per_class) -> int:
     """Peak bytes numpy and Python allocate while generating at retrieval-eval geometry."""
     tracemalloc.start()
     try:
-        generate_dataset(out_dir, seed=7, n_train_classes=8, n_test_classes=32,
-                         samples_per_class=samples_per_class, electrodes=17,
-                         time_samples=100, image_dim=512, noise_sigma=0.3)
+        generate_dataset(out_dir, seed=7, samples_per_class=samples_per_class,
+                         **EVAL_GEOMETRY)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,6 +167,19 @@ def test_generation_memory_is_a_few_chunks_whatever_the_sample_count(tmp_path):
     large = generation_peak(tmp_path / "large", 128)
     assert small < 4 * chunk
     assert large < small + chunk / 4
+
+
+def test_load_arrays_keeps_the_stored_float32_and_peaks_near_its_size(tmp_path):
+    generate_dataset(tmp_path, seed=7, samples_per_class=32, **EVAL_GEOMETRY)
+    manifest = DatasetManifest.load(tmp_path / MANIFEST_FILE)
+    tracemalloc.start()
+    try:
+        eeg, emb, _ = manifest.load_arrays()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eeg.dtype == emb.dtype == np.float32
+    assert peak < 1.25 * eeg.nbytes, peak / eeg.nbytes  # 8.3 MiB of EEG samples
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,22 @@ def test_embedding_picked_rows_equals_embedding_their_copy(picked):
     np.testing.assert_array_equal(model.embed_eeg(eeg, rows), model.embed_eeg(eeg[rows]))
 
 
+def test_eval_forwards_record_no_backward_closure(monkeypatch):
+    model = _model_with_running_stats(TINY_RUN, 4)
+    rng = np.random.default_rng(7)
+    eeg = rng.standard_normal((BLOCK, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+    emb = rng.standard_normal((BLOCK, TINY_RUN.image_dim))
+    taped_eeg = model.eeg_encoder.forward(Tape(), Tensor(eeg), train=False).data
+    taped_img = model.image_head.forward(Tape(), Tensor(emb)).data
+
+    def refuse(tape, backward_fn):
+        raise AssertionError("an eval forward recorded a backward closure")
+
+    monkeypatch.setattr(diffnet.Tape, "record", refuse)
+    assert model.embed_eeg(eeg).tobytes() == taped_eeg.tobytes()
+    assert model.embed_images(emb).tobytes() == taped_img.tobytes()
+
+
 def test_zero_row_batch_embeds_to_an_empty_matrix():
     model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
     eeg = np.zeros((0, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
@@ -353,6 +369,31 @@ def test_evaluate_zero_shot_record_shape(tiny_data):
     assert 0.0 <= record.top1 <= 1.0
     # Only two held-out classes, so "top 5" saturates at the class count.
     assert record.top5 == 1.0
+
+
+def test_float32_dataset_trains_and_scores_as_its_float64_widening(tiny_data, monkeypatch):
+    """No arithmetic runs in float32: widening the loaded arrays first changes no bit."""
+    eeg, emb, _ = tiny_data.load_arrays()
+    assert eeg.dtype == emb.dtype == np.float32
+
+    def run():
+        model, records = train(TINY_RUN, tiny_data)
+        records.append(evaluate_zero_shot(model, tiny_data))
+        return model.named_state(), [r.to_json_line() for r in records]
+
+    state, lines = run()
+    loaded = DatasetManifest.load_arrays
+
+    def widened(manifest):
+        eeg, emb, labels = loaded(manifest)
+        return eeg.astype(np.float64), emb.astype(np.float64), labels
+
+    monkeypatch.setattr(DatasetManifest, "load_arrays", widened)
+    state64, lines64 = run()
+    assert lines64 == lines
+    assert state64.keys() == state.keys()
+    for name, value in state.items():
+        assert value.tobytes() == state64[name].tobytes(), name
 
 
 def test_evaluate_refuses_overlapping_splits(tiny_data):
