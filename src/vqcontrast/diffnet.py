@@ -23,7 +23,11 @@ from .errors import ConfigurationError, NumericError, ShapeError
 
 
 class Tensor:
-    """Dense double-precision array with a gradient slot."""
+    """Dense double-precision array with a gradient slot.
+
+    float32 data, such as the dataset's samples, is widened to float64 here,
+    exactly, before any op computes with it.
+    """
 
     __slots__ = ("data", "grad")
 
