@@ -115,8 +115,8 @@ def conv_spatial(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
         if g is None:
             return
         gs = g[:, :, 0, :]  # (B, F, T)
-        x.accumulate(np.einsum("bft,fe->bet", gs, ks)[:, None])
-        kernel.accumulate(np.einsum("bft,bet->fe", gs, xs)[:, None, :, None])
+        x.accumulate((ks.T @ gs)[:, None])
+        kernel.accumulate((gs @ xs.transpose(0, 2, 1)).sum(0)[:, None, :, None])
 
     tape.record(backward)
     return out

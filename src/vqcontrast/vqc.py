@@ -13,23 +13,26 @@ n_qubits == 2 the ring emits CNOT(0,1) followed by CNOT(1,0) exactly as the
 modular formula states, even though the pair partially undoes itself.
 
 Every evaluation runs a batch of rows (one input is one row) through one fused
-kernel on a float64 (batch, 2^n) amplitude array, qubit 0 the least significant
-bit, with at most two such arrays alive.  The (batch, 2^(n-h), 2^h) view,
-h = n // 2, splits the register into qubits h..n-1 (its rows) and 0..h-1 (its
-columns).  The encoding is written once into that view as the outer product
-of the two halves' product states, each built from cos(x_i/2) and sin(x_i/2)
-by doublings up to width 2^(n-h) or 2^h.  Each CNOT ring is one gather; each
-RY layer is two real matrix products on the view by the Kronecker products of
-the RY blocks of qubits h..n-1 (from the left) and 0..h-1 (from the right).
-The readout multiplies the squared amplitudes by a Z-sign table built once
-per width, and the RY factors are built once per distinct weight matrix.
+kernel on a float64 feature-major (2^n, batch) amplitude array, qubit 0 the
+least significant bit of the row index, with at most two such arrays alive.
+Its (2^(n-h), 2^h, batch) view, h = n // 2, splits the register into qubits
+h..n-1 (the first axis) and 0..h-1 (the second).  The two halves' product
+states, built from cos(x_i/2) and sin(x_i/2) by in-place doublings, meet in
+one multiply of two gathers that also apply the first CNOT ring; every later
+ring is one gather of whole rows.  Each RY layer is two real matrix products
+by the Kronecker products of the RY blocks of qubits 0..h-1 (batched over the
+first axis) and h..n-1 (one product over the flattened last two axes).  The
+readout multiplies a Z-sign table, built once per width, by the squared
+amplitudes; the RY factors are built once per distinct weight matrix.
 
 The layer's API is ``vqc_batched_forward`` and ``vqc_batched_vjp``.  The VJP
 uses the parameter-shift rule with shifts of +-pi/2 and a factor of 1/2,
 which is exact for RY-generated rotations.  Shifts are applied to the
 trainable weights and to the encoded inputs alike, so gradients flow through
-the layer into whatever classical network feeds it.  Jacobian column j of a
-row is its VJP with the j-th basis vector as upstream gradient.
+the layer into whatever classical network feeds it.  The input shifts run on
+the unshifted weights' cached factors; a weight shift rebuilds only the one
+half-factor of its layer that the shifted weight enters.  Jacobian column j
+of a row is its VJP with the j-th basis vector as upstream gradient.
 """
 
 from __future__ import annotations
@@ -100,41 +103,65 @@ def _ry_factors(angles: np.ndarray) -> np.ndarray:
     return factors
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _layer_factors(weight_bytes: bytes, n_layers: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """RY factors of qubits 0..h-1 and h..n-1 per layer, keyed on the weights' bytes.
 
-    The row blocks of one evaluation share their weights, so they build these once.
+    The row blocks of one evaluation and the input shifts of one VJP share their
+    weights, so they build these once; two entries hold one per encoder head.
     """
     weights = np.frombuffer(weight_bytes).reshape(n_layers, n)
     return _ry_factors(weights[:, : n // 2]), _ry_factors(weights[:, n // 2 :])
 
 
+@lru_cache(maxsize=None)
+def _encoding_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the high- and low-half product states that the first ring gathers.
+
+    Amplitude i after the encoding and the first ring is the product of rows
+    ``ring[i] >> h`` and ``ring[i] & (2^h - 1)``; without a ring (n == 1) it is row i.
+    """
+    h = n // 2
+    ring = _ring_index(n) if n >= 2 else np.arange(1 << n)
+    high, low = ring >> h, ring & ((1 << h) - 1)
+    high.flags.writeable = low.flags.writeable = False
+    return high, low
+
+
 def _product_state(angles: np.ndarray) -> np.ndarray:
-    """(rows, 2^m) product state of RY(angle) on m qubits from |0>, angle 0 the LSB."""
-    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
-    state = np.ones((len(angles), 1))
-    for j in range(angles.shape[1]):  # qubit j is bit j: doubling appends it as the MSB
-        state = np.concatenate([c[:, j, None] * state, s[:, j, None] * state], axis=1)
+    """(2^m, rows) product state of RY(angle) on m qubits from |0>, for (rows, m) angles.
+
+    Qubit j is bit j: each in-place doubling appends it as the most significant bit.
+    """
+    c, s = np.cos(0.5 * angles.T), np.sin(0.5 * angles.T)
+    state = np.empty((1 << angles.shape[1], len(angles)))
+    state[0] = 1.0
+    for j in range(angles.shape[1]):
+        width = 1 << j
+        np.multiply(state[:width], s[j], out=state[width : 2 * width])
+        state[:width] *= c[j]
     return state
 
 
-def _run_batched(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _run_batched(X: np.ndarray, lo_factors, hi_factors) -> np.ndarray:
+    """<Z> of every qubit for every row of ``X``, given each layer's two RY factors."""
     rows, n = X.shape
     h = n // 2
-    amps = np.empty((rows, 1 << n))
+    amps = np.empty((1 << n, rows))
     spare = np.empty_like(amps)
-    flat, split = (-1, 1 << h), (rows, 1 << (n - h), 1 << h)
-    high, low = _product_state(X[:, h:]), _product_state(X[:, :h])
-    np.multiply(high[:, :, None], low[:, None, :], out=amps.reshape(split))
-    for lo, hi in zip(*_layer_factors(weights.tobytes(), *weights.shape)):
-        if n >= 2:  # mode="clip" gathers straight into ``spare``; "raise" buffers a copy
-            np.take(amps, _ring_index(n), axis=1, out=spare, mode="clip")
+    flat, split = (1 << (n - h), -1), (1 << (n - h), 1 << h, rows)
+    high_rows, low_rows = _encoding_index(n)
+    np.take(_product_state(X[:, h:]), high_rows, axis=0, out=amps, mode="clip")
+    np.take(_product_state(X[:, :h]), low_rows, axis=0, out=spare, mode="clip")
+    amps *= spare
+    for layer, (lo, hi) in enumerate(zip(lo_factors, hi_factors)):
+        if layer and n >= 2:  # mode="clip" gathers straight into ``spare``; "raise" buffers a copy
+            np.take(amps, _ring_index(n), axis=0, out=spare, mode="clip")
             amps, spare = spare, amps
-        np.matmul(amps.reshape(flat), lo.T, out=spare.reshape(flat))
-        np.matmul(hi, spare.reshape(split), out=amps.reshape(split))
+        np.matmul(lo, amps.reshape(split), out=spare.reshape(split))
+        np.matmul(hi, spare.reshape(flat), out=amps.reshape(flat))
     np.square(amps, out=amps)
-    return amps @ _z_table(n)
+    return amps.T @ _z_table(n)
 
 
 def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -149,7 +176,7 @@ def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
 def vqc_batched_forward(X: np.ndarray, params: QuantumLayerParams) -> np.ndarray:
     """Evaluate the circuit for every row of ``X`` independently."""
     X = _check_batch(X, params.n_qubits)
-    return _run_batched(X, params.weights)
+    return _run_batched(X, *_layer_factors(params.weights.tobytes(), *params.weights.shape))
 
 
 def vqc_batched_vjp(
@@ -170,13 +197,33 @@ def vqc_batched_vjp(
             f"upstream gradient shape {upstream.shape} does not match {X.shape}"
         )
     weights = params.weights
+    h = n // 2
+    lo, hi = _layer_factors(weights.tobytes(), layers, n)
 
-    def shifted(dx, dw):
+    def difference(plus, minus):
         """upstream * (f(angle + pi/2) - f(angle - pi/2)) / 2 for the shifted angle."""
-        plus, minus = _run_batched(X + dx, weights + dw), _run_batched(X - dx, weights - dw)
         return 0.5 * (plus - minus) * upstream
 
-    d_inputs = np.stack([shifted(_SHIFT * e, 0.0).sum(axis=1) for e in np.eye(n)], axis=1)
-    units = _SHIFT * np.eye(layers * n).reshape(-1, layers, n)
-    d_weights = np.array([shifted(0.0, e).sum() for e in units]).reshape(layers, n)
+    def weight_shifted(layer, qubit, shift):
+        """The circuit with one weight moved: only its layer's half-factor is rebuilt."""
+        moved = weights[layer].copy()
+        moved[qubit] += shift
+        half = int(qubit >= h)
+        factors = [list(lo), list(hi)]
+        factors[half][layer] = _ry_factors(np.split(moved, [h])[half][None])[0]
+        return _run_batched(X, *factors)
+
+    d_inputs = np.stack(
+        [
+            difference(_run_batched(X + dx, lo, hi), _run_batched(X - dx, lo, hi)).sum(axis=1)
+            for dx in _SHIFT * np.eye(n)
+        ],
+        axis=1,
+    )
+    d_weights = np.array(
+        [
+            difference(weight_shifted(*at, _SHIFT), weight_shifted(*at, -_SHIFT)).sum()
+            for at in np.ndindex(layers, n)
+        ]
+    ).reshape(layers, n)
     return d_inputs, d_weights

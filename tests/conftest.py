@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,6 +8,11 @@ from hypothesis import settings
 from vqcontrast.statevector import dense_unitary_oracle
 
 pytest_plugins = ["pytester"]
+
+# pytest finds the package through ``pythonpath`` in pyproject.toml; the CLI and
+# demo subprocesses the tests start find it through PYTHONPATH, uninstalled too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # Property tests draw the same bounded examples on every run.
 settings.register_profile("tier1", derandomize=True, database=None, max_examples=100,

@@ -59,13 +59,18 @@ def test_conv_spatial_matches_loops():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 1, 3, 5))
     k = rng.standard_normal((4, 1, 3, 1))
-    out, _, _ = backprop(lambda t, x_, k_: diffnet.conv_spatial(t, x_, k_), [x, k])
+    out, (dx, dk), r = backprop(lambda t, x_, k_: diffnet.conv_spatial(t, x_, k_), [x, k])
     assert out.shape == (2, 4, 1, 5)
+    expected_dx, expected_dk = np.zeros_like(x), np.zeros_like(k)
     for b in range(2):
         for f in range(4):
             for t in range(5):
                 expected = np.dot(k[f, 0, :, 0], x[b, 0, :, t])
                 assert abs(out[b, f, 0, t] - expected) < 1e-12
+                expected_dx[b, 0, :, t] += r[b, f, 0, t] * k[f, 0, :, 0]
+                expected_dk[f, 0, :, 0] += r[b, f, 0, t] * x[b, 0, :, t]
+    np.testing.assert_allclose(dx, expected_dx, atol=1e-12)
+    np.testing.assert_allclose(dk, expected_dk, atol=1e-12)
 
 
 def test_conv_temporal_matches_loops():

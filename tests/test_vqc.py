@@ -8,7 +8,13 @@ import pytest
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
 from vqcontrast.gradcheck import central_difference
 from vqcontrast.statevector import cnot, cnot_index, ry, ry_rows, z_signs
-from vqcontrast.vqc import QuantumLayerParams, _z_table, vqc_batched_forward, vqc_batched_vjp
+from vqcontrast.vqc import (
+    QuantumLayerParams,
+    _layer_factors,
+    _z_table,
+    vqc_batched_forward,
+    vqc_batched_vjp,
+)
 
 
 def single_qubit_params(w):
@@ -122,22 +128,29 @@ def test_batched_forward_matches_dense_oracle(oracle_z):
 
 @pytest.mark.parametrize("n", [10, 11, 12])
 def test_batched_forward_matches_gate_level_kernels(n):
-    """Beyond the dense oracle's reach, against one ry_rows/cnot_index call per gate."""
+    """Beyond the dense oracle's reach, against one ry_rows/cnot_index call per gate.
+
+    Also at 0, 1 and 65 rows and on a column-reversed (strided) input; the result
+    is always a C-contiguous float64 (rows, n) array.
+    """
     rng = np.random.default_rng(n)
-    layers, rows = 3, 4
+    layers = 3
     weights = rng.uniform(-np.pi, np.pi, (layers, n))
-    X = rng.uniform(-np.pi, np.pi, (rows, n))
-    amps = np.zeros((rows, 1 << n))
-    amps[:, 0] = 1.0
-    for b in range(rows):
-        for gate in explicit_gates(X[b], weights):
-            if gate.kind == "ry":
-                ry_rows(amps[b : b + 1], gate.qubit, gate.angle)
-            else:
-                amps[b] = amps[b, cnot_index(n, gate.control, gate.qubit)]
-    expected = amps**2 @ z_signs(n)
-    out = vqc_batched_forward(X, QuantumLayerParams(n, layers, weights))
-    np.testing.assert_allclose(out, expected, atol=1e-12)
+    params = QuantumLayerParams(n, layers, weights)
+    wide = rng.uniform(-np.pi, np.pi, (65, n))
+    for X in (wide[:4], wide[:0], wide[:1], wide, wide[:3, ::-1]):
+        amps = np.zeros((len(X), 1 << n))
+        amps[:, 0] = 1.0
+        for b in range(len(X)):
+            for gate in explicit_gates(X[b], weights):
+                if gate.kind == "ry":
+                    ry_rows(amps[b : b + 1], gate.qubit, gate.angle)
+                else:
+                    amps[b] = amps[b, cnot_index(n, gate.control, gate.qubit)]
+        out = vqc_batched_forward(X, params)
+        assert out.shape == (len(X), n) and out.dtype == np.float64
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, amps**2 @ z_signs(n), atol=1e-12)
 
 
 def test_z_table_is_cached_and_read_only():
@@ -177,10 +190,15 @@ def test_batched_forward_holds_at_most_three_states():
     assert peak <= 3 * rows * (1 << n) * 8
 
 
-def test_batched_vjp_matches_central_differences():
-    """Both outputs of the VJP against central differences of sum(f(X) * upstream)."""
-    rng = np.random.default_rng(4)
-    n, layers, batch = 3, 2, 5
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_batched_vjp_matches_central_differences(n):
+    """Both outputs of the VJP against central differences of sum(f(X) * upstream).
+
+    n = 3 and 5 split the register unequally, n = 4 equally, so weight shifts
+    land in both half-factors of every layer.
+    """
+    rng = np.random.default_rng(n + 1)
+    layers, batch = 2, 5
     params = QuantumLayerParams(n, layers, rng.uniform(-np.pi, np.pi, (layers, n)))
     X = rng.uniform(-np.pi, np.pi, (batch, n))
     upstream = rng.standard_normal((batch, n))
@@ -194,6 +212,19 @@ def test_batched_vjp_matches_central_differences():
     np.testing.assert_allclose(
         d_weights, central_difference(loss, params.weights, 1e-6), atol=1e-8
     )
+
+
+def test_vjp_reuses_the_forwards_cached_factors():
+    """A VJP after a forward builds no cached RY factors of its own, shifted or not."""
+    rng = np.random.default_rng(10)
+    params = QuantumLayerParams(5, 3, rng.uniform(-np.pi, np.pi, (3, 5)))
+    X = rng.uniform(-np.pi, np.pi, (4, 5))
+    _layer_factors.cache_clear()
+    vqc_batched_forward(X, params)
+    after_forward = _layer_factors.cache_info()
+    vqc_batched_vjp(X, params, rng.standard_normal((4, 5)))
+    after_vjp = _layer_factors.cache_info()
+    assert (after_vjp.misses, after_vjp.currsize) == (after_forward.misses, 1)
 
 
 def test_parameter_shift_matches_finite_differences():
