@@ -13,7 +13,8 @@ row and dL/dweights summed over the batch. A single input is a batch of one.
 
 import numpy as np
 
-from vqcontrast.statevector import cnot, dense_unitary_oracle, ry
+from vqcontrast.gradcheck import central_difference
+from vqcontrast.oracles import circuit_gates, dense_unitary_oracle, expect_z
 from vqcontrast.vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
 
 # One qubit, one layer: the circuit RY(x) RY(w) measures <Z> = cos(x + w).
@@ -37,36 +38,19 @@ inputs = rng.uniform(-np.pi, np.pi, size=(1, n_qubits))
 r = rng.standard_normal((1, n_qubits))
 
 _, d_weights = vqc_batched_vjp(inputs, params, r)
-h = 1e-6
-worst = 0.0
-for l in range(n_layers):
-    for i in range(n_qubits):
-        bumped = weights.copy()
-        bumped[l, i] += h
-        dipped = weights.copy()
-        dipped[l, i] -= h
-        fd = (
-            vqc_batched_forward(inputs, QuantumLayerParams(n_qubits, n_layers, bumped))
-            - vqc_batched_forward(inputs, QuantumLayerParams(n_qubits, n_layers, dipped))
-        ) @ r[0] / (2 * h)
-        worst = max(worst, abs(d_weights[l, i] - fd[0]))
+# central_difference nudges params.weights in place and reruns the loss each time
+fd = central_difference(lambda: float((vqc_batched_forward(inputs, params) * r).sum()),
+                        params.weights, 1e-6)
 print(f"\n{n_qubits} qubits, {n_layers} layers: "
-      f"max |shift rule - finite difference| = {worst:.3e}")
+      f"max |shift rule - finite difference| = {np.abs(d_weights - fd).max():.3e}")
 
 # The batched kernel runs whole feature matrices through the circuit at
 # once. Check each row against the dense Kronecker oracle, which builds the
 # circuit's full 2^n x 2^n unitary gate by gate and shares no code with it.
 batch = rng.uniform(-np.pi, np.pi, size=(4, n_qubits))
 batched = vqc_batched_forward(batch, params)
-ring = [cnot(i, (i + 1) % n_qubits) for i in range(n_qubits)]
-signs = 1 - 2 * ((np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1)
-worst = 0.0
-for row, out in zip(batch, batched):
-    gates = [ry(i, row[i]) for i in range(n_qubits)]
-    for l in range(n_layers):
-        gates += ring + [ry(i, weights[l, i]) for i in range(n_qubits)]
-    probs = np.abs(dense_unitary_oracle(gates, n_qubits)[:, 0]) ** 2
-    worst = max(worst, np.abs(out - probs @ signs).max())
-print("batched vs dense oracle, max |difference|:", worst)
+dense = [expect_z(dense_unitary_oracle(circuit_gates(row, weights), n_qubits)[:, 0])
+         for row in batch]
+print("batched vs dense oracle, max |difference|:", np.abs(batched - dense).max())
 print("\nper-qubit <Z> for the batch:")
 print(np.round(batched, 4))

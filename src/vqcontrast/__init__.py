@@ -7,8 +7,9 @@ aligns the two modalities for zero-shot retrieval over held-out classes.
 
 The package exports what a run needs: configs, data, training, evaluation,
 metrics, parameter files, errors and the gradient audit.  Circuits, tape
-ops and encoders are imported from their submodules (``vqc``,
-``statevector``, ``diffnet``, ``encoders``, ``contrastive``).
+ops and encoders are imported from their submodules (``vqc``, ``diffnet``,
+``encoders``, ``contrastive``).  The reference oracles that audit the circuit
+live in ``oracles``, which nothing in a run imports.
 """
 
 from .contrastive import clip_logits, clip_loss, topk_accuracy

@@ -108,12 +108,8 @@ def clip_logits_op(tape: Tape, eeg: Tensor, image: Tensor, log_tau: Tensor) -> T
     """Tape-recorded logits with gradients for both embeddings and tau."""
     if log_tau.data.size != 1:
         raise ShapeError("log-temperature must be a scalar")
-    if eeg.data.ndim != 2 or image.data.ndim != 2 or eeg.shape[1] != image.shape[1]:
-        raise ShapeError(
-            f"cannot pair embeddings of shape {eeg.shape} with {image.shape}"
-        )
+    out = Tensor(clip_logits(eeg.data, image.data, log_tau.data.reshape(())))
     scale = float(np.exp(log_tau.data.reshape(())))
-    out = Tensor(eeg.data @ image.data.T * scale)
 
     def backward():
         g = out.grad

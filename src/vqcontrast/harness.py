@@ -42,7 +42,7 @@ from .diffnet import Adam, Tape, Tensor
 from .encoders import EegConvEncoder, ImageEmbedHead
 from .errors import ConfigurationError, NumericError, ZeroShotOverlapError
 from .qtns import load_params, save_params
-from .statevector import MAX_QUBITS
+from .vqc import MAX_QUBITS
 
 _DEFAULT_TAU_INIT = float(np.log(1.0 / 0.07))
 _EVAL_BLOCK_ROWS = 64  # 64 and 128 tie on a 2 MiB-L2 Xeon core; 32 and 256 are ~15% slower
@@ -178,8 +178,16 @@ def write_metrics(records, path) -> None:
 
 
 def read_metrics(path) -> list[MetricsRecord]:
-    lines = Path(path).read_text().splitlines()
-    return [MetricsRecord.from_json_line(line) for line in lines if line.strip()]
+    """The records of a metrics file; a malformed line raises ``ConfigurationError``."""
+    records = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(MetricsRecord.from_json_line(line))
+        except (ConfigurationError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path}: metrics line {number}: {exc}") from exc
+    return records
 
 
 class RetrievalModel:

@@ -1,22 +1,20 @@
-"""Exact pure-state simulation for small qubit registers.
+"""Reference oracles for the circuit layer, for tests, demos and audits only.
 
 Amplitudes are indexed by the basis-state integer, with qubit 0 as the least
-significant bit.  A gate-level simulator of three strided kernels, each over a
-``(rows, 2^n)`` amplitude array so one call advances many states at once:
+significant bit.  No training or evaluation module imports this one, so the
+fused kernel in ``vqc`` is audited by code it does not share:
 
-- ``ry_rows`` rotates one qubit in place, with a shared angle or one per row,
-  at O(2^n) per row instead of the O(4^n) of a full matrix product;
-- ``cnot_index`` is the gather index that applies one CNOT;
-- ``z_signs`` is the table that turns probabilities into per-qubit <Z>.
+- ``circuit_gates`` writes the paper circuit of one input row out gate by gate;
+- ``run_gates`` applies a gate list to |0...0> one gate at a time, over a
+  ``(rows, 2^n)`` amplitude array, through two strided kernels: ``ry_rows``
+  rotates one qubit in place (a shared angle or one per row) and
+  ``cnot_index`` is the gather index that applies one CNOT;
+- ``dense_unitary_oracle`` builds the full 2^n x 2^n unitary of a gate list
+  by explicit Kronecker expansion, sharing no code with the kernels;
+- ``expect_z`` reads per-qubit <Z> off real or complex amplitudes.
 
-The kernels do not validate their arguments.  ``vqc`` runs its own fused
-kernel and takes only ``cnot_index`` and ``z_signs`` from here; tests run
-``ry_rows`` gate by gate to audit it.  A single state is a batch of one row.
-Only the two gates the encoding circuit needs exist: RY and CNOT.
-
-``dense_unitary_oracle`` builds the full 2^n x 2^n unitary of a ``GateOp``
-list by explicit Kronecker expansion.  It shares no code with the kernels,
-so it can audit them; no production code path uses it.
+The kernels do not validate their arguments.  Only the two gates the
+encoding circuit needs exist: RY and CNOT.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 
-MAX_QUBITS = 16
 _ORACLE_MAX_QUBITS = 6
 
 _I2 = np.eye(2, dtype=complex)
@@ -105,12 +102,6 @@ def cnot_index(n_qubits: int, control: int, target: int) -> np.ndarray:
     return np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
 
 
-def z_signs(n_qubits: int) -> np.ndarray:
-    """(2^n, n) table of Z eigenvalues; ``probs @ z_signs(n)`` gives each <Z_j>."""
-    idx = np.arange(1 << n_qubits)
-    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(n_qubits)[None, :]) & 1)
-
-
 def _kron_embed(factors: dict[int, np.ndarray], n_qubits: int) -> np.ndarray:
     """Kronecker product placing the given 2x2 factors on their qubits.
 
@@ -151,3 +142,37 @@ def dense_unitary_oracle(ops: Sequence[GateOp], n_qubits: int) -> np.ndarray:
     for op in ops:
         unitary = gate_matrix(op, n_qubits) @ unitary
     return unitary
+
+
+def circuit_gates(x, weights) -> list[GateOp]:
+    """The circuit of one input row ``x`` under (layers, n) ``weights``, gate by gate.
+
+    RY(x_i) on each qubit i, then per layer the ring CNOT(i, (i+1) mod n) in
+    index order (none at n == 1) and RY(w[l][i]) on each qubit i.
+    """
+    n = len(x)
+    ring = [cnot(i, (i + 1) % n) for i in range(n)] if n >= 2 else []
+    gates = [ry(i, x[i]) for i in range(n)]
+    for layer in weights:
+        gates += ring + [ry(i, layer[i]) for i in range(n)]
+    return gates
+
+
+def run_gates(ops: Sequence[GateOp], n_qubits: int, rows: int = 1) -> np.ndarray:
+    """(rows, 2^n) amplitudes of |0...0> after ``ops``, one kernel call per gate."""
+    amps = np.zeros((rows, 1 << n_qubits))
+    amps[:, 0] = 1.0
+    for op in ops:
+        if op.kind == "ry":
+            ry_rows(amps, op.qubit, op.angle)
+        else:
+            amps = amps[:, cnot_index(n_qubits, op.control, op.qubit)]
+    return amps
+
+
+def expect_z(amps) -> np.ndarray:
+    """Per-qubit <Z> of real or complex amplitudes whose last axis has length 2^n."""
+    amps = np.asarray(amps)
+    n = amps.shape[-1].bit_length() - 1
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return np.abs(amps) ** 2 @ np.where(bits == 1, -1.0, 1.0)

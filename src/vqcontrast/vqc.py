@@ -22,8 +22,10 @@ one multiply of two gathers that also apply the first CNOT ring; every later
 ring is one gather of whole rows.  Each RY layer is two real matrix products
 by the Kronecker products of the RY blocks of qubits 0..h-1 (batched over the
 first axis) and h..n-1 (one product over the flattened last two axes).  The
-readout multiplies a Z-sign table, built once per width, by the squared
-amplitudes; the RY factors are built once per distinct weight matrix.
+readout multiplies a Z-sign table by the squared amplitudes.  The ring index
+and the Z table are built here from bit arithmetic, once per width, and the RY
+factors once per distinct weight matrix; the gate-level ``oracles`` that audit
+this kernel share none of it.
 
 The layer's API is ``vqc_batched_forward`` and ``vqc_batched_vjp``.  The VJP
 uses the parameter-shift rule with shifts of +-pi/2 and a factor of 1/2,
@@ -43,8 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ShapeError
-from .statevector import MAX_QUBITS, cnot_index, z_signs
 
+MAX_QUBITS = 16
 _SHIFT = 0.5 * np.pi
 
 
@@ -75,18 +77,18 @@ class QuantumLayerParams:
 
 @lru_cache(maxsize=None)
 def _ring_index(n: int) -> np.ndarray:
-    """One gather index for the CNOT ring CNOT(0,1), ..., CNOT(n-1,0)."""
-    ring = cnot_index(n, 0, 1)
-    for i in range(1, n):
-        ring = ring[cnot_index(n, i, (i + 1) % n)]
+    """Gather index of the ring CNOT(0,1), ..., CNOT(n-1,0), built from its last gate back."""
+    ring = np.arange(1 << n)
+    for i in reversed(range(n)):
+        ring ^= ((ring >> i) & 1) << ((i + 1) % n)
     ring.flags.writeable = False
     return ring
 
 
 @lru_cache(maxsize=None)
 def _z_table(n: int) -> np.ndarray:
-    """``z_signs(n)``, built once per width and read-only."""
-    table = z_signs(n)
+    """(2^n, n) Z eigenvalues, -1 where qubit j's bit is set; built once per width, read-only."""
+    table = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
     table.flags.writeable = False
     return table
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from vqcontrast.statevector import dense_unitary_oracle
+from vqcontrast.oracles import cnot, dense_unitary_oracle, expect_z, ry
 
 pytest_plugins = ["pytester"]
 
@@ -25,11 +25,27 @@ def oracle_z():
     """Per-qubit <Z> after a gate list acts on |0...0>, read off the dense oracle."""
 
     def expect(gates, n_qubits):
-        probs = np.abs(dense_unitary_oracle(gates, n_qubits)[:, 0]) ** 2
-        bits = (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits)) & 1
-        return probs @ np.where(bits == 1, -1.0, 1.0)
+        return expect_z(dense_unitary_oracle(gates, n_qubits)[:, 0])
 
     return expect
+
+
+@pytest.fixture
+def random_gates():
+    """Draws ``length`` random RY and CNOT gates on ``n_qubits`` from ``rng``."""
+
+    def draw(rng, n_qubits, length):
+        ops = []
+        for _ in range(length):
+            if n_qubits >= 2 and rng.random() < 0.4:
+                control, target = rng.choice(n_qubits, size=2, replace=False)
+                ops.append(cnot(int(control), int(target)))
+            else:
+                qubit = int(rng.integers(n_qubits))  # drawn before the angle
+                ops.append(ry(qubit, float(rng.uniform(-2 * np.pi, 2 * np.pi))))
+        return ops
+
+    return draw
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -27,7 +27,7 @@ from vqcontrast import (
 )
 from vqcontrast.cli import main
 from vqcontrast.data import MANIFEST_FILE
-from vqcontrast.statevector import cnot, cnot_index, dense_unitary_oracle, ry, ry_rows
+from vqcontrast.oracles import dense_unitary_oracle, run_gates
 from vqcontrast.vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
 
 
@@ -82,30 +82,15 @@ def desk_data(tmp_path_factory):
     )
 
 
-def test_criterion_1_statevector_matches_dense_oracle():
+def test_criterion_1_statevector_matches_dense_oracle(random_gates):
     with criterion("1 statevector vs dense oracle (n<=4, 1e-10, <10s)"):
         rng = np.random.default_rng(7)
         started = time.perf_counter()
         for n in range(1, 5):
             for _ in range(100):
-                length = int(rng.integers(1, 13))
-                ops = []
-                for _ in range(length):
-                    if n >= 2 and rng.random() < 0.4:
-                        c, t = rng.choice(n, size=2, replace=False)
-                        ops.append(cnot(int(c), int(t)))
-                    else:
-                        ops.append(ry(int(rng.integers(n)),
-                                      float(rng.uniform(-2 * np.pi, 2 * np.pi))))
-                amps = np.zeros((1, 2**n))
-                amps[0, 0] = 1.0
-                for op in ops:
-                    if op.kind == "ry":
-                        ry_rows(amps, op.qubit, op.angle)
-                    else:
-                        amps = amps[:, cnot_index(n, op.control, op.qubit)]
+                ops = random_gates(rng, n, int(rng.integers(1, 13)))
                 expected = dense_unitary_oracle(ops, n)[:, 0]
-                np.testing.assert_allclose(amps[0], expected, atol=1e-10)
+                np.testing.assert_allclose(run_gates(ops, n)[0], expected, atol=1e-10)
         assert time.perf_counter() - started < 10.0
 
 

@@ -7,7 +7,8 @@ from vqcontrast import RunConfig
 from vqcontrast.diffnet import Tape, Tensor
 from vqcontrast.encoders import EegConvEncoder, ImageEmbedHead, quantum_layer
 from vqcontrast.errors import ConfigurationError, ShapeError
-from vqcontrast.statevector import MAX_QUBITS, cnot, ry
+from vqcontrast.oracles import circuit_gates
+from vqcontrast.vqc import MAX_QUBITS
 
 TINY = RunConfig(
     electrodes=4,
@@ -80,10 +81,8 @@ def test_quantum_layer_matches_scalar_circuit(oracle_z):
     w = rng.uniform(-np.pi, np.pi, size=(2, 2))
     out = quantum_layer(Tape(), Tensor(x), Tensor(w))
     for row in range(3):
-        gates = [ry(0, x[row, 0]), ry(1, x[row, 1])]
-        for layer in range(2):
-            gates += [cnot(0, 1), cnot(1, 0), ry(0, w[layer, 0]), ry(1, w[layer, 1])]
-        np.testing.assert_allclose(out.data[row], oracle_z(gates, 2), atol=1e-12)
+        expected = oracle_z(circuit_gates(x[row], w), 2)
+        np.testing.assert_allclose(out.data[row], expected, atol=1e-12)
 
 
 def test_quantum_layer_rejects_flat_weights():

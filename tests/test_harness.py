@@ -151,6 +151,20 @@ def test_metrics_file_round_trip(tmp_path):
     assert read_metrics(path) == records
 
 
+@pytest.mark.parametrize("bad", [
+    '{"run_id":0,"loss":1.0}',  # unknown key
+    '[0,1]',                    # not an object
+    '{"run_id":0,',             # not JSON
+    '{"run_id":0,"top1":"x"}',  # not a number
+])
+def test_read_metrics_names_a_malformed_line(tmp_path, bad):
+    path = tmp_path / "metrics.jsonl"
+    good = MetricsRecord(run_id=0, epoch=0, train_loss=2.0).to_json_line()
+    path.write_text(f"{good}\n\n{bad}\n")  # the blank line still counts
+    with pytest.raises(ConfigurationError, match="metrics line 3"):
+        read_metrics(path)
+
+
 # ---------------------------------------------------------------------------
 # Training
 

@@ -52,6 +52,18 @@ def test_all_equals_the_agreed_surface():
     assert vqcontrast.__all__ == EXPORTED
 
 
+def test_runs_import_no_oracle():
+    """The package, the CLI and gradcheck load without the reference oracles."""
+    code = (
+        "import sys, vqcontrast, vqcontrast.cli, vqcontrast.gradcheck\n"
+        "assert 'vqcontrast.oracles' not in sys.modules, 'a run imports the oracles'\n"
+        "import vqcontrast.oracles\n"  # the module the assertion names exists
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("script", [
     "simulate_circuits.py", "quantum_gradients.py", "contrastive_objective.py",
 ])

@@ -1,4 +1,4 @@
-"""Simulator correctness: kernels, bit conventions, and the dense oracle.
+"""The reference oracles: gate kernels, bit conventions, the dense oracle and <Z>.
 
 The kernels act on ``(rows, 2^n)`` amplitude arrays; a single state is a
 ``(1, 2^n)`` row.
@@ -8,47 +8,20 @@ import numpy as np
 import pytest
 
 from vqcontrast.errors import ConfigurationError, NumericError
-from vqcontrast.statevector import (
+from vqcontrast.oracles import (
     GateOp,
     cnot,
     cnot_index,
     dense_unitary_oracle,
+    expect_z,
     gate_matrix,
     ry,
     ry_matrix,
     ry_rows,
-    z_signs,
+    run_gates,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
-
-
-def random_ops(rng, n_qubits, length):
-    ops = []
-    for _ in range(length):
-        if n_qubits >= 2 and rng.random() < 0.4:
-            control, target = rng.choice(n_qubits, size=2, replace=False)
-            ops.append(cnot(int(control), int(target)))
-        else:
-            ops.append(ry(int(rng.integers(n_qubits)), float(rng.uniform(-2 * np.pi, 2 * np.pi))))
-    return ops
-
-
-def zero_row(n_qubits):
-    amps = np.zeros((1, 1 << n_qubits))
-    amps[0, 0] = 1.0
-    return amps
-
-
-def run_ops(n_qubits, ops):
-    """Amplitudes of |0...0> after ``ops``, applied through the kernels."""
-    amps = zero_row(n_qubits)
-    for op in ops:
-        if op.kind == "ry":
-            ry_rows(amps, op.qubit, op.angle)
-        else:
-            amps = amps[:, cnot_index(n_qubits, op.control, op.qubit)]
-    return amps[0]
 
 
 def test_ry_matrix_entries():
@@ -61,12 +34,12 @@ def test_ry_matrix_entries():
 def test_ry_on_single_qubit():
     theta = 1.1
     np.testing.assert_allclose(
-        run_ops(1, [ry(0, theta)]), [np.cos(theta / 2), np.sin(theta / 2)], atol=1e-15
+        run_gates([ry(0, theta)], 1)[0], [np.cos(theta / 2), np.sin(theta / 2)], atol=1e-15
     )
 
 
 def test_ry_half_pi_gives_plus_like_state():
-    np.testing.assert_allclose(run_ops(1, [ry(0, np.pi / 2)]), [INV_SQRT2, INV_SQRT2],
+    np.testing.assert_allclose(run_gates([ry(0, np.pi / 2)], 1)[0], [INV_SQRT2, INV_SQRT2],
                                atol=1e-15)
 
 
@@ -105,51 +78,51 @@ def test_cnot_identity_when_control_clear():
 
 def test_bell_like_state():
     np.testing.assert_allclose(
-        run_ops(2, [ry(0, np.pi / 2), cnot(0, 1)]), [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15
+        run_gates([ry(0, np.pi / 2), cnot(0, 1)], 2)[0], [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15
     )
 
 
 def test_expect_z_basics():
-    # row = basis index |q1 q0>, column = qubit; a set bit reads -1
-    np.testing.assert_array_equal(z_signs(2), [[1, 1], [-1, 1], [1, -1], [-1, -1]])
-    np.testing.assert_array_equal(zero_row(2) ** 2 @ z_signs(2), [[1.0, 1.0]])
-    flipped = run_ops(1, [ry(0, np.pi)])
-    assert abs(flipped**2 @ z_signs(1)[:, 0] + 1.0) < 1e-15
+    # row = basis state |q1 q0>, column = qubit; a set bit reads -1
+    np.testing.assert_array_equal(expect_z(np.eye(4)), [[1, 1], [-1, 1], [1, -1], [-1, -1]])
+    np.testing.assert_array_equal(expect_z(run_gates([], 2)), [[1.0, 1.0]])
+    assert abs(expect_z(run_gates([ry(0, np.pi)], 1))[0, 0] + 1.0) < 1e-15
+    np.testing.assert_allclose(expect_z([0.6j, -0.8]), [0.36 - 0.64], atol=1e-15)
 
 
 def test_expect_z_after_rotation():
     """One angle per row: row b rotates qubit 1 by theta_b."""
     rng = np.random.default_rng(7)
     theta = rng.uniform(-2 * np.pi, 2 * np.pi, 25)
-    amps = np.repeat(zero_row(3), 25, axis=0)
+    amps = run_gates([], 3, rows=25)
     ry_rows(amps, 1, theta)
-    z = amps**2 @ z_signs(3)
+    z = expect_z(amps)
     np.testing.assert_allclose(z[:, 1], np.cos(theta), atol=1e-12)
     np.testing.assert_allclose(z[:, 0], 1.0, atol=1e-12)  # untouched qubit
 
 
-def test_norm_preserved_by_random_circuits():
+def test_norm_preserved_by_random_circuits(random_gates):
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(1, 5))
-        amps = run_ops(n, random_ops(rng, n, int(rng.integers(1, 15))))
+        amps = run_gates(random_gates(rng, n, int(rng.integers(1, 15))), n)[0]
         assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
-def test_strided_matches_dense_oracle():
+def test_strided_matches_dense_oracle(random_gates):
     rng = np.random.default_rng(3)
     for _ in range(30):
         n = int(rng.integers(1, 5))
-        ops = random_ops(rng, n, int(rng.integers(1, 13)))
-        np.testing.assert_allclose(run_ops(n, ops), dense_unitary_oracle(ops, n)[:, 0],
+        ops = random_gates(rng, n, int(rng.integers(1, 13)))
+        np.testing.assert_allclose(run_gates(ops, n)[0], dense_unitary_oracle(ops, n)[:, 0],
                                    atol=1e-12)
 
 
-def test_oracle_is_unitary():
+def test_oracle_is_unitary(random_gates):
     rng = np.random.default_rng(5)
     for _ in range(10):
         n = int(rng.integers(1, 5))
-        u = dense_unitary_oracle(random_ops(rng, n, 10), n)
+        u = dense_unitary_oracle(random_gates(rng, n, 10), n)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(1 << n), atol=1e-12)
 
 

@@ -7,10 +7,11 @@ import pytest
 
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
 from vqcontrast.gradcheck import central_difference
-from vqcontrast.statevector import cnot, cnot_index, ry, ry_rows, z_signs
+from vqcontrast.oracles import circuit_gates, cnot, cnot_index, expect_z, ry, run_gates
 from vqcontrast.vqc import (
     QuantumLayerParams,
     _layer_factors,
+    _ring_index,
     _z_table,
     vqc_batched_forward,
     vqc_batched_vjp,
@@ -96,16 +97,6 @@ def test_two_qubit_ring_applies_both_directions(oracle_z):
     assert np.abs(out[0] - single).max() > 0.1
 
 
-def explicit_gates(x, weights):
-    """The circuit of one input row written out gate by gate."""
-    n = len(x)
-    ring = [cnot(i, (i + 1) % n) for i in range(n)] if n >= 2 else []
-    gates = [ry(i, x[i]) for i in range(n)]
-    for layer in weights:
-        gates += ring + [ry(i, layer[i]) for i in range(n)]
-    return gates
-
-
 def test_batched_forward_matches_dense_oracle(oracle_z):
     """Each row against the Kronecker-built unitary of the explicit gate list.
 
@@ -121,14 +112,14 @@ def test_batched_forward_matches_dense_oracle(oracle_z):
             assert batched.shape == (3, n)
             for b in range(3):
                 np.testing.assert_allclose(
-                    batched[b], oracle_z(explicit_gates(X[b], weights), n),
+                    batched[b], oracle_z(circuit_gates(X[b], weights), n),
                     atol=1e-12, err_msg=f"n={n}, layers={layers}",
                 )
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
 def test_batched_forward_matches_gate_level_kernels(n):
-    """Beyond the dense oracle's reach, against one ry_rows/cnot_index call per gate.
+    """Beyond the dense oracle's reach, against the oracles' gate-by-gate kernels.
 
     Also at 0, 1 and 65 rows and on a column-reversed (strided) input; the result
     is always a C-contiguous float64 (rows, n) array.
@@ -139,26 +130,27 @@ def test_batched_forward_matches_gate_level_kernels(n):
     params = QuantumLayerParams(n, layers, weights)
     wide = rng.uniform(-np.pi, np.pi, (65, n))
     for X in (wide[:4], wide[:0], wide[:1], wide, wide[:3, ::-1]):
-        amps = np.zeros((len(X), 1 << n))
-        amps[:, 0] = 1.0
-        for b in range(len(X)):
-            for gate in explicit_gates(X[b], weights):
-                if gate.kind == "ry":
-                    ry_rows(amps[b : b + 1], gate.qubit, gate.angle)
-                else:
-                    amps[b] = amps[b, cnot_index(n, gate.control, gate.qubit)]
+        expected = [expect_z(run_gates(circuit_gates(x, weights), n)) for x in X]
         out = vqc_batched_forward(X, params)
         assert out.shape == (len(X), n) and out.dtype == np.float64
         assert out.flags.c_contiguous
-        np.testing.assert_allclose(out, amps**2 @ z_signs(n), atol=1e-12)
+        np.testing.assert_allclose(out, np.reshape(expected, (len(X), n)), atol=1e-12)
 
 
 def test_z_table_is_cached_and_read_only():
     for n in (1, 4, 11):
         table = _z_table(n)
-        np.testing.assert_array_equal(table, z_signs(n))
+        np.testing.assert_array_equal(table, expect_z(np.eye(1 << n)))
         assert table is _z_table(n)
         assert not table.flags.writeable
+
+
+def test_ring_index_composes_the_rings_cnot_gathers():
+    for n in range(2, 13):
+        ring = np.arange(1 << n)
+        for i in range(n):
+            ring = ring[cnot_index(n, i, (i + 1) % n)]
+        np.testing.assert_array_equal(_ring_index(n), ring, err_msg=f"n={n}")
 
 
 def test_forward_follows_weights_edited_in_place(oracle_z):
@@ -169,7 +161,7 @@ def test_forward_follows_weights_edited_in_place(oracle_z):
     vqc_batched_forward(X, params)
     params.weights[1, 3] += 0.5
     np.testing.assert_allclose(
-        vqc_batched_forward(X, params)[0], oracle_z(explicit_gates(X[0], params.weights), 5),
+        vqc_batched_forward(X, params)[0], oracle_z(circuit_gates(X[0], params.weights), 5),
         atol=1e-12,
     )
 
