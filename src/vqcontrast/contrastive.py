@@ -5,8 +5,9 @@ loss is softmax cross-entropy against that diagonal, computed along both
 axes and averaged, with a learned log-temperature scaling the logits.
 
 The pure-numpy functions here are used for evaluation and testing; the
-``*_op`` variants record backward closures on a diffnet ``Tape`` so the
-objective can train the encoders end to end.
+``*_op`` variants are diffnet tape ops, recorded through ``Tape.op`` with
+their vector-Jacobian products, so the objective can train the encoders
+end to end.
 """
 
 from __future__ import annotations
@@ -108,35 +109,20 @@ def clip_logits_op(tape: Tape, eeg: Tensor, image: Tensor, log_tau: Tensor) -> T
     """Tape-recorded logits with gradients for both embeddings and tau."""
     if log_tau.data.size != 1:
         raise ShapeError("log-temperature must be a scalar")
-    out = Tensor(clip_logits(eeg.data, image.data, log_tau.data.reshape(())))
+    logits = clip_logits(eeg.data, image.data, log_tau.data.reshape(()))
     scale = float(np.exp(log_tau.data.reshape(())))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        eeg.accumulate(g @ image.data * scale)
-        image.accumulate(g.T @ eeg.data * scale)
-        # d logits / d tau = logits itself, so chain through the output.
-        log_tau.accumulate(np.full_like(log_tau.data, np.sum(g * out.data)))
-
-    tape.record(backward)
-    return out
+    # d logits / d tau = logits itself, so chain through the output.
+    return tape.op((eeg, image, log_tau), logits, lambda g: (
+        g @ image.data * scale,
+        g.T @ eeg.data * scale,
+        np.full_like(log_tau.data, np.sum(g * logits)),
+    ))
 
 
 def clip_loss_op(tape: Tape, logits: Tensor) -> Tensor:
     """Tape-recorded symmetric contrastive loss over square logits."""
     value, grad = clip_loss_gradient(logits.data)
-    out = Tensor(value)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        logits.accumulate(float(g) * grad)
-
-    tape.record(backward)
-    return out
+    return tape.op((logits,), value, lambda g: (float(g) * grad,))
 
 
 def topk_accuracy(scores, true_class, k: int) -> float:

@@ -4,6 +4,11 @@ Every forward pass records backward closures on a fresh ``Tape``; calling
 ``tape.backward(loss)`` replays them in reverse and accumulates gradients
 into each ``Tensor.grad``.  Tapes are never reused across steps.
 
+Every op records through ``Tape.op(inputs, value, vjp)``: the output wraps
+``value``, and on replay ``vjp(out.grad)`` gives one partial per input, in
+order, each added to that input's ``grad``.  An output that never reached
+the loss (its ``grad`` is None) is skipped without calling ``vjp``.
+
 The op set is exactly what the encoders and the contrastive objective need:
 a dense linear layer, the two EEG convolutions (a spatial convolution that
 collapses the electrode axis, then a 1-D temporal convolution), batch
@@ -57,6 +62,19 @@ class Tape:
     def record(self, backward_fn: Callable[[], None]) -> None:
         self._ops.append(backward_fn)
 
+    def op(self, inputs: tuple[Tensor, ...], value,
+           vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> Tensor:
+        """The output ``Tensor`` of ``value``, with its backward recorded."""
+        out = Tensor(value)
+
+        def backward():
+            if out.grad is not None:
+                for t, partial in zip(inputs, vjp(out.grad), strict=True):
+                    t.accumulate(partial)
+
+        self.record(backward)
+        return out
+
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -75,18 +93,8 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: cannot multiply {x.shape} by {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
-    out = Tensor(x.data @ w.data + b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(g @ w.data.T)
-        w.accumulate(x.data.T @ g)
-        b.accumulate(g.sum(axis=0))
-
-    tape.record(backward)
-    return out
+    return tape.op((x, w, b), x.data @ w.data + b.data,
+                   lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 def conv_spatial(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
@@ -108,18 +116,12 @@ def conv_spatial(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
         )
     xs = x.data[:, 0]  # (B, E, T)
     ks = kernel.data[:, 0, :, 0]  # (F, E)
-    out = Tensor((ks @ xs)[:, :, None, :])
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
+    def vjp(g):
         gs = g[:, :, 0, :]  # (B, F, T)
-        x.accumulate((ks.T @ gs)[:, None])
-        kernel.accumulate((gs @ xs.transpose(0, 2, 1)).sum(0)[:, None, :, None])
+        return (ks.T @ gs)[:, None], (gs @ xs.transpose(0, 2, 1)).sum(0)[:, None, :, None]
 
-    tape.record(backward)
-    return out
+    return tape.op((x, kernel), (ks @ xs)[:, :, None, :], vjp)
 
 
 def conv_temporal(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
@@ -149,23 +151,17 @@ def conv_temporal(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     acc = ks[:, :, 0] @ xs[:, :, :t_out]
     for off in range(1, k):
         acc += ks[:, :, off] @ xs[:, :, off : off + t_out]
-    out = Tensor(acc[:, :, None, :])
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
+    def vjp(g):
         gs = g[:, :, 0, :]  # (B, G, T')
         gk = np.empty_like(ks)
         gx = np.zeros_like(xs)
         for off in range(k):
             gk[:, :, off] = (gs @ xs[:, :, off : off + t_out].transpose(0, 2, 1)).sum(0)
             gx[:, :, off : off + t_out] += ks[:, :, off].T @ gs
-        kernel.accumulate(gk[:, :, None, :])
-        x.accumulate(gx[:, :, None, :])
+        return gx[:, :, None, :], gk[:, :, None, :]
 
-    tape.record(backward)
-    return out
+    return tape.op((x, kernel), acc[:, :, None, :], vjp)
 
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
@@ -211,16 +207,11 @@ def batch_norm(
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv_std
-    out = Tensor(x.data * cast(scale))
-    out.data += cast(beta.data - mean * scale)
+    y = x.data * cast(scale)
+    y += cast(beta.data - mean * scale)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
+    def vjp(g):
         x_hat = (x.data - cast(mean)) * cast(inv_std)
-        gamma.accumulate((g * x_hat).sum(axis=axes))
-        beta.accumulate(g.sum(axis=axes))
         g_hat = g * cast(gamma.data)
         if train:
             # Batch statistics depend on x, so propagate through mean and var.
@@ -231,41 +222,23 @@ def batch_norm(
             )
         else:
             dx = g_hat * cast(inv_std)
-        x.accumulate(dx)
+        return dx, (g * x_hat).sum(axis=axes), g.sum(axis=axes)
 
-    tape.record(backward)
-    return out
+    return tape.op((x, gamma, beta), y, vjp)
 
 
 def elu(tape: Tape, x: Tensor) -> Tensor:
     """x for x > 0, exp(x) - 1 otherwise (alpha = 1)."""
     # max(expm1(min(x, 0)), x) needs no sign mask and is exact: expm1(x) >= x
-    out = Tensor(np.expm1(np.minimum(x.data, 0.0)))
-    np.maximum(out.data, x.data, out=out.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(g * (np.minimum(out.data, 0.0) + 1.0))  # 1, or exp(x) for x <= 0
-
-    tape.record(backward)
-    return out
+    y = np.expm1(np.minimum(x.data, 0.0))
+    np.maximum(y, x.data, out=y)
+    return tape.op((x,), y, lambda g: (g * (np.minimum(y, 0.0) + 1.0),))  # 1, or exp(x) if x <= 0
 
 
 def angle_squash(tape: Tape, x: Tensor) -> Tensor:
     """pi * tanh(x): squashes features into the open interval (-pi, pi)."""
     t = np.tanh(x.data)
-    out = Tensor(np.pi * t)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(g * np.pi * (1.0 - t * t))
-
-    tape.record(backward)
-    return out
+    return tape.op((x,), np.pi * t, lambda g: (g * np.pi * (1.0 - t * t),))
 
 
 def l2_normalize(tape: Tape, x: Tensor) -> Tensor:
@@ -276,29 +249,11 @@ def l2_normalize(tape: Tape, x: Tensor) -> Tensor:
     if np.any(norms < 1e-12):
         raise NumericError("l2_normalize: degenerate zero-norm row")
     y = x.data / norms
-    out = Tensor(y)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate((g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
-
-    tape.record(backward)
-    return out
+    return tape.op((x,), y, lambda g: ((g - y * (g * y).sum(axis=1, keepdims=True)) / norms,))
 
 
 def reshape(tape: Tape, x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        x.accumulate(g.reshape(x.data.shape))
-
-    tape.record(backward)
-    return out
+    return tape.op((x,), x.data.reshape(shape), lambda g: (g.reshape(x.data.shape),))
 
 
 def flatten(tape: Tape, x: Tensor) -> Tensor:

@@ -33,26 +33,17 @@ def quantum_layer(tape: Tape, x: Tensor, weights: Tensor) -> Tensor:
     """Tape op wrapping the batched quantum circuit.
 
     ``x`` holds per-row rotation angles (B, n_qubits); ``weights`` is the
-    (n_layers, n_qubits) trainable angle grid.  Gradients for both come
-    from the parameter-shift rule, so they are exact, not approximate.
+    (n_layers, n_qubits) trainable angle grid.  The op's vjp is
+    ``vqc_batched_vjp``, whose (d_inputs, d_weights) pair is exact, not
+    approximate: it comes from the parameter-shift rule.
     """
     if weights.data.ndim != 2:
         raise ShapeError(f"expected (n_layers, n_qubits) weights, got {weights.shape}")
     params = QuantumLayerParams(
         n_qubits=weights.shape[1], n_layers=weights.shape[0], weights=weights.data
     )
-    out = Tensor(vqc_batched_forward(x.data, params))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        d_inputs, d_weights = vqc_batched_vjp(x.data, params, g)
-        x.accumulate(d_inputs)
-        weights.accumulate(d_weights)
-
-    tape.record(backward)
-    return out
+    return tape.op((x, weights), vqc_batched_forward(x.data, params),
+                   lambda g: vqc_batched_vjp(x.data, params, g))
 
 
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:

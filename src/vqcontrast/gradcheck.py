@@ -80,9 +80,7 @@ def check_gradients(name: str, build: Callable[..., Tensor], arrays: Sequence[np
     tape = Tape()
     tensors, out = forward(tape)
     r = np.random.default_rng(0).standard_normal(out.shape)
-    loss = Tensor(np.sum(out.data * r))
-    tape.record(lambda: out.accumulate(r))  # d loss / d out; backward seeds loss.grad = 1
-    tape.backward(loss)
+    tape.backward(tape.op((out,), np.sum(out.data * r), lambda g: (g * r,)))
 
     def scalar() -> float:
         return float(np.sum(forward(Tape())[1].data * r))

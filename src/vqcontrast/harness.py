@@ -152,8 +152,14 @@ class MetricsRecord:
     wall_time: float | None = None
 
     def __post_init__(self):
-        if self.train_loss is not None and not np.isfinite(self.train_loss):
+        require_ints(0, run_id=self.run_id)
+        if self.epoch is not None:
+            require_ints(0, epoch=self.epoch)
+        if isinstance(self.train_loss, float) and not np.isfinite(self.train_loss):
             raise NumericError(f"train_loss must be finite, got {self.train_loss}")
+        floats = {"train_loss": self.train_loss, "top1": self.top1, "top5": self.top5,
+                  "wall_time": self.wall_time}
+        require_finite(**{name: v for name, v in floats.items() if v is not None})
         for name, v in (("top1", self.top1), ("top5", self.top5)):
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {v}")
@@ -179,13 +185,17 @@ def write_metrics(records, path) -> None:
 
 def read_metrics(path) -> list[MetricsRecord]:
     """The records of a metrics file; a malformed line raises ``ConfigurationError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: metrics file is not UTF-8: {exc}") from exc
     records = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             records.append(MetricsRecord.from_json_line(line))
-        except (ConfigurationError, TypeError, ValueError) as exc:
+        except (ConfigurationError, NumericError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{path}: metrics line {number}: {exc}") from exc
     return records
 

@@ -12,18 +12,6 @@ from vqcontrast.diffnet import Adam, Tape, Tensor
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
 
 
-def scalarize(tape, out, r):
-    """sum(out * r) as a tape op so backward can be replayed from a scalar."""
-    loss = Tensor(np.sum(out.data * r))
-
-    def backward():
-        if loss.grad is not None:
-            out.accumulate(float(loss.grad) * r)
-
-    tape.record(backward)
-    return loss
-
-
 def backprop(build, arrays, seed=0):
     """Run build on fresh Tensors, backprop a random-weighted sum, and
     return (output data, per-input grads, weighting)."""
@@ -31,7 +19,7 @@ def backprop(build, arrays, seed=0):
     tensors = [Tensor(a) for a in arrays]
     out = build(tape, *tensors)
     r = np.random.default_rng(seed).standard_normal(out.data.shape)
-    tape.backward(scalarize(tape, out, r))
+    tape.backward(tape.op((out,), np.sum(out.data * r), lambda g: (g * r,)))
     return out.data, [t.grad for t in tensors], r
 
 
@@ -270,6 +258,29 @@ def test_chained_ops_backprop():
     np.testing.assert_allclose(dx, r @ w2.T @ w1.T, atol=1e-13)
     np.testing.assert_allclose(dw2, (x @ w1 + b1).T @ r, atol=1e-13)
     np.testing.assert_allclose(dw1, x.T @ (r @ w2.T), atol=1e-13)
+
+
+def test_op_off_the_loss_path_is_skipped():
+    """An output that never reaches the loss leaves its inputs' grads None
+    and its vjp uncalled."""
+    def never(g):
+        raise AssertionError("the vjp of an op off the loss path ran")
+
+    tape = Tape()
+    x, side = Tensor(np.ones(3)), Tensor(np.ones(3))
+    tape.op((side,), 2.0 * side.data, never)
+    tape.backward(tape.op((x,), np.sum(x.data), lambda g: (g * np.ones(3),)))
+    assert side.grad is None
+    np.testing.assert_array_equal(x.grad, np.ones(3))
+
+
+@pytest.mark.parametrize("partials", [0, 2])
+def test_op_rejects_a_vjp_with_the_wrong_number_of_partials(partials):
+    tape = Tape()
+    x = Tensor(np.ones(3))
+    loss = tape.op((x,), np.sum(x.data), lambda g: (g * np.ones(3),) * partials)
+    with pytest.raises(ValueError):
+        tape.backward(loss)
 
 
 def test_shape_validation():

@@ -23,17 +23,6 @@ TINY = RunConfig(
 )
 
 
-def scalarize(tape, out, r):
-    loss = Tensor(np.sum(out.data * r))
-
-    def backward():
-        if loss.grad is not None:
-            out.accumulate(float(loss.grad) * r)
-
-    tape.record(backward)
-    return loss
-
-
 # ---------------------------------------------------------------------------
 # Configs
 
@@ -177,7 +166,8 @@ def test_eeg_encoder_gradients_reach_every_parameter():
     enc = EegConvEncoder(TINY, rng)
     tape = Tape()
     out = enc.forward(tape, Tensor(rng.standard_normal((4, 1, 4, 32))), train=True)
-    tape.backward(scalarize(tape, out, rng.standard_normal(out.data.shape)))
+    r = rng.standard_normal(out.data.shape)
+    tape.backward(tape.op((out,), np.sum(out.data * r), lambda g: (g * r,)))
     for name, p in enc.params.items():
         assert p.grad is not None, name
         assert np.any(p.grad != 0.0), name
@@ -216,7 +206,8 @@ def test_image_head_gradients_reach_every_parameter():
     head = ImageEmbedHead(TINY, rng)
     tape = Tape()
     out = head.forward(tape, Tensor(rng.standard_normal((4, 5))))
-    tape.backward(scalarize(tape, out, rng.standard_normal(out.data.shape)))
+    r = rng.standard_normal(out.data.shape)
+    tape.backward(tape.op((out,), np.sum(out.data * r), lambda g: (g * r,)))
     for name, p in head.params.items():
         assert p.grad is not None, name
         assert np.any(p.grad != 0.0), name

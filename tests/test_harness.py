@@ -152,16 +152,27 @@ def test_metrics_file_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [
-    '{"run_id":0,"loss":1.0}',  # unknown key
-    '[0,1]',                    # not an object
-    '{"run_id":0,',             # not JSON
-    '{"run_id":0,"top1":"x"}',  # not a number
+    '{"run_id":0,"loss":1.0}',        # unknown key
+    '[0,1]',                          # not an object
+    '{"run_id":0,',                   # not JSON
+    '{"run_id":0,"top1":"x"}',        # not a number
+    '{"run_id":"x"}',                 # run_id not an integer
+    '{"run_id":0,"epoch":[1]}',       # epoch not an integer
+    '{"run_id":0,"top1":true}',       # a bool is not a number
+    '{"run_id":0,"train_loss":"x"}',  # train_loss not a number
 ])
 def test_read_metrics_names_a_malformed_line(tmp_path, bad):
     path = tmp_path / "metrics.jsonl"
     good = MetricsRecord(run_id=0, epoch=0, train_loss=2.0).to_json_line()
     path.write_text(f"{good}\n\n{bad}\n")  # the blank line still counts
     with pytest.raises(ConfigurationError, match="metrics line 3"):
+        read_metrics(path)
+
+
+def test_read_metrics_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    path.write_bytes(MetricsRecord(run_id=0).to_json_line().encode() + b"\n\xff\n")
+    with pytest.raises(ConfigurationError, match="metrics.jsonl: metrics file is not UTF-8"):
         read_metrics(path)
 
 
@@ -571,14 +582,8 @@ def test_gradcheck_looks_each_op_up_at_call_time(monkeypatch, op):
 
 def test_gradcheck_flags_a_broken_backward(monkeypatch):
     def bad_elu(tape, x):
-        out = Tensor(np.where(x.data > 0, x.data, np.expm1(x.data)))
-
-        def backward():
-            if out.grad is not None:
-                x.accumulate(2.0 * out.grad)  # wrong by a factor of two
-
-        tape.record(backward)
-        return out
+        y = np.where(x.data > 0, x.data, np.expm1(x.data))
+        return tape.op((x,), y, lambda g: (2.0 * g,))  # wrong by a factor of two
 
     monkeypatch.setattr(diffnet, "elu", bad_elu)
     results = {r.name: r for r in run_all_checks(seed=0)}

@@ -1,5 +1,6 @@
 """Package surface: the exported names, and the fast demos that use the API."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,20 @@ def test_runs_import_no_oracle():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_diffnet_records_on_the_tape():
+    """Every other module's tape op goes through ``Tape.op``, so the backward
+    rule has one home."""
+    callers = []
+    for path in sorted(Path(vqcontrast.__file__).parent.rglob("*.py")):
+        if path.name == "diffnet.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "record"):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
 
 
 @pytest.mark.parametrize("script", [
