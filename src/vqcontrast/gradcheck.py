@@ -127,8 +127,8 @@ def _check_spec(name: str, build, draw, rng: np.random.Generator) -> CheckResult
 
 
 def _check_vqc_parameter_shift(rng):
-    """Parameter-shift VJP of one row against central differences, no tape."""
-    n, layers, h = 3, 2, DEFAULT_H
+    """Parameter-shift VJP of one row, weights in both RY factors, against central differences."""
+    n, layers, h = 5, 2, DEFAULT_H
     x = rng.uniform(-np.pi, np.pi, n)
     weights = rng.uniform(-np.pi, np.pi, (layers, n))
     r = rng.standard_normal(n)

@@ -15,25 +15,26 @@ modular formula states, even though the pair partially undoes itself.
 Every evaluation runs a batch of rows (one input is one row) through one fused
 kernel on a float64 feature-major (2^n, batch) amplitude array, qubit 0 the
 least significant bit of the row index, with at most two such arrays alive.
-Its (2^(n-h), 2^h, batch) view, h = n // 2, splits the register into qubits
-h..n-1 (the first axis) and 0..h-1 (the second).  The two halves' product
-states, built from cos(x_i/2) and sin(x_i/2) by in-place doublings, meet in
-one multiply of two gathers that also apply the first CNOT ring; every later
-ring is one gather of whole rows.  Each RY layer is two real matrix products
-by the Kronecker products of the RY blocks of qubits 0..h-1 (batched over the
-first axis) and h..n-1 (one product over the flattened last two axes).  The
-readout multiplies a Z-sign table by the squared amplitudes.  The ring index
-and the Z table are built here from bit arithmetic, once per width, and the RY
-factors once per distinct weight matrix; the gate-level ``oracles`` that audit
-this kernel share none of it.
+The encoding keeps two half-register product states, of qubits 0..h-1 and
+h..n-1 with h = n // 2, built from cos(x_i/2) and sin(x_i/2) by in-place
+doublings; they meet in one multiply of two gathers that also apply the first
+CNOT ring, and every later ring is one gather of whole rows.  Each RY layer
+splits the register into contiguous groups of at most four qubits, as equal as
+possible, the wider ones on the low qubits (n = 10 gives 4, 3, 3).  A group of
+m qubits starting at qubit s is one batched real matrix product by the
+Kronecker product of its RY blocks on the (2^(n-s-m), 2^m, 2^s * batch) view.
+The readout multiplies a Z-sign table by the squared amplitudes.  The ring
+index, the groups and the Z table are built here from bit arithmetic, once per
+width, and the RY factors once per distinct weight matrix; the gate-level
+``oracles`` that audit this kernel share none of it.
 
 The layer's API is ``vqc_batched_forward`` and ``vqc_batched_vjp``.  The VJP
 uses the parameter-shift rule with shifts of +-pi/2 and a factor of 1/2,
 which is exact for RY-generated rotations.  Shifts are applied to the
 trainable weights and to the encoded inputs alike, so gradients flow through
 the layer into whatever classical network feeds it.  The input shifts run on
-the unshifted weights' cached factors; a weight shift rebuilds only the one
-half-factor of its layer that the shifted weight enters.  Jacobian column j
+the unshifted weights' cached factors; a weight shift rebuilds only the
+factor of its layer whose group holds the shifted weight.  Jacobian column j
 of a row is its VJP with the j-th basis vector as upstream gradient.
 """
 
@@ -105,15 +106,31 @@ def _ry_factors(angles: np.ndarray) -> np.ndarray:
     return factors
 
 
+# Widest RY factor, in qubits: a layer costs sum(2^width) multiply-adds per amplitude,
+# 32 at n = 10 ([4, 3, 3]) against 64 for two 5-qubit halves.  Forward at n = 10, 4 layers,
+# 64 (32) rows, one BLAS thread, 2-CPU Xeon, medians of 15 interleaved runs: 1.68 (0.60) ms
+# with this cap, 1.78 (0.66) ms with 3 ([3, 3, 2, 2]) and 2.15 (0.78) ms with 5 (the halves).
+_GROUP_QUBITS = 4
+
+
+@lru_cache(maxsize=None)
+def _qubit_groups(n: int) -> tuple[tuple[int, int], ...]:
+    """(start, stop) qubits of each RY factor: contiguous, at most ``_GROUP_QUBITS``
+    wide, as equal as possible, the wider ones on the low qubits."""
+    count = -(-n // _GROUP_QUBITS)
+    stops = np.cumsum([n // count + (k < n % count) for k in range(count)]).tolist()
+    return tuple(zip([0, *stops[:-1]], stops))
+
+
 @lru_cache(maxsize=2)
-def _layer_factors(weight_bytes: bytes, n_layers: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """RY factors of qubits 0..h-1 and h..n-1 per layer, keyed on the weights' bytes.
+def _layer_factors(weight_bytes: bytes, n_layers: int, n: int) -> tuple[np.ndarray, ...]:
+    """RY factors of each qubit group per layer, keyed on the weights' bytes.
 
     The row blocks of one evaluation and the input shifts of one VJP share their
     weights, so they build these once; two entries hold one per encoder head.
     """
     weights = np.frombuffer(weight_bytes).reshape(n_layers, n)
-    return _ry_factors(weights[:, : n // 2]), _ry_factors(weights[:, n // 2 :])
+    return tuple(_ry_factors(weights[:, start:stop]) for start, stop in _qubit_groups(n))
 
 
 @lru_cache(maxsize=None)
@@ -145,23 +162,25 @@ def _product_state(angles: np.ndarray) -> np.ndarray:
     return state
 
 
-def _run_batched(X: np.ndarray, lo_factors, hi_factors) -> np.ndarray:
-    """<Z> of every qubit for every row of ``X``, given each layer's two RY factors."""
+def _run_batched(X: np.ndarray, factors) -> np.ndarray:
+    """<Z> of every qubit for every row of ``X``, given each qubit group's RY factors per layer."""
     rows, n = X.shape
     h = n // 2
     amps = np.empty((1 << n, rows))
     spare = np.empty_like(amps)
-    flat, split = (1 << (n - h), -1), (1 << (n - h), 1 << h, rows)
+    views = [(1 << (n - stop), 1 << (stop - start), rows << start)
+             for start, stop in _qubit_groups(n)]
     high_rows, low_rows = _encoding_index(n)
     np.take(_product_state(X[:, h:]), high_rows, axis=0, out=amps, mode="clip")
     np.take(_product_state(X[:, :h]), low_rows, axis=0, out=spare, mode="clip")
     amps *= spare
-    for layer, (lo, hi) in enumerate(zip(lo_factors, hi_factors)):
+    for layer in range(len(factors[0])):
         if layer and n >= 2:  # mode="clip" gathers straight into ``spare``; "raise" buffers a copy
             np.take(amps, _ring_index(n), axis=0, out=spare, mode="clip")
             amps, spare = spare, amps
-        np.matmul(lo, amps.reshape(split), out=spare.reshape(split))
-        np.matmul(hi, spare.reshape(flat), out=amps.reshape(flat))
+        for group, view in zip(factors, views):
+            np.matmul(group[layer], amps.reshape(view), out=spare.reshape(view))
+            amps, spare = spare, amps
     np.square(amps, out=amps)
     return amps.T @ _z_table(n)
 
@@ -178,7 +197,7 @@ def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
 def vqc_batched_forward(X: np.ndarray, params: QuantumLayerParams) -> np.ndarray:
     """Evaluate the circuit for every row of ``X`` independently."""
     X = _check_batch(X, params.n_qubits)
-    return _run_batched(X, *_layer_factors(params.weights.tobytes(), *params.weights.shape))
+    return _run_batched(X, _layer_factors(params.weights.tobytes(), *params.weights.shape))
 
 
 def vqc_batched_vjp(
@@ -199,25 +218,25 @@ def vqc_batched_vjp(
             f"upstream gradient shape {upstream.shape} does not match {X.shape}"
         )
     weights = params.weights
-    h = n // 2
-    lo, hi = _layer_factors(weights.tobytes(), layers, n)
+    factors, groups = _layer_factors(weights.tobytes(), layers, n), _qubit_groups(n)
 
     def difference(plus, minus):
         """upstream * (f(angle + pi/2) - f(angle - pi/2)) / 2 for the shifted angle."""
         return 0.5 * (plus - minus) * upstream
 
     def weight_shifted(layer, qubit, shift):
-        """The circuit with one weight moved: only its layer's half-factor is rebuilt."""
-        moved = weights[layer].copy()
-        moved[qubit] += shift
-        half = int(qubit >= h)
-        factors = [list(lo), list(hi)]
-        factors[half][layer] = _ry_factors(np.split(moved, [h])[half][None])[0]
-        return _run_batched(X, *factors)
+        """The circuit with one weight moved: only its group's factor in its layer is rebuilt."""
+        group = next(k for k, (_, stop) in enumerate(groups) if qubit < stop)
+        start, stop = groups[group]
+        angles = weights[layer, start:stop].copy()
+        angles[qubit - start] += shift
+        shifted = [list(stack) for stack in factors]
+        shifted[group][layer] = _ry_factors(angles[None])[0]
+        return _run_batched(X, shifted)
 
     d_inputs = np.stack(
         [
-            difference(_run_batched(X + dx, lo, hi), _run_batched(X - dx, lo, hi)).sum(axis=1)
+            difference(_run_batched(X + dx, factors), _run_batched(X - dx, factors)).sum(axis=1)
             for dx in _SHIFT * np.eye(n)
         ],
         axis=1,

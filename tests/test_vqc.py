@@ -101,7 +101,7 @@ def test_batched_forward_matches_dense_oracle(oracle_z):
     """Each row against the Kronecker-built unitary of the explicit gate list.
 
     n=1 has no ring; n=2 has the ring CNOT(0,1), CNOT(1,0), which half undoes
-    itself; odd n splits the RY layer into factors of unequal size.
+    itself; n=5 and 6 split the RY layer into two qubit groups, 5 of unequal size.
     """
     rng = np.random.default_rng(3)
     for n in range(1, 7):
@@ -117,10 +117,11 @@ def test_batched_forward_matches_dense_oracle(oracle_z):
                 )
 
 
-@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
 def test_batched_forward_matches_gate_level_kernels(n):
     """Beyond the dense oracle's reach, against the oracles' gate-by-gate kernels.
 
+    n = 10, 11 and 12 apply each RY layer as three qubit groups, n = 13 as four.
     Also at 0, 1 and 65 rows and on a column-reversed (strided) input; the result
     is always a C-contiguous float64 (rows, n) array.
     """
@@ -182,12 +183,13 @@ def test_batched_forward_holds_at_most_three_states():
     assert peak <= 3 * rows * (1 << n) * 8
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 11])
 def test_batched_vjp_matches_central_differences(n):
     """Both outputs of the VJP against central differences of sum(f(X) * upstream).
 
-    n = 3 and 5 split the register unequally, n = 4 equally, so weight shifts
-    land in both half-factors of every layer.
+    n = 3 and 4 are one qubit group, n = 5 two ([3, 2]), n = 9 three equal ones
+    ([3, 3, 3]) and n = 11 three unequal ones ([4, 4, 3]), so weight shifts land
+    in every group's factor of every layer.
     """
     rng = np.random.default_rng(n + 1)
     layers, batch = 2, 5
