@@ -101,7 +101,8 @@ def test_batched_forward_matches_dense_oracle(oracle_z):
     """Each row against the Kronecker-built unitary of the explicit gate list.
 
     n=1 has no ring; n=2 has the ring CNOT(0,1), CNOT(1,0), which half undoes
-    itself; n=5 and 6 split the RY layer into two qubit groups, 5 of unequal size.
+    itself; n=1..4 apply each RY layer as one factor, n=5 and 6 as two qubit
+    groups, unequal at n=5.
     """
     rng = np.random.default_rng(3)
     for n in range(1, 7):
