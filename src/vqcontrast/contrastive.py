@@ -145,7 +145,8 @@ def topk_accuracy(scores, true_class, k: int) -> float:
         raise ConfigurationError(f"k={k} out of range [1, {n_class}]")
     if not np.all(np.isfinite(s)):
         raise NumericError("scores contain non-finite entries")
-    labels = labels.astype(np.int64)
+    if labels.dtype.kind not in "iu":
+        raise ConfigurationError(f"labels must be integer class indices, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= n_class:
         raise ConfigurationError("labels reference out-of-range class indices")
     own = s[np.arange(n_query), labels][:, None]

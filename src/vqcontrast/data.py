@@ -54,7 +54,7 @@ def require_finite(**values) -> None:
             raise ConfigurationError(f"{name} must be a finite number, got {v!r}")
 
 
-def _class_ids(name: str, values) -> list[int]:
+def _class_ids(name: str, values) -> tuple[int, ...]:
     if not isinstance(values, (list, tuple)) or not all(
         isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
         for c in values
@@ -62,25 +62,27 @@ def _class_ids(name: str, values) -> list[int]:
         raise ConfigurationError(
             f"{name} must be a list of non-negative integer class ids, got {values!r}"
         )
-    return [int(c) for c in values]
+    if len(set(values)) != len(values):
+        raise ConfigurationError(f"{name} repeats a class id: {list(values)}")
+    return tuple(int(c) for c in values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetManifest:
-    """Paths and split descriptor for one dataset directory.
+    """Paths and split descriptor for one dataset directory, checked once.
 
-    ``load_arrays`` reads its three files once: later calls return the same
-    read-only arrays for as long as every field keeps its value, and editing a
-    field reads and checks them again.  A file changed on disk is not noticed;
-    a fresh ``DatasetManifest.load`` reads it.  Copies and pickles leave the
-    arrays behind.
+    The fields cannot change after construction; ``dataclasses.replace``
+    builds a checked copy.  ``load_arrays`` reads its three files once and
+    later calls return the same read-only arrays.  A file changed on disk is
+    not noticed; a fresh ``DatasetManifest.load`` reads it.  Copies and
+    pickles leave the arrays behind.
     """
 
     eeg_path: str
     image_emb_path: str
     labels_path: str
-    train_classes: list[int]
-    test_classes: list[int]
+    train_classes: tuple[int, ...]
+    test_classes: tuple[int, ...]
     root: Path = field(default_factory=Path, compare=False)
     _loaded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -88,8 +90,9 @@ class DatasetManifest:
         for name in ("eeg_path", "image_emb_path", "labels_path"):
             if not isinstance(path := getattr(self, name), str) or "\0" in path:
                 raise ConfigurationError(f"{name} must be a path string without NUL")
-        self.train_classes = _class_ids("train_classes", self.train_classes)
-        self.test_classes = _class_ids("test_classes", self.test_classes)
+        for name in ("train_classes", "test_classes"):
+            object.__setattr__(self, name, _class_ids(name, getattr(self, name)))
+        object.__setattr__(self, "root", Path(self.root))
         if not self.train_classes or not self.test_classes:
             raise ConfigurationError("both class splits must be non-empty")
         overlap = set(self.train_classes) & set(self.test_classes)
@@ -124,14 +127,12 @@ class DatasetManifest:
 
     def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (eeg [N,1,E,T] f32, image_emb [C,D_img] f32, labels [N] int), read-only."""
-        key = (Path(self.root), self.eeg_path, self.image_emb_path, self.labels_path,
-               tuple(self.train_classes), tuple(self.test_classes))
-        if self._loaded is None or self._loaded[0] != key:
+        if self._loaded is None:
             arrays = self._read_arrays()
             for array in arrays:
                 array.flags.writeable = False
-            self._loaded = (key, arrays)
-        return self._loaded[1]
+            object.__setattr__(self, "_loaded", arrays)
+        return self._loaded
 
     def _read_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eeg = load_tensor_file(self.root / self.eeg_path)

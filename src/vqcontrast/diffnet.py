@@ -177,20 +177,18 @@ def batch_norm(
     running_var: np.ndarray,
     train: bool,
 ) -> Tensor:
-    """Per-feature standardization with a learned affine map.
+    """Per-feature standardization of (B, C, 1, T) input with a learned affine map.
 
-    Axis 1 is the feature axis for both (B, C) and (B, C, 1, T) inputs.  Train
-    mode uses the batch statistics and updates the running ones in place; eval
-    mode uses the running ones.  The forward is one scale and shift per feature.
+    Axis 1 is the feature axis.  Train mode uses the batch statistics and
+    updates the running ones in place; eval mode uses the running ones.  The
+    forward is one scale and shift per feature.
     """
-    if x.data.ndim not in (2, 4):
-        raise ShapeError(f"batch_norm: expected 2-D or 4-D input, got {x.shape}")
+    if x.data.ndim != 4 or x.shape[2] != 1:
+        raise ShapeError(f"batch_norm: expected (B, C, 1, T) input, got {x.shape}")
     channels = x.shape[1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ShapeError("batch_norm: gamma/beta must match the feature axis")
-    axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
-    cast = (lambda a: a) if x.data.ndim == 2 else (lambda a: a[:, None, None])
-    count = int(np.prod([x.shape[i] for i in axes]))
+    axes, count = (0, 2, 3), x.shape[0] * x.shape[3]
     if train and count < 2:
         raise ConfigurationError("batch_norm: train mode needs at least 2 samples")
 
@@ -207,21 +205,20 @@ def batch_norm(
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv_std
-    y = x.data * cast(scale)
-    y += cast(beta.data - mean * scale)
+    y = x.data * scale[:, None, None]
+    y += (beta.data - mean * scale)[:, None, None]
 
     def vjp(g):
-        x_hat = (x.data - cast(mean)) * cast(inv_std)
-        g_hat = g * cast(gamma.data)
+        x_hat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        g_hat = g * gamma.data[:, None, None]
         if train:
             # Batch statistics depend on x, so propagate through mean and var.
             g_sum = g_hat.sum(axis=axes)
             gx_sum = (g_hat * x_hat).sum(axis=axes)
-            dx = (g_hat - cast(g_sum / count) - x_hat * cast(gx_sum / count)) * cast(
-                inv_std
-            )
+            dx = (g_hat - (g_sum / count)[:, None, None]
+                  - x_hat * (gx_sum / count)[:, None, None]) * inv_std[:, None, None]
         else:
-            dx = g_hat * cast(inv_std)
+            dx = g_hat * inv_std[:, None, None]
         return dx, (g * x_hat).sum(axis=axes), g.sum(axis=axes)
 
     return tape.op((x, gamma, beta), y, vjp)

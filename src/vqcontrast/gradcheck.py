@@ -101,12 +101,12 @@ def _op(name: str, module=diffnet) -> Callable[..., Tensor]:
     return lambda tape, *tensors: getattr(module, name)(tape, *tensors)
 
 
-def _bn(train: bool, n_features: int) -> Callable[..., Tensor]:
+def _bn(train: bool) -> Callable[..., Tensor]:
     def build(tape, x, gamma, beta):
         return diffnet.batch_norm(
             tape, x, gamma, beta,
-            running_mean=np.linspace(-0.2, 0.2, n_features),
-            running_var=np.linspace(0.8, 1.2, n_features),
+            running_mean=np.linspace(-0.2, 0.2, 2),
+            running_var=np.linspace(0.8, 1.2, 2),
             train=train,
         )
     return build
@@ -169,9 +169,8 @@ STANDARD_CHECKS: tuple[Callable[[np.random.Generator], CheckResult], ...] = (
         ("linear", _op("linear"), _normal((4, 3), (3, 5), 5)),
         ("conv_spatial", _op("conv_spatial"), _normal((3, 1, 4, 6), (2, 1, 4, 1))),
         ("conv_temporal", _op("conv_temporal"), _normal((2, 2, 1, 9), (3, 2, 1, 4))),
-        ("batch_norm_train_2d", _bn(True, 3), _normal((5, 3), 3, 3)),
-        ("batch_norm_train_4d", _bn(True, 2), _normal((3, 2, 1, 4), 2, 2)),
-        ("batch_norm_eval", _bn(False, 3), _normal((4, 3), 3, 3)),
+        ("batch_norm_train", _bn(True), _normal((3, 2, 1, 4), 2, 2)),
+        ("batch_norm_eval", _bn(False), _normal((3, 2, 1, 4), 2, 2)),
         ("elu", _op("elu"), _normal((4, 5))),
         ("angle_squash", _op("angle_squash"), _normal((4, 5))),
         ("l2_normalize", _op("l2_normalize"), _normal((4, 6))),

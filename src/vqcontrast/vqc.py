@@ -51,22 +51,25 @@ MAX_QUBITS = 16
 _SHIFT = 0.5 * np.pi
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantumLayerParams:
-    """Geometry and trainable rotation weights of the encoding layer."""
+    """Geometry and trainable rotation weights of the encoding layer, checked once."""
 
     n_qubits: int
     n_layers: int
     weights: np.ndarray  # (n_layers, n_qubits), radians
 
     def __post_init__(self):
+        for name, value in (("n_qubits", self.n_qubits), ("n_layers", self.n_layers)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigurationError(
                 f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
             )
         if self.n_layers < 1:
             raise ConfigurationError(f"n_layers must be >= 1, got {self.n_layers}")
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         if self.weights.shape != (self.n_layers, self.n_qubits):
             raise ShapeError(
                 f"weights must have shape ({self.n_layers}, {self.n_qubits}), "

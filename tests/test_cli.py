@@ -308,6 +308,20 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest,
             assert f"{name} must" in proc.stderr, proc.stderr
 
 
+def test_repeated_class_ids_exit_one(tmp_path, config_path, capsys):
+    """A repeated test class would score a 3-row gallery for 2 classes."""
+    manifest = gen_data(tmp_path, config_path)
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                    "train_classes": [0, 1, 1], "test_classes": [2, 2, 3]}))
+    capsys.readouterr()
+    code = main(["train", "--config", str(config_path), "--data", str(manifest),
+                 "--out", str(tmp_path / "train.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "repeats a class id" in err, err
+    assert not (tmp_path / "train.jsonl").exists()
+
+
 @pytest.mark.parametrize("test_classes", [[2, 3, -1], [2, 3, 4]], ids=["negative", "past-table"])
 def test_test_class_outside_image_table_exits_one(tmp_path, config_path, capsys, test_classes):
     """A held-out class id must name a row of the image table: a negative one

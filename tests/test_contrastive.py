@@ -254,6 +254,11 @@ def test_topk_label_validation():
         topk_accuracy(np.eye(3), np.arange(2), 1)
     with pytest.raises(ConfigurationError):
         topk_accuracy(np.eye(3), np.array([0, 1, 3]), 1)
+    # a float label would be truncated to a class (2.7 -> 2), a bool read as 0 or 1
+    for labels in ([0.9, 1.2, 2.7], [True, False, True]):
+        with pytest.raises(ConfigurationError, match="integer class indices"):
+            topk_accuracy(np.eye(3), labels, 1)
+    assert topk_accuracy(np.eye(3), np.arange(3, dtype=np.uint8), 1) == 1.0
 
 
 def test_topk_rejects_zero_queries():

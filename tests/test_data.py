@@ -1,6 +1,7 @@
 """Synthetic dataset generation and the manifest contract."""
 
 import copy
+import dataclasses
 import json
 import tracemalloc
 
@@ -34,8 +35,8 @@ def test_generate_writes_expected_files_and_shapes(tmp_path):
     assert emb.shape == (5, 6)
     assert labels.shape == (20,)
     np.testing.assert_array_equal(np.unique(labels), np.arange(5))
-    assert manifest.train_classes == [0, 1, 2]
-    assert manifest.test_classes == [3, 4]
+    assert manifest.train_classes == (0, 1, 2)
+    assert manifest.test_classes == (3, 4)
 
 
 def test_same_seed_gives_byte_identical_files(tmp_path):
@@ -211,6 +212,22 @@ def test_manifest_rejects_overlapping_splits():
         DatasetManifest(**doc)
 
 
+def test_manifest_rejects_repeated_class_ids():
+    """A repeated held-out class would rank two gallery rows for one class."""
+    for split, ids in (("train_classes", [0, 1, 1]), ("test_classes", [2, 2, 3])):
+        doc = {**manifest_doc(), "train_classes": [0, 1], "test_classes": [2, 3], split: ids}
+        with pytest.raises(ConfigurationError, match=f"{split} repeats a class id"):
+            DatasetManifest(**doc)
+
+
+def test_manifest_takes_a_string_root(tmp_path):
+    generate_dataset(tmp_path, seed=6, **GEN_KW)
+    doc = json.loads((tmp_path / MANIFEST_FILE).read_text())
+    manifest = DatasetManifest(root=str(tmp_path), **doc)
+    assert manifest.root == tmp_path
+    assert manifest.load_arrays()[0].shape == (20, 1, 3, 10)
+
+
 def test_manifest_rejects_empty_split():
     doc = manifest_doc()
     doc["test_classes"] = []
@@ -320,8 +337,8 @@ def test_loaded_arrays_are_read_only(tmp_path):
 def test_edited_copy_reads_and_checks_again(tmp_path, reads):
     manifest = generate_dataset(tmp_path, seed=7, **GEN_KW)
     eeg, _, _ = manifest.load_arrays()
-    twin = copy.deepcopy(manifest)
-    twin.test_classes.append(5)  # classes are 0..4: no image embedding for 5
+    # classes are 0..4: no image embedding for 5
+    twin = dataclasses.replace(manifest, test_classes=[*manifest.test_classes, 5])
     with pytest.raises(ConfigurationError, match="past the image embedding table"):
         twin.load_arrays()
     assert len(reads) == 6

@@ -94,32 +94,35 @@ def test_conv_temporal_never_holds_a_window_array():
     assert peak < window_bytes
 
 
+AXES = (0, 2, 3)  # batch norm's statistics run over every axis but the feature axis 1
+
+
 def test_batch_norm_train_standardizes():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((50, 3)) * 2.5 + 1.0
+    x = rng.standard_normal((10, 3, 1, 5)) * 2.5 + 1.0
     gamma, beta = np.ones(3), np.zeros(3)
     mean, var = np.zeros(3), np.ones(3)
     tape = Tape()
     out = diffnet.batch_norm(tape, Tensor(x), Tensor(gamma), Tensor(beta), mean, var, train=True)
-    np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.data.var(axis=0), 1.0, atol=1e-4)
+    np.testing.assert_allclose(out.data.mean(axis=AXES), 0.0, atol=1e-12)
+    np.testing.assert_allclose(out.data.var(axis=AXES), 1.0, atol=1e-4)
 
 
 def test_batch_norm_running_stats_update():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((20, 4))
+    x = rng.standard_normal((4, 4, 1, 5))
     mean, var = np.zeros(4), np.ones(4)
     tape = Tape()
     diffnet.batch_norm(tape, Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
                        mean, var, train=True)
     assert diffnet.BN_MOMENTUM == 0.1
-    np.testing.assert_allclose(mean, 0.1 * x.mean(axis=0), atol=1e-14)
-    # running variance uses the unbiased estimator
-    np.testing.assert_allclose(var, 0.9 + 0.1 * x.var(axis=0) * 20 / 19, atol=1e-14)
+    np.testing.assert_allclose(mean, 0.1 * x.mean(axis=AXES), atol=1e-14)
+    # running variance uses the unbiased estimator over all 4 * 5 positions
+    np.testing.assert_allclose(var, 0.9 + 0.1 * x.var(axis=AXES) * 20 / 19, atol=1e-14)
 
 
 def test_batch_norm_eval_uses_running_stats():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None, None]
     mean, var = np.array([1.0, 1.0]), np.array([4.0, 4.0])
     tape = Tape()
     out = diffnet.batch_norm(tape, Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
@@ -130,29 +133,32 @@ def test_batch_norm_eval_uses_running_stats():
 
 
 def test_batch_norm_affine_params_apply():
-    x = np.array([[0.0, 0.0], [2.0, 4.0]])
+    x = np.array([[0.0, 0.0], [2.0, 4.0]])[:, :, None, None]
     tape = Tape()
     out = diffnet.batch_norm(tape, Tensor(x), Tensor(np.array([2.0, 3.0])),
                              Tensor(np.array([1.0, -1.0])), np.zeros(2), np.ones(2),
                              train=True)
-    np.testing.assert_allclose(out.data[:, 0], [1.0 - 2.0, 1.0 + 2.0], atol=1e-4)
-    np.testing.assert_allclose(out.data[:, 1], [-1.0 - 3.0, -1.0 + 3.0], atol=1e-4)
+    np.testing.assert_allclose(out.data[:, 0, 0, 0], [1.0 - 2.0, 1.0 + 2.0], atol=1e-4)
+    np.testing.assert_allclose(out.data[:, 1, 0, 0], [-1.0 - 3.0, -1.0 + 3.0], atol=1e-4)
 
 
 @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-@pytest.mark.parametrize("shape", [(6, 3), (5, 3, 1, 7)], ids=["2d", "4d"])
+@pytest.mark.parametrize("shape", [(5, 3, 1, 7), (2, 3, 1, 1)], ids=["4d", "smallest"])
 def test_batch_norm_matches_textbook_form(train, shape):
-    """The one-pass scale and shift equals gamma * (x - mean) / sigma + beta."""
+    """The one-pass scale and shift equals gamma * (x - mean) / sigma + beta, down
+    to the two positions per feature that train mode needs."""
     rng = np.random.default_rng(17)
     x = rng.standard_normal(shape) * 2.0 + 0.7
     gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
     running_mean, running_var = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
-    axes = (0,) if len(shape) == 2 else (0, 2, 3)
     if train:
-        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        mean, var = x.mean(axis=AXES), x.var(axis=AXES)
     else:
         mean, var = running_mean.copy(), running_var.copy()
-    cast = (lambda a: a) if len(shape) == 2 else (lambda a: a[:, None, None])
+
+    def cast(a):
+        return a[:, None, None]
+
     expected = cast(gamma) * (x - cast(mean)) / np.sqrt(cast(var) + 1e-5) + cast(beta)
     out = diffnet.batch_norm(Tape(), Tensor(x), Tensor(gamma), Tensor(beta),
                              running_mean, running_var, train=train)
@@ -162,7 +168,7 @@ def test_batch_norm_matches_textbook_form(train, shape):
 def test_batch_norm_single_sample_train_rejected():
     tape = Tape()
     with pytest.raises(ConfigurationError):
-        diffnet.batch_norm(tape, Tensor(np.ones((1, 3))), Tensor(np.ones(3)),
+        diffnet.batch_norm(tape, Tensor(np.ones((1, 3, 1, 1))), Tensor(np.ones(3)),
                            Tensor(np.zeros(3)), np.zeros(3), np.ones(3), train=True)
 
 
@@ -293,6 +299,10 @@ def test_shape_validation():
         diffnet.conv_temporal(t, Tensor(np.ones((2, 3, 1, 4))), Tensor(np.ones((2, 3, 1, 6))))
     with pytest.raises(ShapeError):
         diffnet.l2_normalize(t, Tensor(np.ones(4)))
+    for shape in ((4, 3), (4, 3, 2, 5)):  # batch norm takes the encoder's (B, C, 1, T) only
+        with pytest.raises(ShapeError, match=r"\(B, C, 1, T\)"):
+            diffnet.batch_norm(t, Tensor(np.ones(shape)), Tensor(np.ones(3)),
+                               Tensor(np.zeros(3)), np.zeros(3), np.ones(3), train=True)
 
 
 # ---------------------------------------------------------------------------

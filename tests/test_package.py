@@ -1,6 +1,7 @@
 """Package surface: the exported names, and the fast demos that use the API."""
 
 import ast
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import vqcontrast
+from vqcontrast import DatasetManifest
+from vqcontrast.vqc import QuantumLayerParams
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -77,6 +80,30 @@ def test_only_diffnet_records_on_the_tape():
                     and node.func.attr == "record"):
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_every_dataclass_is_frozen():
+    """A record is checked once in ``__post_init__``; a field that could change
+    afterwards would need its checks run again wherever it is read."""
+    mutable = []
+    for path in sorted(Path(vqcontrast.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for deco in node.decorator_list if isinstance(node, ast.ClassDef) else ():
+                text = ast.unparse(deco)  # e.g. "dataclass", "dataclasses.dataclass(frozen=True)"
+                if text.split("(")[0].endswith("dataclass") and "frozen=True" not in text:
+                    mutable.append(f"{path.name}:{node.name}")
+    assert mutable == []
+
+
+@pytest.mark.parametrize("record,field", [
+    (DatasetManifest("eeg.qtns", "emb.qtns", "labels.qtns", [0], [1]), "test_classes"),
+    (DatasetManifest("eeg.qtns", "emb.qtns", "labels.qtns", [0], [1]), "root"),
+    (QuantumLayerParams(2, 1, [[0.1, 0.2]]), "weights"),
+    (QuantumLayerParams(2, 1, [[0.1, 0.2]]), "n_qubits"),
+], ids=["manifest-split", "manifest-root", "circuit-weights", "circuit-qubits"])
+def test_checked_records_cannot_be_edited(record, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
 
 
 @pytest.mark.parametrize("script", [

@@ -257,6 +257,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             QuantumLayerParams(1, 0, np.zeros((0, 1)))
 
+    def test_geometry_must_be_integers(self):
+        """A float geometry matches the weights' shape but breaks the VJP's loops."""
+        for geometry in ((2.0, 1), (2, 1.0), (True, 1)):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                QuantumLayerParams(*geometry, np.zeros((1, int(geometry[0]))))
+
     def test_non_finite_weights(self):
         with pytest.raises(NumericError):
             QuantumLayerParams(1, 1, [[np.nan]])
