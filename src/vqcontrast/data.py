@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +93,8 @@ class DatasetManifest:
                 raise ConfigurationError(f"{name} must be a path string without NUL")
         for name in ("train_classes", "test_classes"):
             object.__setattr__(self, name, _class_ids(name, getattr(self, name)))
+        if not isinstance(self.root, (str, os.PathLike)):
+            raise ConfigurationError(f"root must be a path, got {type(self.root).__name__}")
         object.__setattr__(self, "root", Path(self.root))
         if not self.train_classes or not self.test_classes:
             raise ConfigurationError("both class splits must be non-empty")

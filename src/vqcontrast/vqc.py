@@ -14,8 +14,8 @@ modular formula states, even though the pair partially undoes itself.
 
 Every evaluation runs a batch of rows (one input is one row) through one fused
 kernel on a float64 feature-major (2^n, batch) amplitude array, qubit 0 the
-least significant bit of the row index, with at most two such arrays alive.
-The encoding keeps two half-register product states, of qubits 0..h-1 and
+least significant bit of the row index, with at most two such arrays alive in
+a forward.  The encoding keeps two half-register product states, of qubits 0..h-1 and
 h..n-1 with h = n // 2, built from cos(x_i/2) and sin(x_i/2) by in-place
 doublings; they meet in one multiply of two gathers that also apply the first
 CNOT ring, and every later ring is one gather of whole rows.  Each RY layer
@@ -28,14 +28,22 @@ index, the groups and the Z table are built here from bit arithmetic, once per
 width, and the RY factors once per distinct weight matrix; the gate-level
 ``oracles`` that audit this kernel share none of it.
 
-The layer's API is ``vqc_batched_forward`` and ``vqc_batched_vjp``.  The VJP
-uses the parameter-shift rule with shifts of +-pi/2 and a factor of 1/2,
-which is exact for RY-generated rotations.  Shifts are applied to the
-trainable weights and to the encoded inputs alike, so gradients flow through
-the layer into whatever classical network feeds it.  The input shifts run on
-the unshifted weights' cached factors; a weight shift rebuilds only the
-factor of its layer whose group holds the shifted weight.  Jacobian column j
-of a row is its VJP with the j-th basis vector as upstream gradient.
+The layer's API is ``vqc_batched_forward`` and ``vqc_batched_vjp``; both are
+exact.  A forward is three steps: encode, the layer sweep and the readout.
+The VJP gives the input partials by one adjoint sweep (Jones & Gacon,
+arXiv:2009.02823): it runs the forward to the final state psi, forms the
+adjoint 2 * psi * (Z @ upstream^T), and pulls it back, per layer from the last,
+through each group's transposed RY factor, last group first, and the inverse
+ring gather, down to the encoded product state.  Each half register's adjoint
+is then contracted with the other half's product state, and the partial of
+x_k is 1/2 of its contraction with the product state whose x_k is moved by pi.
+The weight partials use the parameter-shift rule with shifts of +-pi/2 and a
+factor of 1/2, which is exact for RY-generated rotations; each shifted run
+starts from a copy of the encoded state and rebuilds only the factor of its
+layer whose group holds the shifted weight.  A VJP holds three (2^n, batch)
+arrays: the encoded state and two working buffers that every run and the
+adjoint sweep share.  Jacobian column j of a row is its VJP with the j-th
+basis vector as upstream gradient.
 """
 
 from __future__ import annotations
@@ -165,18 +173,28 @@ def _product_state(angles: np.ndarray) -> np.ndarray:
     return state
 
 
-def _run_batched(X: np.ndarray, factors) -> np.ndarray:
-    """<Z> of every qubit for every row of ``X``, given each qubit group's RY factors per layer."""
-    rows, n = X.shape
-    h = n // 2
-    amps = np.empty((1 << n, rows))
-    spare = np.empty_like(amps)
-    views = [(1 << (n - stop), 1 << (stop - start), rows << start)
-             for start, stop in _qubit_groups(n)]
-    high_rows, low_rows = _encoding_index(n)
+def _group_views(n: int, rows: int) -> list[tuple[int, int, int]]:
+    """(2^(n-stop), 2^m, 2^start * rows) view of the state that each qubit group's factor acts on."""
+    return [(1 << (n - stop), 1 << (stop - start), rows << start)
+            for start, stop in _qubit_groups(n)]
+
+
+def _encode(X: np.ndarray, amps: np.ndarray, spare: np.ndarray) -> None:
+    """Write the encoded state of every row of ``X``, first ring applied, into ``amps``."""
+    h = X.shape[1] // 2
+    high_rows, low_rows = _encoding_index(X.shape[1])
     np.take(_product_state(X[:, h:]), high_rows, axis=0, out=amps, mode="clip")
     np.take(_product_state(X[:, :h]), low_rows, axis=0, out=spare, mode="clip")
     amps *= spare
+
+
+def _apply_layers(amps: np.ndarray, spare: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
+    """Run every layer on the encoded ``amps``, the two buffers taking turns as output.
+
+    Returns (the buffer holding the final state, the other one).
+    """
+    n = amps.shape[0].bit_length() - 1
+    views = _group_views(n, amps.shape[1])
     for layer in range(len(factors[0])):
         if layer and n >= 2:  # mode="clip" gathers straight into ``spare``; "raise" buffers a copy
             np.take(amps, _ring_index(n), axis=0, out=spare, mode="clip")
@@ -184,8 +202,68 @@ def _run_batched(X: np.ndarray, factors) -> np.ndarray:
         for group, view in zip(factors, views):
             np.matmul(group[layer], amps.reshape(view), out=spare.reshape(view))
             amps, spare = spare, amps
+    return amps, spare
+
+
+def _readout(amps: np.ndarray) -> np.ndarray:
+    """(rows, n) <Z> of every qubit from the final state; squares ``amps`` in place."""
     np.square(amps, out=amps)
-    return amps.T @ _z_table(n)
+    return amps.T @ _z_table(amps.shape[0].bit_length() - 1)
+
+
+@lru_cache(maxsize=None)
+def _inverse_ring_index(n: int) -> np.ndarray:
+    """Gather index that undoes the ring's gather; built once per width, read-only."""
+    inverse = np.argsort(_ring_index(n))
+    inverse.flags.writeable = False
+    return inverse
+
+
+def _reverse_layers(adj: np.ndarray, spare: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
+    """Pull the adjoint of the final state back to the encoded product state.
+
+    Per layer, last first: each group's transposed factor, last group first, then
+    the inverse ring gather; for layer 0 that undoes the ring the encoding folds in.
+    Returns (the buffer holding the result, the other one), like ``_apply_layers``.
+    """
+    n = adj.shape[0].bit_length() - 1
+    views = _group_views(n, adj.shape[1])
+    for layer in reversed(range(len(factors[0]))):
+        for group, view in zip(reversed(factors), reversed(views)):
+            np.matmul(group[layer].T, adj.reshape(view), out=spare.reshape(view))
+            adj, spare = spare, adj
+        if n >= 2:
+            np.take(adj, _inverse_ring_index(n), axis=0, out=spare, mode="clip")
+            adj, spare = spare, adj
+    return adj, spare
+
+
+def _half_partials(angles: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """(rows, m) partials of a half register's (rows, m) angles, from its (2^m, rows) adjoint.
+
+    d/dx RY(x)|0> = RY(x + pi)|0> / 2, so the partial of angle k contracts the
+    adjoint with the product state whose angle k is moved by pi.
+    """
+    partials = np.empty(angles.shape)
+    for k in range(angles.shape[1]):
+        shifted = angles.copy()
+        shifted[:, k] += np.pi
+        partials[:, k] = (adjoint * _product_state(shifted)).sum(axis=0)
+    return 0.5 * partials
+
+
+def _input_partials(X: np.ndarray, adj: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """dL/dX from the adjoint ``adj`` of the encoded product state; ``spare`` is scratch."""
+    rows, n = X.shape
+    h = n // 2
+    high, low = _product_state(X[:, h:]), _product_state(X[:, :h])
+    adj = adj.reshape(1 << (n - h), 1 << h, rows)  # (high-half state, low-half state, row)
+    scratch = spare.reshape(adj.shape)
+    np.multiply(adj, low, out=scratch)
+    d_high = _half_partials(X[:, h:], scratch.sum(axis=1))
+    np.multiply(adj, high[:, None], out=scratch)
+    d_low = _half_partials(X[:, :h], scratch.sum(axis=0))
+    return np.concatenate([d_low, d_high], axis=1)
 
 
 def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -200,18 +278,27 @@ def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
 def vqc_batched_forward(X: np.ndarray, params: QuantumLayerParams) -> np.ndarray:
     """Evaluate the circuit for every row of ``X`` independently."""
     X = _check_batch(X, params.n_qubits)
-    return _run_batched(X, _layer_factors(params.weights.tobytes(), *params.weights.shape))
+    amps = np.empty((1 << params.n_qubits, len(X)))
+    spare = np.empty_like(amps)
+    _encode(X, amps, spare)
+    factors = _layer_factors(params.weights.tobytes(), *params.weights.shape)
+    return _readout(_apply_layers(amps, spare, factors)[0])
 
 
 def vqc_batched_vjp(
     X: np.ndarray, params: QuantumLayerParams, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector-Jacobian product of the batched layer via parameter shift.
+    """Vector-Jacobian product of the batched layer.
 
     ``upstream`` is dL/d(outputs), shape (batch, n_qubits).  Returns
     (dL/dX of shape (batch, n_qubits), dL/dweights of shape
-    (n_layers, n_qubits) summed over the batch).  Each partial costs two
-    circuit runs: d f_j / d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2.
+    (n_layers, n_qubits) summed over the batch), both exact.  The input
+    partials come from one adjoint sweep: the final state's adjoint
+    2 * psi * (Z @ upstream^T) is pulled back through the layers to the
+    encoded product state.  Each weight partial costs two circuit runs by
+    parameter shift, d f_j / d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2,
+    each started from a copy of the encoded state.  At most three
+    (2^n, batch) arrays are alive: the encoded state and two working buffers.
     """
     n, layers = params.n_qubits, params.n_layers
     X = _check_batch(X, n)
@@ -222,6 +309,16 @@ def vqc_batched_vjp(
         )
     weights = params.weights
     factors, groups = _layer_factors(weights.tobytes(), layers, n), _qubit_groups(n)
+    encoded = np.empty((1 << n, len(X)))
+    amps, spare = np.empty_like(encoded), np.empty_like(encoded)
+    _encode(X, encoded, spare)
+
+    # Input partials: the forward to psi, then the adjoint sweep back to the encoding.
+    np.copyto(amps, encoded)
+    final, adj = _apply_layers(amps, spare, factors)
+    np.matmul(_z_table(n), 2.0 * upstream.T, out=adj)
+    adj *= final
+    d_inputs = _input_partials(X, *_reverse_layers(adj, final, factors))
 
     def difference(plus, minus):
         """upstream * (f(angle + pi/2) - f(angle - pi/2)) / 2 for the shifted angle."""
@@ -235,15 +332,9 @@ def vqc_batched_vjp(
         angles[qubit - start] += shift
         shifted = [list(stack) for stack in factors]
         shifted[group][layer] = _ry_factors(angles[None])[0]
-        return _run_batched(X, shifted)
+        np.copyto(amps, encoded)
+        return _readout(_apply_layers(amps, spare, shifted)[0])
 
-    d_inputs = np.stack(
-        [
-            difference(_run_batched(X + dx, factors), _run_batched(X - dx, factors)).sum(axis=1)
-            for dx in _SHIFT * np.eye(n)
-        ],
-        axis=1,
-    )
     d_weights = np.array(
         [
             difference(weight_shifted(*at, _SHIFT), weight_shifted(*at, -_SHIFT)).sum()

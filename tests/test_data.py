@@ -228,6 +228,12 @@ def test_manifest_takes_a_string_root(tmp_path):
     assert manifest.load_arrays()[0].shape == (20, 1, 3, 10)
 
 
+def test_manifest_rejects_a_root_that_is_not_a_path():
+    for root in (5, None, b"data"):
+        with pytest.raises(ConfigurationError, match="root must be a path"):
+            DatasetManifest("a", "b", "c", [0], [1], root=root)
+
+
 def test_manifest_rejects_empty_split():
     doc = manifest_doc()
     doc["test_classes"] = []

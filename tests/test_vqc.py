@@ -1,4 +1,4 @@
-"""Variational circuit layer: forward, parameter-shift gradients, batching."""
+"""Variational circuit layer: forward, adjoint and parameter-shift gradients, batching."""
 
 import tracemalloc
 
@@ -207,6 +207,52 @@ def test_batched_vjp_matches_central_differences(n):
     np.testing.assert_allclose(
         d_weights, central_difference(loss, params.weights, 1e-6), atol=1e-8
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 11, 13])
+def test_input_partials_match_parameter_shift(n):
+    """The adjoint sweep's dL/dX against parameter shift through the forward.
+
+    n = 1 has no ring; n = 1..4 apply each RY layer as one qubit group, n = 5
+    and 6 as two, n = 9 as [3, 3, 3], n = 11 as [4, 4, 3] and n = 13 as four.
+    """
+    rng = np.random.default_rng(n + 20)
+    rows = 4
+    for layers in (1, 2, 3):
+        params = QuantumLayerParams(n, layers, rng.uniform(-np.pi, np.pi, (layers, n)))
+        X = rng.uniform(-np.pi, np.pi, (rows, n))
+        upstream = rng.standard_normal((rows, n))
+
+        def loss(Y):
+            return (vqc_batched_forward(Y, params) * upstream).sum(axis=1)
+
+        shifts = 0.5 * np.pi * np.eye(n)
+        expected = np.stack([(loss(X + dx) - loss(X - dx)) / 2 for dx in shifts], axis=1)
+        np.testing.assert_allclose(
+            vqc_batched_vjp(X, params, upstream)[0], expected,
+            rtol=0, atol=1e-12, err_msg=f"layers={layers}",
+        )
+
+
+def test_batched_vjp_holds_at_most_three_and_a_half_states():
+    """Peak traced memory of a 256-row, 10-qubit, 4-layer VJP stays under 3.5 full states.
+
+    It holds the encoded state and two working buffers that every run and the
+    adjoint sweep share, plus half-register product states.
+    """
+    rng = np.random.default_rng(7)
+    rows, n = 256, 10
+    params = QuantumLayerParams(n, 4, rng.uniform(-np.pi, np.pi, (4, n)))
+    X = rng.uniform(-np.pi, np.pi, (rows, n))
+    upstream = rng.standard_normal((rows, n))
+    vqc_batched_vjp(X, params, upstream)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        vqc_batched_vjp(X, params, upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * rows * (1 << n) * 8
 
 
 def test_vjp_reuses_the_forwards_cached_factors():
