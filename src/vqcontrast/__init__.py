@@ -1,7 +1,8 @@
 """Hybrid quantum-classical contrastive learning for EEG/image retrieval.
 
 A fused statevector kernel runs a variational quantum circuit with exact
-parameter-shift gradients; a small tape-based autodiff engine trains
+gradients (an adjoint sweep for its inputs, parameter shift for its
+weights); a small tape-based autodiff engine trains
 the classical convolutional front ends; a symmetric contrastive objective
 aligns the two modalities for zero-shot retrieval over held-out classes.
 

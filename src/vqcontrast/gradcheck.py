@@ -1,13 +1,14 @@
 """Finite-difference verification of every backward pass in the package.
 
 Each check builds a scalar loss sum(output * R) with a fixed random R,
-computes analytic gradients (tape replay or parameter shift), then
+computes analytic gradients (tape replay, or the circuit's VJP: an adjoint
+sweep for its inputs and parameter shift for its weights), then
 re-evaluates the loss with every input element nudged by +/- h to form
 central differences.  The maximum absolute deviation per op is reported.
 
 The standard suite, ``STANDARD_CHECKS``, is one ordered table of
 ``(name, build, draw)`` op specs, one pipeline check for both encoder heads
-and the tape-free parameter-shift check.  Ops are looked up at call time,
+and the tape-free check of the circuit's VJP.  Ops are looked up at call time,
 so a patched op is the one checked; check ``i`` draws from ``default_rng(seed + i)``.
 """
 
@@ -127,7 +128,11 @@ def _check_spec(name: str, build, draw, rng: np.random.Generator) -> CheckResult
 
 
 def _check_vqc_parameter_shift(rng):
-    """Parameter-shift VJP of one row, weights in both RY factors, against central differences."""
+    """The circuit VJP of one row against central differences, weights in both qubit groups.
+
+    Its input partials come from the adjoint sweep, its weight partials from
+    parameter shift; the check keeps its name.
+    """
     n, layers, h = 5, 2, DEFAULT_H
     x = rng.uniform(-np.pi, np.pi, n)
     weights = rng.uniform(-np.pi, np.pi, (layers, n))

@@ -238,32 +238,26 @@ def _reverse_layers(adj: np.ndarray, spare: np.ndarray, factors) -> tuple[np.nda
     return adj, spare
 
 
-def _half_partials(angles: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """(rows, m) partials of a half register's (rows, m) angles, from its (2^m, rows) adjoint.
-
-    d/dx RY(x)|0> = RY(x + pi)|0> / 2, so the partial of angle k contracts the
-    adjoint with the product state whose angle k is moved by pi.
-    """
-    partials = np.empty(angles.shape)
-    for k in range(angles.shape[1]):
-        shifted = angles.copy()
-        shifted[:, k] += np.pi
-        partials[:, k] = (adjoint * _product_state(shifted)).sum(axis=0)
-    return 0.5 * partials
-
-
 def _input_partials(X: np.ndarray, adj: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """dL/dX from the adjoint ``adj`` of the encoded product state; ``spare`` is scratch."""
+    """dL/dX from the adjoint ``adj`` of the encoded product state; ``spare`` is scratch.
+
+    Each half register's adjoint is ``adj`` contracted with the other half's
+    product state.  d/dx RY(x)|0> = RY(x + pi)|0> / 2, so the partial of x_k is
+    half its half's adjoint contracted with the product state with x_k + pi.
+    """
     rows, n = X.shape
     h = n // 2
-    high, low = _product_state(X[:, h:]), _product_state(X[:, :h])
     adj = adj.reshape(1 << (n - h), 1 << h, rows)  # (high-half state, low-half state, row)
     scratch = spare.reshape(adj.shape)
-    np.multiply(adj, low, out=scratch)
-    d_high = _half_partials(X[:, h:], scratch.sum(axis=1))
-    np.multiply(adj, high[:, None], out=scratch)
-    d_low = _half_partials(X[:, :h], scratch.sum(axis=0))
-    return np.concatenate([d_low, d_high], axis=1)
+    d_high = np.multiply(adj, _product_state(X[:, :h]), out=scratch).sum(axis=1)
+    d_low = np.multiply(adj, _product_state(X[:, h:])[:, None], out=scratch).sum(axis=0)
+    d_inputs = np.empty(X.shape)
+    for k in range(n):
+        shifted = X.copy()
+        shifted[:, k] += np.pi
+        half, adjoint = (shifted[:, :h], d_low) if k < h else (shifted[:, h:], d_high)
+        d_inputs[:, k] = (adjoint * _product_state(half)).sum(axis=0)
+    return 0.5 * d_inputs
 
 
 def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -288,17 +282,14 @@ def vqc_batched_forward(X: np.ndarray, params: QuantumLayerParams) -> np.ndarray
 def vqc_batched_vjp(
     X: np.ndarray, params: QuantumLayerParams, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector-Jacobian product of the batched layer.
+    """Vector-Jacobian product of the batched layer, exact in both outputs.
 
     ``upstream`` is dL/d(outputs), shape (batch, n_qubits).  Returns
     (dL/dX of shape (batch, n_qubits), dL/dweights of shape
-    (n_layers, n_qubits) summed over the batch), both exact.  The input
-    partials come from one adjoint sweep: the final state's adjoint
-    2 * psi * (Z @ upstream^T) is pulled back through the layers to the
-    encoded product state.  Each weight partial costs two circuit runs by
-    parameter shift, d f_j / d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2,
-    each started from a copy of the encoded state.  At most three
-    (2^n, batch) arrays are alive: the encoded state and two working buffers.
+    (n_layers, n_qubits) summed over the batch).  dL/dX comes from one adjoint
+    sweep; each weight partial from two parameter-shift runs,
+    d f_j / d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2, that start
+    from a copy of the encoded state.  At most three (2^n, batch) arrays are alive.
     """
     n, layers = params.n_qubits, params.n_layers
     X = _check_batch(X, n)
