@@ -14,9 +14,9 @@ modular formula states, even though the pair partially undoes itself.
 
 Every evaluation runs a batch of rows (one input is one row) through one fused
 kernel on a float64 feature-major (2^n, batch) amplitude array, qubit 0 the
-least significant bit of the row index, with at most two such arrays alive in
-a forward.  The encoding keeps two half-register product states, of qubits 0..h-1 and
-h..n-1 with h = n // 2, built from cos(x_i/2) and sin(x_i/2) by in-place
+least significant bit of the row index, with at most two such arrays alive in a
+forward.  The encoding keeps two half-register product states, of qubits 0..h-1
+and h..n-1 with h = n // 2, built from cos(x_i/2) and sin(x_i/2) by in-place
 doublings; they meet in one multiply of two gathers that also apply the first
 CNOT ring, and every later ring is one gather of whole rows.  Each RY layer
 splits the register into contiguous groups of at most four qubits, as equal as
@@ -174,7 +174,7 @@ def _product_state(angles: np.ndarray) -> np.ndarray:
 
 
 def _group_views(n: int, rows: int) -> list[tuple[int, int, int]]:
-    """(2^(n-stop), 2^m, 2^start * rows) view of the state that each qubit group's factor acts on."""
+    """The (2^(n-stop), 2^m, 2^start * rows) view that each qubit group's factor acts on."""
     return [(1 << (n - stop), 1 << (stop - start), rows << start)
             for start, stop in _qubit_groups(n)]
 
