@@ -1,8 +1,7 @@
 """Hybrid quantum-classical contrastive learning for EEG/image retrieval.
 
 A fused statevector kernel runs a variational quantum circuit with exact
-gradients (an adjoint sweep for its inputs, parameter shift for its
-weights); a small tape-based autodiff engine trains
+gradients (``vqc.vqc_batched_vjp``); a small tape-based autodiff engine trains
 the classical convolutional front ends; a symmetric contrastive objective
 aligns the two modalities for zero-shot retrieval over held-out classes.
 

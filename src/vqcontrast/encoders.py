@@ -34,9 +34,8 @@ def quantum_layer(tape: Tape, x: Tensor, weights: Tensor) -> Tensor:
 
     ``x`` holds per-row rotation angles (B, n_qubits); ``weights`` is the
     (n_layers, n_qubits) trainable angle grid.  The op's vjp is
-    ``vqc_batched_vjp``, whose (d_inputs, d_weights) pair is exact, not
-    approximate: d_inputs comes from one adjoint sweep through the circuit,
-    d_weights from the parameter-shift rule.
+    ``vqc_batched_vjp``, whose (d_inputs, d_weights) pair is exact; its
+    docstring says which method gives each.
     """
     if weights.data.ndim != 2:
         raise ShapeError(f"expected (n_layers, n_qubits) weights, got {weights.shape}")

@@ -1,10 +1,10 @@
 """Finite-difference verification of every backward pass in the package.
 
 Each check builds a scalar loss sum(output * R) with a fixed random R,
-computes analytic gradients (tape replay, or the circuit's VJP: an adjoint
-sweep for its inputs and parameter shift for its weights), then
-re-evaluates the loss with every input element nudged by +/- h to form
-central differences.  The maximum absolute deviation per op is reported.
+computes analytic gradients (tape replay, or the circuit's
+``vqc_batched_vjp``), then re-evaluates the loss with every input element
+nudged by +/- h to form central differences.  The maximum absolute deviation
+per op is reported.
 
 The standard suite, ``STANDARD_CHECKS``, is one ordered table of
 ``(name, build, draw)`` op specs, one pipeline check for both encoder heads
@@ -130,8 +130,7 @@ def _check_spec(name: str, build, draw, rng: np.random.Generator) -> CheckResult
 def _check_vqc_parameter_shift(rng):
     """The circuit VJP of one row against central differences, weights in both qubit groups.
 
-    Its input partials come from the adjoint sweep, its weight partials from
-    parameter shift; the check keeps its name.
+    ``vqc_batched_vjp`` says which method gives each partial; the check keeps its name.
     """
     n, layers, h = 5, 2, DEFAULT_H
     x = rng.uniform(-np.pi, np.pi, n)

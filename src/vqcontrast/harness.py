@@ -4,9 +4,8 @@ A run is fully determined by a ``RunConfig`` and a dataset manifest.  The
 config is the one place each setting is declared, defaulted and validated:
 the encoders read their geometry from it and Adam its hyperparameters.  The
 training loop optimizes both encoders and the log-temperature jointly;
-classical gradients come from the tape, the circuit's from its VJP (an
-adjoint sweep for its inputs, parameter shift for its weights), and a
-single Adam instance updates everything.  Each
+classical gradients come from the tape, the circuit's from
+``vqc.vqc_batched_vjp``, and a single Adam instance updates everything.  Each
 batch is gathered by row index from the dataset's resident float32 arrays
 and widened to float64 as it enters the tape; the training split is never
 copied whole.  Evaluation gathers and embeds rows in cache-sized blocks on a

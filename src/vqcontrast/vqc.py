@@ -7,49 +7,48 @@ Circuit, for an input vector x of length ``n_qubits``:
    order, then RY(w[l][i]) on each qubit i;
 3. readout: the Pauli-Z expectation of every qubit.
 
-A ring needs at least two qubits, so for n_qubits == 1 the CNOT stage is
-skipped and the layer collapses to a chain of RY rotations.  For
+A ring needs at least two qubits, so for n_qubits == 1 the CNOT stage is the
+identity and the layer collapses to a chain of RY rotations.  For
 n_qubits == 2 the ring emits CNOT(0,1) followed by CNOT(1,0) exactly as the
 modular formula states, even though the pair partially undoes itself.
 
-Every evaluation runs a batch of rows (one input is one row) through one fused
-kernel on a float64 feature-major (2^n, batch) amplitude array, qubit 0 the
-least significant bit of the row index, with at most two such arrays alive in a
-forward.  The encoding keeps two half-register product states, of qubits 0..h-1
-and h..n-1 with h = n // 2, built from cos(x_i/2) and sin(x_i/2) by in-place
-doublings; they meet in one multiply of two gathers that also apply the first
-CNOT ring, and every later ring is one gather of whole rows.  Each RY layer
-splits the register into contiguous groups of at most four qubits, as equal as
-possible, the wider ones on the low qubits (n = 10 gives 4, 3, 3).  A group of
-m qubits starting at qubit s is one batched real matrix product by the
-Kronecker product of its RY blocks on the (2^(n-s-m), 2^m, 2^s * batch) view.
-The readout multiplies a Z-sign table by the squared amplitudes.  The ring
-index, the groups and the Z table are built here from bit arithmetic, once per
-width, and the RY factors once per distinct weight matrix; the gate-level
-``oracles`` that audit this kernel share none of it.
+Every evaluation runs a batch of rows (one input is one row) on a float64
+feature-major (2^n, rows) amplitude array, qubit 0 the least significant bit
+of the row index.  The encoding keeps two half-register product states, of
+qubits 0..h-1 and h..n-1 with h = n // 2, built from cos(x_i/2) and sin(x_i/2)
+by in-place doublings; they meet in one multiply of two gathers that also
+apply the first CNOT ring.  The rest of the circuit is one list of real,
+orthogonal steps, which one executor runs with two buffers taking turns as
+output: each later ring is a gather of whole rows, and each RY layer is one
+batched matrix product per qubit group, by the Kronecker product of the
+group's RY blocks.  The groups are contiguous, at most four qubits wide, the
+wider ones low (n = 10 gives 4, 3, 3); a group of m qubits from qubit s acts
+on the (2^(n-s-m), 2^m, 2^s * rows) view.  The readout multiplies a Z-sign
+table by the squared amplitudes.  The ring, its inverse, the encoding's
+gather rows, the groups and the Z table are one table per width, built from
+bit arithmetic, and the RY factors are built once per weight matrix; the
+gate-level ``oracles`` that audit this kernel share none of it.
 
 The layer's API is ``vqc_batched_forward`` and ``vqc_batched_vjp``; both are
-exact.  A forward is three steps: encode, the layer sweep and the readout.
-The VJP gives the input partials by one adjoint sweep (Jones & Gacon,
-arXiv:2009.02823): it runs the forward to the final state psi, forms the
-adjoint 2 * psi * (Z @ upstream^T), and pulls it back, per layer from the last,
-through each group's transposed RY factor, last group first, and the inverse
-ring gather, down to the encoded product state.  Each half register's adjoint
-is then contracted with the other half's product state, and the partial of
-x_k is 1/2 of its contraction with the product state whose x_k is moved by pi.
-The weight partials use the parameter-shift rule with shifts of +-pi/2 and a
-factor of 1/2, which is exact for RY-generated rotations; each shifted run
-starts from a copy of the encoded state and rebuilds only the factor of its
-layer whose group holds the shifted weight.  A VJP holds three (2^n, batch)
-arrays: the encoded state and two working buffers that every run and the
-adjoint sweep share.  Jacobian column j of a row is its VJP with the j-th
-basis vector as upstream gradient.
+exact.  The forward runs the step list.  The VJP gives the input partials by
+one adjoint sweep (Jones & Gacon, arXiv:2009.02823): the forward to the final
+state psi, the adjoint 2 * psi * (Z @ upstream^T), then the list reversed,
+with transposed factors and inverse gathers, and one more inverse gather for
+the ring the encoding folds in.  Each half register's adjoint is contracted
+with the other half's product state; the partial of x_k is 1/2 of its
+contraction with the product state whose x_k is moved by pi.  The weight
+partials use the parameter-shift rule, shifts of +-pi/2 and a factor of 1/2,
+exact for RY-generated rotations: each shifted run is the list with one
+factor step rebuilt, from a copy of the encoded state.  A VJP holds three
+(2^n, rows) arrays, the encoded state and two working buffers.  Jacobian
+column j of a row is its VJP with the j-th basis vector as upstream gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,21 +86,43 @@ class QuantumLayerParams:
             raise NumericError("weights contain non-finite entries")
 
 
+# Widest RY factor, in qubits: a layer costs sum(2^width) multiply-adds per amplitude,
+# 32 at n = 10 ([4, 3, 3]) against 64 for two 5-qubit halves.  Forward at n = 10, 4 layers,
+# 64 (32) rows, one BLAS thread, 2-CPU Xeon, medians of 15 interleaved runs: 1.68 (0.60) ms
+# with this cap, 1.78 (0.66) ms with 3 ([3, 3, 2, 2]) and 2.15 (0.78) ms with 5 (the halves).
+_GROUP_QUBITS = 4
+
+
+class _Width(NamedTuple):
+    """The kernel's tables for one register width; every array is read-only."""
+
+    ring: np.ndarray  # gather index of the ring CNOT(0,1), ..., CNOT(n-1,0)
+    unring: np.ndarray  # the gather that undoes it
+    high: np.ndarray  # amplitude i after the encoding and the first ring is the product
+    low: np.ndarray  # of high-half row high[i] and low-half row low[i]
+    z: np.ndarray  # (2^n, n) Z eigenvalues, -1 where qubit j's bit is set
+    groups: tuple[tuple[int, int], ...]  # (start, stop) qubits of each RY factor
+
+
 @lru_cache(maxsize=None)
-def _ring_index(n: int) -> np.ndarray:
-    """Gather index of the ring CNOT(0,1), ..., CNOT(n-1,0), built from its last gate back."""
+def _width(n: int) -> _Width:
+    """The tables of an n-qubit register, built once from bit arithmetic.
+
+    The ring is composed from its last gate back.  The qubit groups are contiguous,
+    at most ``_GROUP_QUBITS`` wide, as equal as possible, the wider ones on the low qubits.
+    """
     ring = np.arange(1 << n)
-    for i in reversed(range(n)):
-        ring ^= ((ring >> i) & 1) << ((i + 1) % n)
-    ring.flags.writeable = False
-    return ring
-
-
-@lru_cache(maxsize=None)
-def _z_table(n: int) -> np.ndarray:
-    """(2^n, n) Z eigenvalues, -1 where qubit j's bit is set; built once per width, read-only."""
-    table = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
-    table.flags.writeable = False
+    if n >= 2:  # at n = 1 there is no ring: the identity gather is bit-exact
+        for i in reversed(range(n)):
+            ring ^= ((ring >> i) & 1) << ((i + 1) % n)
+    h = n // 2
+    z = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    count = -(-n // _GROUP_QUBITS)
+    stops = np.cumsum([n // count + (k < n % count) for k in range(count)]).tolist()
+    groups = tuple(zip([0, *stops[:-1]], stops))
+    table = _Width(ring, np.argsort(ring), ring >> h, ring & ((1 << h) - 1), z, groups)
+    for array in table[:-1]:
+        array.flags.writeable = False
     return table
 
 
@@ -117,22 +138,6 @@ def _ry_factors(angles: np.ndarray) -> np.ndarray:
     return factors
 
 
-# Widest RY factor, in qubits: a layer costs sum(2^width) multiply-adds per amplitude,
-# 32 at n = 10 ([4, 3, 3]) against 64 for two 5-qubit halves.  Forward at n = 10, 4 layers,
-# 64 (32) rows, one BLAS thread, 2-CPU Xeon, medians of 15 interleaved runs: 1.68 (0.60) ms
-# with this cap, 1.78 (0.66) ms with 3 ([3, 3, 2, 2]) and 2.15 (0.78) ms with 5 (the halves).
-_GROUP_QUBITS = 4
-
-
-@lru_cache(maxsize=None)
-def _qubit_groups(n: int) -> tuple[tuple[int, int], ...]:
-    """(start, stop) qubits of each RY factor: contiguous, at most ``_GROUP_QUBITS``
-    wide, as equal as possible, the wider ones on the low qubits."""
-    count = -(-n // _GROUP_QUBITS)
-    stops = np.cumsum([n // count + (k < n % count) for k in range(count)]).tolist()
-    return tuple(zip([0, *stops[:-1]], stops))
-
-
 @lru_cache(maxsize=2)
 def _layer_factors(weight_bytes: bytes, n_layers: int, n: int) -> tuple[np.ndarray, ...]:
     """RY factors of each qubit group per layer, keyed on the weights' bytes.
@@ -141,21 +146,7 @@ def _layer_factors(weight_bytes: bytes, n_layers: int, n: int) -> tuple[np.ndarr
     weights, so they build these once; two entries hold one per encoder head.
     """
     weights = np.frombuffer(weight_bytes).reshape(n_layers, n)
-    return tuple(_ry_factors(weights[:, start:stop]) for start, stop in _qubit_groups(n))
-
-
-@lru_cache(maxsize=None)
-def _encoding_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the high- and low-half product states that the first ring gathers.
-
-    Amplitude i after the encoding and the first ring is the product of rows
-    ``ring[i] >> h`` and ``ring[i] & (2^h - 1)``; without a ring (n == 1) it is row i.
-    """
-    h = n // 2
-    ring = _ring_index(n) if n >= 2 else np.arange(1 << n)
-    high, low = ring >> h, ring & ((1 << h) - 1)
-    high.flags.writeable = low.flags.writeable = False
-    return high, low
+    return tuple(_ry_factors(weights[:, start:stop]) for start, stop in _width(n).groups)
 
 
 def _product_state(angles: np.ndarray) -> np.ndarray:
@@ -173,69 +164,59 @@ def _product_state(angles: np.ndarray) -> np.ndarray:
     return state
 
 
-def _group_views(n: int, rows: int) -> list[tuple[int, int, int]]:
-    """The (2^(n-stop), 2^m, 2^start * rows) view that each qubit group's factor acts on."""
-    return [(1 << (n - stop), 1 << (stop - start), rows << start)
-            for start, stop in _qubit_groups(n)]
-
-
 def _encode(X: np.ndarray, amps: np.ndarray, spare: np.ndarray) -> None:
     """Write the encoded state of every row of ``X``, first ring applied, into ``amps``."""
-    h = X.shape[1] // 2
-    high_rows, low_rows = _encoding_index(X.shape[1])
-    np.take(_product_state(X[:, h:]), high_rows, axis=0, out=amps, mode="clip")
-    np.take(_product_state(X[:, :h]), low_rows, axis=0, out=spare, mode="clip")
+    table, h = _width(X.shape[1]), X.shape[1] // 2
+    np.take(_product_state(X[:, h:]), table.high, axis=0, out=amps, mode="clip")
+    np.take(_product_state(X[:, :h]), table.low, axis=0, out=spare, mode="clip")
     amps *= spare
 
 
-def _apply_layers(amps: np.ndarray, spare: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
-    """Run every layer on the encoded ``amps``, the two buffers taking turns as output.
+def _steps(params: QuantumLayerParams, rows: int) -> list:
+    """The circuit after the encoding, as (ring, None) gathers and (RY factor, view) products.
 
-    Returns (the buffer holding the final state, the other one).
+    Per layer, the ring (the encoding folds in layer 0's), then each qubit group's
+    factor on its view; factor step (layer, group k) is at layer * (groups + 1) + k.
     """
-    n = amps.shape[0].bit_length() - 1
-    views = _group_views(n, amps.shape[1])
-    for layer in range(len(factors[0])):
-        if layer and n >= 2:  # mode="clip" gathers straight into ``spare``; "raise" buffers a copy
-            np.take(amps, _ring_index(n), axis=0, out=spare, mode="clip")
-            amps, spare = spare, amps
-        for group, view in zip(factors, views):
-            np.matmul(group[layer], amps.reshape(view), out=spare.reshape(view))
-            amps, spare = spare, amps
+    n, table = params.n_qubits, _width(params.n_qubits)
+    factors = _layer_factors(params.weights.tobytes(), params.n_layers, n)
+    views = [(1 << (n - stop), 1 << (stop - start), rows << start) for start, stop in table.groups]
+    steps = []
+    for layer in range(params.n_layers):
+        if layer:
+            steps.append((table.ring, None))
+        steps += [(group[layer], view) for group, view in zip(factors, views)]
+    return steps
+
+
+def _adjoint(steps: list, unring: np.ndarray) -> list:
+    """The inverse of the encoding's ring and ``steps``, in the order that undoes them.
+
+    Every step is real and orthogonal: a factor's inverse is its transpose, and a
+    ring's inverse is the ``unring`` gather.
+    """
+    undone = [(unring, None) if view is None else (op.T, view) for op, view in reversed(steps)]
+    return undone + [(unring, None)]
+
+
+def _run(amps: np.ndarray, spare: np.ndarray, steps: list) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``steps`` to ``amps``, the two buffers taking turns as output.
+
+    Returns (the buffer holding the result, the other one).
+    """
+    for op, view in steps:
+        if view is None:  # mode="clip" gathers straight into ``spare``; "raise" buffers a copy
+            np.take(amps, op, axis=0, out=spare, mode="clip")
+        else:
+            np.matmul(op, amps.reshape(view), out=spare.reshape(view))
+        amps, spare = spare, amps
     return amps, spare
 
 
 def _readout(amps: np.ndarray) -> np.ndarray:
     """(rows, n) <Z> of every qubit from the final state; squares ``amps`` in place."""
     np.square(amps, out=amps)
-    return amps.T @ _z_table(amps.shape[0].bit_length() - 1)
-
-
-@lru_cache(maxsize=None)
-def _inverse_ring_index(n: int) -> np.ndarray:
-    """Gather index that undoes the ring's gather; built once per width, read-only."""
-    inverse = np.argsort(_ring_index(n))
-    inverse.flags.writeable = False
-    return inverse
-
-
-def _reverse_layers(adj: np.ndarray, spare: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
-    """Pull the adjoint of the final state back to the encoded product state.
-
-    Per layer, last first: each group's transposed factor, last group first, then
-    the inverse ring gather; for layer 0 that undoes the ring the encoding folds in.
-    Returns (the buffer holding the result, the other one), like ``_apply_layers``.
-    """
-    n = adj.shape[0].bit_length() - 1
-    views = _group_views(n, adj.shape[1])
-    for layer in reversed(range(len(factors[0]))):
-        for group, view in zip(reversed(factors), reversed(views)):
-            np.matmul(group[layer].T, adj.reshape(view), out=spare.reshape(view))
-            adj, spare = spare, adj
-        if n >= 2:
-            np.take(adj, _inverse_ring_index(n), axis=0, out=spare, mode="clip")
-            adj, spare = spare, adj
-    return adj, spare
+    return amps.T @ _width(amps.shape[0].bit_length() - 1).z
 
 
 def _input_partials(X: np.ndarray, adj: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -275,8 +256,7 @@ def vqc_batched_forward(X: np.ndarray, params: QuantumLayerParams) -> np.ndarray
     amps = np.empty((1 << params.n_qubits, len(X)))
     spare = np.empty_like(amps)
     _encode(X, amps, spare)
-    factors = _layer_factors(params.weights.tobytes(), *params.weights.shape)
-    return _readout(_apply_layers(amps, spare, factors)[0])
+    return _readout(_run(amps, spare, _steps(params, len(X)))[0])
 
 
 def vqc_batched_vjp(
@@ -298,38 +278,33 @@ def vqc_batched_vjp(
         raise ShapeError(
             f"upstream gradient shape {upstream.shape} does not match {X.shape}"
         )
-    weights = params.weights
-    factors, groups = _layer_factors(weights.tobytes(), layers, n), _qubit_groups(n)
+    table, steps = _width(n), _steps(params, len(X))
     encoded = np.empty((1 << n, len(X)))
     amps, spare = np.empty_like(encoded), np.empty_like(encoded)
     _encode(X, encoded, spare)
 
     # Input partials: the forward to psi, then the adjoint sweep back to the encoding.
     np.copyto(amps, encoded)
-    final, adj = _apply_layers(amps, spare, factors)
-    np.matmul(_z_table(n), 2.0 * upstream.T, out=adj)
+    final, adj = _run(amps, spare, steps)
+    np.matmul(table.z, 2.0 * upstream.T, out=adj)
     adj *= final
-    d_inputs = _input_partials(X, *_reverse_layers(adj, final, factors))
+    d_inputs = _input_partials(X, *_run(adj, final, _adjoint(steps, table.unring)))
 
-    def difference(plus, minus):
-        """upstream * (f(angle + pi/2) - f(angle - pi/2)) / 2 for the shifted angle."""
-        return 0.5 * (plus - minus) * upstream
-
-    def weight_shifted(layer, qubit, shift):
-        """The circuit with one weight moved: only its group's factor in its layer is rebuilt."""
-        group = next(k for k, (_, stop) in enumerate(groups) if qubit < stop)
-        start, stop = groups[group]
-        angles = weights[layer, start:stop].copy()
+    def shifted(layer, k, qubit, shift):
+        """The outputs with one weight moved: only its factor step is rebuilt."""
+        start, stop = table.groups[k]
+        angles = params.weights[layer, start:stop].copy()
         angles[qubit - start] += shift
-        shifted = [list(stack) for stack in factors]
-        shifted[group][layer] = _ry_factors(angles[None])[0]
+        at = layer * (len(table.groups) + 1) + k
+        run = steps.copy()
+        run[at] = (_ry_factors(angles[None])[0], steps[at][1])
         np.copyto(amps, encoded)
-        return _readout(_apply_layers(amps, spare, shifted)[0])
+        return _readout(_run(amps, spare, run)[0])
 
-    d_weights = np.array(
-        [
-            difference(weight_shifted(*at, _SHIFT), weight_shifted(*at, -_SHIFT)).sum()
-            for at in np.ndindex(layers, n)
-        ]
-    ).reshape(layers, n)
+    d_weights = np.empty((layers, n))
+    for layer in range(layers):
+        for k, (start, stop) in enumerate(table.groups):
+            for qubit in range(start, stop):
+                plus, minus = (shifted(layer, k, qubit, s) for s in (_SHIFT, -_SHIFT))
+                d_weights[layer, qubit] = (0.5 * (plus - minus) * upstream).sum()
     return d_inputs, d_weights

@@ -10,9 +10,11 @@ from vqcontrast.gradcheck import central_difference
 from vqcontrast.oracles import circuit_gates, cnot, cnot_index, expect_z, ry, run_gates
 from vqcontrast.vqc import (
     QuantumLayerParams,
+    _adjoint,
     _layer_factors,
-    _ring_index,
-    _z_table,
+    _run,
+    _steps,
+    _width,
     vqc_batched_forward,
     vqc_batched_vjp,
 )
@@ -140,19 +142,43 @@ def test_batched_forward_matches_gate_level_kernels(n):
 
 
 def test_z_table_is_cached_and_read_only():
+    """Every per-width table is built once and read-only; the Z table reads basis bits."""
     for n in (1, 4, 11):
-        table = _z_table(n)
-        np.testing.assert_array_equal(table, expect_z(np.eye(1 << n)))
-        assert table is _z_table(n)
-        assert not table.flags.writeable
+        table = _width(n)
+        np.testing.assert_array_equal(table.z, expect_z(np.eye(1 << n)))
+        assert table is _width(n)
+        for array in (table.ring, table.unring, table.high, table.low, table.z):
+            assert not array.flags.writeable
 
 
 def test_ring_index_composes_the_rings_cnot_gathers():
-    for n in range(2, 13):
+    """The ring, its inverse and the encoding's half-register rows; no ring at n = 1."""
+    for n in range(1, 13):
         ring = np.arange(1 << n)
-        for i in range(n):
+        for i in range(n) if n > 1 else ():
             ring = ring[cnot_index(n, i, (i + 1) % n)]
-        np.testing.assert_array_equal(_ring_index(n), ring, err_msg=f"n={n}")
+        table = _width(n)
+        np.testing.assert_array_equal(table.ring, ring, err_msg=f"n={n}")
+        np.testing.assert_array_equal(ring[table.unring], np.arange(1 << n), err_msg=f"n={n}")
+        np.testing.assert_array_equal((table.high << n // 2) | table.low, ring, err_msg=f"n={n}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 11, 13])
+def test_adjoint_steps_undo_the_encodings_ring_and_the_forward_steps(n):
+    """The reverse sweep relies on every step being real and orthogonal.
+
+    A random state, gathered by the ring the encoding folds in, run through the
+    forward steps and then their adjoint, comes back to itself.
+    """
+    rng = np.random.default_rng(n + 40)
+    rows, table = 3, _width(n)
+    for layers in (1, 2, 3):
+        params = QuantumLayerParams(n, layers, rng.uniform(-np.pi, np.pi, (layers, n)))
+        steps = _steps(params, rows)
+        state = rng.standard_normal((1 << n, rows))
+        final, spare = _run(state[table.ring], np.empty_like(state), steps)
+        back = _run(final, spare, _adjoint(steps, table.unring))[0]
+        np.testing.assert_allclose(back, state, rtol=0, atol=1e-12, err_msg=f"layers={layers}")
 
 
 def test_forward_follows_weights_edited_in_place(oracle_z):
@@ -253,6 +279,15 @@ def test_batched_vjp_holds_at_most_three_and_a_half_states():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * rows * (1 << n) * 8
+
+
+@pytest.mark.parametrize("n", [1, 10])
+def test_vjp_of_no_rows(n):
+    """A (0, n) batch gives (0, n) input partials and zero weight partials."""
+    params = QuantumLayerParams(n, 2, np.random.default_rng(n).uniform(-np.pi, np.pi, (2, n)))
+    d_inputs, d_weights = vqc_batched_vjp(np.zeros((0, n)), params, np.zeros((0, n)))
+    assert d_inputs.shape == (0, n)
+    np.testing.assert_array_equal(d_weights, np.zeros((2, n)))
 
 
 def test_vjp_reuses_the_forwards_cached_factors():
