@@ -1,8 +1,10 @@
 """Minimal dense-tensor reverse-mode differentiation engine.
 
 Every forward pass records backward closures on a fresh ``Tape``; calling
-``tape.backward(loss)`` replays them in reverse and accumulates gradients
-into each ``Tensor.grad``.  Tapes are never reused across steps.
+``tape.backward(loss)`` uses the tape up: it pops the closures last to first,
+runs each one, which accumulates gradients into each ``Tensor.grad``, and
+drops it, freeing every array that op held once the backward has passed it.
+A second call finds the tape empty and adds nothing.
 
 Every op records through ``Tape.op(inputs, value, vjp)``: the output wraps
 ``value``, and on replay ``vjp(out.grad)`` gives one partial per input, in
@@ -54,7 +56,7 @@ class Tensor:
 
 
 class Tape:
-    """Record of one forward pass, replayed in reverse for gradients."""
+    """Record of one forward pass, used up in reverse by ``backward``."""
 
     def __init__(self):
         self._ops: list[Callable[[], None]] = []
@@ -76,11 +78,17 @@ class Tape:
         return out
 
     def backward(self, loss: Tensor) -> None:
+        """Backpropagate ``loss``, using the tape up as it goes.
+
+        Each closure is popped before it runs, so an op's output, gradient and
+        captured inputs are freed once the backward has passed that op, and a
+        second call adds nothing.
+        """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._ops):
-            fn()
+        while self._ops:
+            self._ops.pop()()
 
 
 # ---------------------------------------------------------------------------

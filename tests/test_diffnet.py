@@ -2,6 +2,7 @@
 update equations."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -250,20 +251,49 @@ def test_gradient_accumulation():
     np.testing.assert_array_equal(t.grad, [1.5, 2.5, 3.5])
 
 
-def test_chained_ops_backprop():
-    # two linears back to back; checked against the factored closed form
+def _two_linears():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((3, 4))
     w1, b1 = rng.standard_normal((4, 5)), rng.standard_normal(5)
     w2, b2 = rng.standard_normal((5, 2)), rng.standard_normal(2)
+    return [x, w1, b1, w2, b2]
 
-    def build(tape, x_, w1_, b1_, w2_, b2_):
-        return diffnet.linear(tape, diffnet.linear(tape, x_, w1_, b1_), w2_, b2_)
 
-    _, (dx, dw1, db1, dw2, db2), r = backprop(build, [x, w1, b1, w2, b2])
+def _assert_two_linears_grads(arrays, grads, r):
+    # checked against the factored closed form
+    x, w1, b1, w2, _ = arrays
+    dx, dw1, _, dw2, _ = grads
     np.testing.assert_allclose(dx, r @ w2.T @ w1.T, atol=1e-13)
     np.testing.assert_allclose(dw2, (x @ w1 + b1).T @ r, atol=1e-13)
     np.testing.assert_allclose(dw1, x.T @ (r @ w2.T), atol=1e-13)
+
+
+def test_chained_ops_backprop():
+    # two linears back to back
+    def build(tape, x_, w1_, b1_, w2_, b2_):
+        return diffnet.linear(tape, diffnet.linear(tape, x_, w1_, b1_), w2_, b2_)
+
+    arrays = _two_linears()
+    _, grads, r = backprop(build, arrays)
+    _assert_two_linears_grads(arrays, grads, r)
+
+
+def test_backward_frees_each_op_it_has_passed():
+    """The tape stays bound, yet the middle op's output is gone after backward."""
+    arrays = _two_linears()
+    tensors = [Tensor(a) for a in arrays]
+    x, w1, b1, w2, b2 = tensors
+    tape = Tape()
+    middle = diffnet.linear(tape, diffnet.linear(tape, x, w1, b1), w2, b2)
+    r = np.random.default_rng(0).standard_normal(middle.shape)
+    loss = tape.op((middle,), np.sum(middle.data * r), lambda g: (g * r,))
+    freed = weakref.ref(middle.data)  # Tensor has __slots__ and no weakref slot
+    del middle
+    tape.backward(loss)
+    assert freed() is None
+    _assert_two_linears_grads(arrays, [t.grad for t in tensors], r)
+    tape.backward(loss)  # the tape is used up: a second call adds nothing
+    _assert_two_linears_grads(arrays, [t.grad for t in tensors], r)
 
 
 def test_op_off_the_loss_path_is_skipped():
