@@ -1,15 +1,16 @@
 """Minimal dense-tensor reverse-mode differentiation engine.
 
 Every forward pass records backward closures on a fresh ``Tape``; calling
-``tape.backward(loss)`` uses the tape up: it pops the closures last to first,
-runs each one, which accumulates gradients into each ``Tensor.grad``, and
-drops it, freeing every array that op held once the backward has passed it.
-A second call finds the tape empty and adds nothing.
+``tape.backward(loss)`` uses the tape up.  It pops the closures last to
+first and runs each one, accumulating gradients into each ``Tensor.grad``,
+so what only that op held (its output, the output's gradient and the arrays
+its vjp captured) is freed once the backward has passed it.  A second call
+finds the tape empty and adds nothing.
 
 Every op records through ``Tape.op(inputs, value, vjp)``: the output wraps
-``value``, and on replay ``vjp(out.grad)`` gives one partial per input, in
-order, each added to that input's ``grad``.  An output that never reached
-the loss (its ``grad`` is None) is skipped without calling ``vjp``.
+``value``, and on the backward ``vjp(out.grad)`` gives one partial per
+input, in order, each added to that input's ``grad``.  An output that never
+reached the loss (its ``grad`` is None) is skipped without calling ``vjp``.
 
 The op set is exactly what the encoders and the contrastive objective need:
 a dense linear layer, the two EEG convolutions (a spatial convolution that
