@@ -113,7 +113,7 @@ class DatasetManifest:
         path = Path(path)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigurationError(f"manifest is not valid UTF-8 JSON: {exc}")
         if not isinstance(doc, dict):
             raise ConfigurationError("manifest must be a JSON object")

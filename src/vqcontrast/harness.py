@@ -136,7 +136,7 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigurationError(f"config is not valid UTF-8 JSON: {exc}")
         return cls.from_dict(doc)
 
@@ -196,7 +196,7 @@ def read_metrics(path) -> list[MetricsRecord]:
             continue
         try:
             records.append(MetricsRecord.from_json_line(line))
-        except (ConfigurationError, NumericError, TypeError, ValueError) as exc:
+        except (ConfigurationError, NumericError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigurationError(f"{path}: metrics line {number}: {exc}") from exc
     return records
 

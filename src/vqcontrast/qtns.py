@@ -140,7 +140,7 @@ def load_params(path) -> dict[str, np.ndarray]:
     index_path = Path(path)
     try:
         index = json.loads(index_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise TensorFormatError(f"parameter index is not valid UTF-8 JSON: {exc}", 0)
     if not isinstance(index, dict) or "container" not in index or "tensors" not in index:
         raise TensorFormatError("parameter index missing container/tensors keys", 0)

@@ -34,14 +34,12 @@ exact.  The forward runs the step list.  The VJP gives the input partials by
 one adjoint sweep (Jones & Gacon, arXiv:2009.02823): the forward to the final
 state psi, the adjoint 2 * psi * (Z @ upstream^T), then the list reversed,
 with transposed factors and inverse gathers, and one more inverse gather for
-the ring the encoding folds in.  Each half register's adjoint is contracted
-with the other half's product state; the partial of x_k is 1/2 of its
-contraction with the product state whose x_k is moved by pi.  The weight
-partials use the parameter-shift rule, shifts of +-pi/2 and a factor of 1/2,
-exact for RY-generated rotations: each shifted run is the list with one
-factor step rebuilt, from a copy of the encoded state.  A VJP holds three
-(2^n, rows) arrays, the encoded state and two working buffers.  Jacobian
-column j of a row is its VJP with the j-th basis vector as upstream gradient.
+the ring the encoding folds in; the inputs' pi-shifted product states take one
+build per half register.  The weight partials use the parameter-shift rule,
++-pi/2 shifts and a factor of 1/2: one call per factor step builds its group's
+2m shifted factors, and each run is the list with one swapped in, from a copy
+of the encoded state.  A VJP holds three (2^n, rows) arrays, the encoded state
+and two working buffers.  Jacobian column j is the VJP of the j-th basis vector.
 """
 
 from __future__ import annotations
@@ -222,9 +220,9 @@ def _readout(amps: np.ndarray) -> np.ndarray:
 def _input_partials(X: np.ndarray, adj: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """dL/dX from the adjoint ``adj`` of the encoded product state; ``spare`` is scratch.
 
-    Each half register's adjoint is ``adj`` contracted with the other half's
-    product state.  d/dx RY(x)|0> = RY(x + pi)|0> / 2, so the partial of x_k is
-    half its half's adjoint contracted with the product state with x_k + pi.
+    Each half register's adjoint is ``adj`` contracted with the other half's product
+    state.  d/dx RY(x)|0> = RY(x + pi)|0> / 2, so the partial of x_k is half its half's
+    adjoint contracted with block k of one product state of the half, x_k + pi in block k.
     """
     rows, n = X.shape
     h = n // 2
@@ -233,11 +231,12 @@ def _input_partials(X: np.ndarray, adj: np.ndarray, spare: np.ndarray) -> np.nda
     d_high = np.multiply(adj, _product_state(X[:, :h]), out=scratch).sum(axis=1)
     d_low = np.multiply(adj, _product_state(X[:, h:])[:, None], out=scratch).sum(axis=0)
     d_inputs = np.empty(X.shape)
-    for k in range(n):
-        shifted = X.copy()
-        shifted[:, k] += np.pi
-        half, adjoint = (shifted[:, :h], d_low) if k < h else (shifted[:, h:], d_high)
-        d_inputs[:, k] = (adjoint * _product_state(half)).sum(axis=0)
+    for cols, adjoint in ((slice(0, h), d_low), (slice(h, n), d_high)):
+        m = cols.stop - cols.start
+        shifted = (X[:, cols] + np.pi * np.eye(m)[:, None]).reshape(m * rows, m)
+        states = _product_state(shifted).reshape(1 << m, m, rows)  # -1 fails at m = 0
+        d_inputs[:, cols] = np.multiply(states, adjoint[:, None], out=states).sum(axis=0).T
+        del states  # else both halves' states are alive at once, the VJP's peak
     return 0.5 * d_inputs
 
 
@@ -264,12 +263,11 @@ def vqc_batched_vjp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector-Jacobian product of the batched layer, exact in both outputs.
 
-    ``upstream`` is dL/d(outputs), shape (batch, n_qubits).  Returns
-    (dL/dX of shape (batch, n_qubits), dL/dweights of shape
-    (n_layers, n_qubits) summed over the batch).  dL/dX comes from one adjoint
-    sweep; each weight partial from two parameter-shift runs,
-    d f_j / d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2, that start
-    from a copy of the encoded state.  At most three (2^n, batch) arrays are alive.
+    ``upstream`` is dL/d(outputs), shape (batch, n_qubits).  Returns (dL/dX of shape
+    (batch, n_qubits), dL/dweights of shape (n_layers, n_qubits) summed over the
+    batch).  dL/dX comes from one adjoint sweep, dL/dweights from parameter shift,
+    d f_j / d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2, with one factor
+    build per group and layer.  At most three (2^n, batch) arrays are alive.
     """
     n, layers = params.n_qubits, params.n_layers
     X = _check_batch(X, n)
@@ -290,21 +288,19 @@ def vqc_batched_vjp(
     adj *= final
     d_inputs = _input_partials(X, *_run(adj, final, _adjoint(steps, table.unring)))
 
-    def shifted(layer, k, qubit, shift):
-        """The outputs with one weight moved: only its factor step is rebuilt."""
-        start, stop = table.groups[k]
-        angles = params.weights[layer, start:stop].copy()
-        angles[qubit - start] += shift
-        at = layer * (len(table.groups) + 1) + k
-        run = steps.copy()
-        run[at] = (_ry_factors(angles[None])[0], steps[at][1])
-        np.copyto(amps, encoded)
-        return _readout(_run(amps, spare, run)[0])
-
     d_weights = np.empty((layers, n))
-    for layer in range(layers):
-        for k, (start, stop) in enumerate(table.groups):
-            for qubit in range(start, stop):
-                plus, minus = (shifted(layer, k, qubit, s) for s in (_SHIFT, -_SHIFT))
-                d_weights[layer, qubit] = (0.5 * (plus - minus) * upstream).sum()
+    for at, (factor, view) in enumerate(steps):
+        if view is None:
+            continue
+        layer, k = divmod(at, len(table.groups) + 1)
+        start, stop = table.groups[k]
+        m = stop - start
+        outs = np.empty((2 * m, *X.shape))
+        shifts = params.weights[layer, start:stop] + _SHIFT * np.vstack([np.eye(m), -np.eye(m)])
+        for j, shifted in enumerate(_ry_factors(shifts)):
+            steps[at] = (shifted, view)
+            np.copyto(amps, encoded)
+            outs[j] = _readout(_run(amps, spare, steps)[0])
+        steps[at] = (factor, view)
+        d_weights[layer, start:stop] = 0.5 * ((outs[:m] - outs[m:]) * upstream).sum(axis=(1, 2))
     return d_inputs, d_weights

@@ -308,6 +308,25 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest,
             assert f"{name} must" in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("nested", ["config", "manifest", "index"])
+def test_deeply_nested_json_exits_one_without_traceback(tmp_path, nested):
+    """100 000 nested ``[`` in any input file are refused as malformed input."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("config", "manifest", "index")}
+    paths["config"].write_bytes(_json_bytes({}, TINY.to_dict()))
+    paths["manifest"].write_bytes(_json_bytes({}, _MANIFEST))
+    paths["index"].write_text(json.dumps({"container": "index.json.qtns", "tensors": {}}))
+    paths[nested].write_bytes(b"[" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vqcontrast.cli", "eval", "--config", str(paths["config"]),
+         "--data", str(paths["manifest"]), "--params", str(paths["index"]),
+         "--out", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "recursion" in proc.stderr, proc.stderr
+
+
 def test_repeated_class_ids_exit_one(tmp_path, config_path, capsys):
     """A repeated test class would score a 3-row gallery for 2 classes."""
     manifest = gen_data(tmp_path, config_path)

@@ -260,6 +260,32 @@ def test_input_partials_match_parameter_shift(n):
         )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 11, 13])
+def test_weight_partials_match_parameter_shift(n):
+    """The VJP's dL/dweights against parameter shift through the forward.
+
+    Each shifted forward gets fresh ``QuantumLayerParams``, so it shares no
+    factor with the VJP's runs; n = 1..4 have one qubit group, n = 5 and 6
+    two, n = 9 and 11 three and n = 13 four.
+    """
+    rng = np.random.default_rng(n + 40)
+    rows = 4
+    for layers in (1, 2, 3):
+        weights = rng.uniform(-np.pi, np.pi, (layers, n))
+        X = rng.uniform(-np.pi, np.pi, (rows, n))
+        upstream = rng.standard_normal((rows, n))
+
+        def loss(w):
+            return (vqc_batched_forward(X, QuantumLayerParams(n, layers, w)) * upstream).sum()
+
+        shifts = 0.5 * np.pi * np.eye(layers * n).reshape(-1, layers, n)
+        expected = np.array([(loss(weights + dw) - loss(weights - dw)) / 2 for dw in shifts])
+        np.testing.assert_allclose(
+            vqc_batched_vjp(X, QuantumLayerParams(n, layers, weights), upstream)[1],
+            expected.reshape(layers, n), rtol=0, atol=1e-12, err_msg=f"layers={layers}",
+        )
+
+
 def test_batched_vjp_holds_at_most_three_and_a_half_states():
     """Peak traced memory of a 256-row, 10-qubit, 4-layer VJP stays under 3.5 full states.
 
