@@ -265,9 +265,9 @@ def vqc_batched_vjp(
 
     ``upstream`` is dL/d(outputs), shape (batch, n_qubits).  Returns (dL/dX of shape
     (batch, n_qubits), dL/dweights of shape (n_layers, n_qubits) summed over the
-    batch).  dL/dX comes from one adjoint sweep, dL/dweights from parameter shift,
-    d f_j / d theta = (f_j(theta + pi/2) - f_j(theta - pi/2)) / 2, with one factor
-    build per group and layer.  At most three (2^n, batch) arrays are alive.
+    batch).  dL/dX comes from one adjoint sweep and one product state per half;
+    dL/dweights from parameter shift, (f(w + pi/2) - f(w - pi/2)) / 2, each factor
+    step's shifted factors built in one call.  At most three (2^n, batch) arrays live.
     """
     n, layers = params.n_qubits, params.n_layers
     X = _check_batch(X, n)
