@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .data import MANIFEST_FILE, DatasetManifest, generate_dataset
-from .errors import ConfigurationError, NumericError, ShapeError, TensorFormatError
+from .errors import NumericError
 from .gradcheck import run_all_checks
 from .harness import (
     RetrievalModel,
@@ -24,13 +24,9 @@ from .harness import (
     write_metrics,
 )
 
-_VALIDATION_ERRORS = (
-    ConfigurationError,
-    ShapeError,
-    TensorFormatError,
-    OSError,
-    json.JSONDecodeError,
-)
+# Every typed validation error and json.JSONDecodeError is a ValueError, and so
+# is numpy's refusal of an array it cannot size.
+_VALIDATION_ERRORS = (ValueError, OSError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):

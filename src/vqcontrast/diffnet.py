@@ -17,8 +17,8 @@ a dense linear layer, the two EEG convolutions (a spatial convolution that
 collapses the electrode axis, then a 1-D temporal convolution), batch
 normalization, ELU, an angle squash pi*tanh(x) used to bound rotation
 angles, row-wise L2 normalization, and reshape.  Optimization is Adam with
-bias correction and optional decoupled weight decay; its hyperparameters
-come from the caller (the defaults live in ``RunConfig``).
+bias correction, which uses its gradients up as ``backward`` uses the tape
+up; its hyperparameters come from the caller (defaults in ``RunConfig``).
 """
 
 from __future__ import annotations
@@ -272,48 +272,37 @@ def flatten(tape: Tape, x: Tensor) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction and decoupled weight decay over named tensors.
+    """Adam with bias correction over named tensors.
 
-    Moments and step counts are kept per parameter.  A parameter whose
-    gradient is None is skipped: its moments and its bias-correction step
-    count stay as they were.
+    The moments are kept per parameter and the step count is shared, so the
+    bias corrections are worked out once per step.  A step reads every
+    parameter's gradient and sets it to None; it checks all of them first,
+    so a step that raises moves nothing.
     """
 
     EPS = 1e-8
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        beta1: float,
-        beta2: float,
-        weight_decay: float,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float, beta2: float):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.weight_decay = lr, beta1, beta2, weight_decay
+        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.steps = dict.fromkeys(params, 0)
-
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
+        self.steps = 0
 
     def step(self) -> None:
         for name, t in self.params.items():
-            g = t.grad
-            if g is None:
-                continue
-            if g.shape != t.data.shape:
-                raise ShapeError(f"Adam: gradient {g.shape} for {name!r} of shape {t.shape}")
-            self.steps[name] += 1
-            step = self.steps[name]
+            if t.grad is None:
+                raise ConfigurationError(f"Adam: no gradient, {name!r} never reached the loss")
+            if t.grad.shape != t.data.shape:
+                raise ShapeError(f"Adam: gradient {t.grad.shape} for {name!r} of shape {t.shape}")
+        self.steps += 1
+        correct1 = 1.0 - self.beta1**self.steps
+        correct2 = 1.0 - self.beta2**self.steps
+        for name, t in self.params.items():
+            g, t.grad = t.grad, None
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g**2
-            m_hat = self.m[name] / (1.0 - self.beta1**step)
-            v_hat = self.v[name] / (1.0 - self.beta2**step)
-            update = m_hat / (np.sqrt(v_hat) + self.EPS)
-            if self.weight_decay != 0.0:
-                update = update + self.weight_decay * t.data
+            m_hat = self.m[name] / correct1
+            v_hat = self.v[name] / correct2
             # asarray keeps 0-d parameters (e.g. a scalar temperature) as ndarrays
-            t.data = np.asarray(t.data - self.lr * update)
+            t.data = np.asarray(t.data - self.lr * (m_hat / (np.sqrt(v_hat) + self.EPS)))

@@ -60,7 +60,6 @@ class RunConfig:
     lr: float = 0.0002
     beta1: float = 0.5
     beta2: float = 0.999
-    weight_decay: float = 0.0
     # schedule
     epochs: int = 200
     batch_size: int = 64
@@ -98,14 +97,13 @@ class RunConfig:
         if not isinstance(self.batch_size, int) or self.batch_size < 2:
             raise ConfigurationError(f"batch_size must be an integer >= 2, got {self.batch_size!r}")
         require_finite(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                       weight_decay=self.weight_decay, tau_init=self.tau_init,
-                       noise_sigma=self.noise_sigma)
+                       tau_init=self.tau_init, noise_sigma=self.noise_sigma)
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigurationError("betas must lie in [0, 1)")
-        if self.weight_decay < 0 or self.noise_sigma < 0:
-            raise ConfigurationError("weight_decay and noise_sigma must be >= 0")
+        if self.noise_sigma < 0:
+            raise ConfigurationError("noise_sigma must be >= 0")
         if self.n_qubits > MAX_QUBITS:
             raise ConfigurationError(f"n_qubits must be <= {MAX_QUBITS}, got {self.n_qubits}")
         if self.temporal_kernel > self.time_samples:
@@ -305,10 +303,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     model = RetrievalModel(config, rng)
-    optimizer = Adam(
-        model.named_parameters(), lr=config.lr, beta1=config.beta1,
-        beta2=config.beta2, weight_decay=config.weight_decay,
-    )
+    optimizer = Adam(model.named_parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
 
     records: list[MetricsRecord] = []
     n = len(train_rows)
@@ -336,8 +331,6 @@ def train(
                 )
             tape.backward(loss)
             optimizer.step()
-            # cleared here, not before backward, so the returned model holds no gradient
-            optimizer.zero_grad()
             # keep e^tau bounded, as in standard contrastive training
             np.minimum(model.log_tau.data, MAX_LOG_TEMPERATURE, out=model.log_tau.data)
             loss_sum += value * len(rows)

@@ -13,7 +13,8 @@ into the array; ``data.generate_dataset`` writes one in row chunks.
 
 A parameter set is persisted as one container file of concatenated QTNS
 records plus a JSON index file mapping parameter names to byte offsets
-inside the container.
+inside the container.  The index names the container by a bare file name in
+its own directory; any other path is refused before the container is read.
 """
 
 from __future__ import annotations
@@ -149,6 +150,10 @@ def load_params(path) -> dict[str, np.ndarray]:
             or not isinstance(index["tensors"], dict)):
         raise TensorFormatError(
             "parameter index needs a container file name and a name->offset object", 0
+        )
+    if Path(container).name != container or container in ("", ".."):
+        raise TensorFormatError(
+            f"container {container!r} must be a file name in the index's directory", 0
         )
     buf = (index_path.parent / container).read_bytes()
     out: dict[str, np.ndarray] = {}

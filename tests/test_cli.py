@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vqcontrast import RetrievalModel, RunConfig, read_metrics, save_params, save_tensor_file
+from vqcontrast import cli
 from vqcontrast.cli import main
 from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, MANIFEST_FILE
 from vqcontrast.qtns import load_tensor_file
@@ -223,6 +224,53 @@ def test_transposed_params_file_exits_one(tmp_path, config_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "mismatch for 'img.angle_w'" in err, err
     assert not (tmp_path / "eval.jsonl").exists()
+
+
+@pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent-dir"])
+def test_params_index_naming_a_container_elsewhere_exits_one(tmp_path, config_path, absolute):
+    """An index may name only a container beside it, even a valid one elsewhere."""
+    manifest = gen_data(tmp_path, config_path)
+    for sub in ("elsewhere", "here"):
+        (tmp_path / sub).mkdir()
+    RetrievalModel(TINY, np.random.default_rng(0)).save(tmp_path / "elsewhere" / "model.params")
+    container = tmp_path / "elsewhere" / "model.params.qtns"
+    index = json.loads((tmp_path / "elsewhere" / "model.params").read_text())
+    index["container"] = str(container) if absolute else "../elsewhere/model.params.qtns"
+    params = tmp_path / "here" / "model.params"
+    params.write_text(json.dumps(index))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vqcontrast.cli", "eval", "--config", str(config_path),
+         "--data", str(manifest), "--params", str(params), "--out", str(tmp_path / "eval.jsonl")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "container" in proc.stderr, proc.stderr
+    assert not (tmp_path / "eval.jsonl").exists()
+
+
+def test_config_numpy_cannot_size_exits_one(tmp_path):
+    """An image width numpy refuses to allocate is malformed input, not a crash."""
+    config_path = tmp_path / "config.json"
+    replace(TINY, image_dim=10**20).save(config_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vqcontrast.cli", "gen-data", "--config", str(config_path),
+         "--out-dir", str(tmp_path / "data")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_memory_error_exits_one(tmp_path, config_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. PiB")
+
+    monkeypatch.setattr(cli, "generate_dataset", out_of_memory)
+    assert main(["gen-data", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Unable to allocate" in err, err
 
 
 def test_non_finite_dataset_is_a_numeric_failure(tmp_path, config_path):

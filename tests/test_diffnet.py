@@ -342,7 +342,7 @@ def test_shape_validation():
 def adam_on(p, **hyper):
     """An Adam over one tensor ``p``, hyperparameters defaulting to RunConfig's."""
     d = RunConfig()
-    kw = dict(lr=d.lr, beta1=d.beta1, beta2=d.beta2, weight_decay=d.weight_decay)
+    kw = dict(lr=d.lr, beta1=d.beta1, beta2=d.beta2)
     params = {"p": Tensor(p)}
     return params["p"], Adam(params, **{**kw, **hyper})
 
@@ -350,7 +350,7 @@ def adam_on(p, **hyper):
 def step_with(t, opt, g):
     t.grad = np.asarray(g, dtype=np.float64)
     opt.step()
-    opt.zero_grad()
+    assert t.grad is None  # the step uses its gradient up
     return t.data
 
 
@@ -383,46 +383,38 @@ def test_adam_matches_reference_loop():
     np.testing.assert_allclose(p_ours, p_ref, atol=1e-12)
 
 
-def test_adam_decoupled_weight_decay():
-    t, opt = adam_on(np.array([2.0]), lr=0.1, weight_decay=0.5)
-    updated = step_with(t, opt, [0.0])
-    # zero gradient: only the decay term moves the parameter
-    np.testing.assert_allclose(updated, [2.0 - 0.1 * 0.5 * 2.0], atol=1e-12)
-
-
 def test_adam_default_hyperparameters():
     """The defaults live in RunConfig; only eps is fixed by the optimizer."""
     d = RunConfig()
-    assert (d.lr, d.beta1, d.beta2, d.weight_decay) == (0.0002, 0.5, 0.999, 0.0)
+    assert (d.lr, d.beta1, d.beta2) == (0.0002, 0.5, 0.999)
     assert Adam.EPS == 1e-8
 
 
-def test_adam_wrapper_skips_missing_grads():
-    """A parameter without a gradient keeps its value, moments and step count,
-    so its bias correction resumes where it left off."""
+def test_adam_refuses_a_missing_gradient():
+    """A parameter without a gradient never reached the loss: the step names it
+    and moves nothing."""
     params = {"a": Tensor(np.ones(2)), "b": Tensor(np.ones(2))}
-    opt = Adam(params, lr=0.1, beta1=0.5, beta2=0.999, weight_decay=0.0)
+    opt = Adam(params, lr=0.1, beta1=0.5, beta2=0.999)
     params["a"].grad = np.ones(2)
-    opt.step()
-    assert not np.array_equal(params["a"].data, np.ones(2))
-    np.testing.assert_array_equal(params["b"].data, np.ones(2))
-    np.testing.assert_array_equal(opt.m["b"], np.zeros(2))
-    np.testing.assert_array_equal(opt.v["b"], np.zeros(2))
-    assert opt.steps == {"a": 1, "b": 0}
-    opt.zero_grad()
-    assert params["a"].grad is None
-    # b's first real step is a first step: lr * g / (|g| + eps)
-    params["b"].grad = np.full(2, 3.0)
-    opt.step()
-    np.testing.assert_allclose(params["b"].data, 1.0 - 0.1 * 3.0 / (3.0 + 1e-8), atol=1e-12)
-    assert opt.steps == {"a": 1, "b": 1}
+    with pytest.raises(ConfigurationError, match="'b'"):
+        opt.step()
+    np.testing.assert_array_equal(params["a"].data, np.ones(2))
+    assert opt.steps == 0
 
 
 def test_adam_step_shape_mismatch():
-    t, opt = adam_on(np.zeros(3))
-    t.grad = np.zeros(4)
-    with pytest.raises(ShapeError):
+    """A wrong-shaped gradient after a good one raises before anything moves:
+    the good parameter, its moments and the step count stay as they were."""
+    params = {"a": Tensor(np.ones(2)), "b": Tensor(np.ones(3))}
+    opt = Adam(params, lr=0.1, beta1=0.5, beta2=0.999)
+    params["a"].grad = np.ones(2)
+    params["b"].grad = np.ones(4)
+    with pytest.raises(ShapeError, match="'b'"):
         opt.step()
+    np.testing.assert_array_equal(params["a"].data, np.ones(2))
+    np.testing.assert_array_equal(opt.m["a"], np.zeros(2))
+    np.testing.assert_array_equal(opt.v["a"], np.zeros(2))
+    assert opt.steps == 0
 
 
 def test_adam_preserves_zero_dim_parameters():

@@ -43,6 +43,18 @@ EXPORTED = [
     "write_metrics",
 ]
 
+# Every RunConfig knob, in declaration order; adding or removing one is a
+# deliberate edit here too.
+CONFIG_KEYS = [
+    "n_qubits", "n_layers",
+    "lr", "beta1", "beta2",
+    "epochs", "batch_size", "tau_init", "seed", "n_runs",
+    "electrodes", "time_samples", "spatial_maps", "temporal_maps", "temporal_kernel",
+    "embed_dim", "image_dim",
+    "n_train_classes", "n_test_classes", "samples_per_class", "noise_sigma", "latent_dim",
+    "data_manifest",
+]
+
 
 def test_all_is_sorted_unique_and_resolves():
     names = vqcontrast.__all__
@@ -54,6 +66,10 @@ def test_all_is_sorted_unique_and_resolves():
 
 def test_all_equals_the_agreed_surface():
     assert vqcontrast.__all__ == EXPORTED
+
+
+def test_run_config_keys_are_the_agreed_knobs():
+    assert list(vqcontrast.RunConfig().to_dict()) == CONFIG_KEYS
 
 
 def test_runs_import_no_oracle():

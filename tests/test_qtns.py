@@ -190,6 +190,22 @@ def test_params_index_rejects_missing_keys(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent-dir"])
+def test_params_index_names_its_container_beside_it(tmp_path, absolute):
+    """A valid container in a sibling directory is refused, by absolute path and
+    by a ``../`` path alike."""
+    for sub in ("elsewhere", "here"):
+        (tmp_path / sub).mkdir()
+    save_params(tmp_path / "elsewhere" / "model.params", {"w": np.zeros(2)})
+    container = tmp_path / "elsewhere" / "model.params.qtns"
+    name = str(container) if absolute else "../elsewhere/model.params.qtns"
+    path = tmp_path / "here" / "model.params"
+    path.write_text(json.dumps({"container": name, "tensors": {"w": 0}}))
+    with pytest.raises(TensorFormatError, match="file name in the index's directory") as info:
+        load_params(path)
+    assert info.value.offset == 0
+
+
 def test_params_with_a_signaling_nan_load_as_nan_without_a_warning(tmp_path):
     # widening a float32 signaling NaN warns unless asked not to; the NaN
     # itself is refused later, by RetrievalModel.load_state
