@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from vqcontrast import RetrievalModel, RunConfig, read_metrics, save_params, save_tensor_file
-from vqcontrast import cli
 from vqcontrast.cli import main
 from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, MANIFEST_FILE
 from vqcontrast.qtns import load_tensor_file
@@ -233,8 +232,8 @@ def test_params_index_naming_a_container_elsewhere_exits_one(tmp_path, config_pa
     for sub in ("elsewhere", "here"):
         (tmp_path / sub).mkdir()
     RetrievalModel(TINY, np.random.default_rng(0)).save(tmp_path / "elsewhere" / "model.params")
-    container = tmp_path / "elsewhere" / "model.params.qtns"
     index = json.loads((tmp_path / "elsewhere" / "model.params").read_text())
+    container = tmp_path / "elsewhere" / index["container"]
     index["container"] = str(container) if absolute else "../elsewhere/model.params.qtns"
     params = tmp_path / "here" / "model.params"
     params.write_text(json.dumps(index))
@@ -267,7 +266,7 @@ def test_memory_error_exits_one(tmp_path, config_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. PiB")
 
-    monkeypatch.setattr(cli, "generate_dataset", out_of_memory)
+    monkeypatch.setattr("vqcontrast.cli.generate_dataset", out_of_memory)
     assert main(["gen-data", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Unable to allocate" in err, err
