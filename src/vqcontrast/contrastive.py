@@ -21,6 +21,8 @@ from .errors import ConfigurationError, NumericError, ShapeError
 
 # Common clamp on the learned log-temperature: e^tau never exceeds 100.
 MAX_LOG_TEMPERATURE = float(np.log(100.0))
+# Where the learned log-temperature starts: CLIP's initial temperature 0.07.
+TAU_INIT = float(np.log(1.0 / 0.07))
 
 _UNIT_NORM_TOL = 1e-9
 

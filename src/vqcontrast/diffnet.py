@@ -18,7 +18,7 @@ collapses the electrode axis, then a 1-D temporal convolution), batch
 normalization, ELU, an angle squash pi*tanh(x) used to bound rotation
 angles, row-wise L2 normalization, and reshape.  Optimization is Adam with
 bias correction, which uses its gradients up as ``backward`` uses the tape
-up; its hyperparameters come from the caller (defaults in ``RunConfig``).
+up; its betas default to the paper's (0.5, 0.999).
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def flatten(tape: Tape, x: Tensor) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction over named tensors.
+    """Adam with bias correction over named tensors, betas (0.5, 0.999) by default.
 
     The moments are kept per parameter and the step count is shared, so the
     bias corrections are worked out once per step.  A step reads every
@@ -282,7 +282,7 @@ class Adam:
 
     EPS = 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float, beta2: float):
+    def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.5, beta2=0.999):
         self.params = params
         self.lr, self.beta1, self.beta2 = lr, beta1, beta2
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}

@@ -1,8 +1,9 @@
 """Experiment orchestration: configs, training, evaluation, protocols.
 
 A run is fully determined by a ``RunConfig`` and a dataset manifest.  The
-config is the one place each setting is declared, defaulted and validated:
-the encoders read their geometry from it and Adam its hyperparameters.  The
+config is the one place each setting a run varies is declared, defaulted
+and validated: the encoders read their geometry from it and Adam its
+learning rate (its betas and the initial temperature are constants).  The
 training loop optimizes both encoders and the log-temperature jointly;
 classical gradients come from the tape, the circuit's from
 ``vqc.vqc_batched_vjp``, and a single Adam instance updates everything.  Each
@@ -31,6 +32,7 @@ import numpy as np
 
 from .contrastive import (
     MAX_LOG_TEMPERATURE,
+    TAU_INIT,
     ContrastiveBatch,
     clip_logits,
     clip_logits_op,
@@ -44,26 +46,22 @@ from .errors import ConfigurationError, NumericError
 from .qtns import load_params, save_params
 from .vqc import MAX_QUBITS
 
-_DEFAULT_TAU_INIT = float(np.log(1.0 / 0.07))
 # Eval call, 1024 queries, 2-CPU Xeon: 32 rows take 4-7% longer than 64, 128 27-32%, 256 82-87%
 _EVAL_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs, JSON-serializable, unknown keys rejected."""
+    """Every setting a run varies, JSON-serializable, unknown keys rejected."""
 
     # circuit
     n_qubits: int = 10
     n_layers: int = 4
     # optimizer
     lr: float = 0.0002
-    beta1: float = 0.5
-    beta2: float = 0.999
     # schedule
     epochs: int = 200
     batch_size: int = 64
-    tau_init: float = _DEFAULT_TAU_INIT
     seed: int = 0
     n_runs: int = 5
     # encoder geometry
@@ -96,12 +94,9 @@ class RunConfig:
         require_ints(0, epochs=self.epochs, seed=self.seed)
         if not isinstance(self.batch_size, int) or self.batch_size < 2:
             raise ConfigurationError(f"batch_size must be an integer >= 2, got {self.batch_size!r}")
-        require_finite(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                       tau_init=self.tau_init, noise_sigma=self.noise_sigma)
+        require_finite(lr=self.lr, noise_sigma=self.noise_sigma)
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigurationError("betas must lie in [0, 1)")
         if self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be >= 0")
         if self.n_qubits > MAX_QUBITS:
@@ -206,7 +201,7 @@ class RetrievalModel:
         self.config = config
         self.eeg_encoder = EegConvEncoder(config, rng)
         self.image_head = ImageEmbedHead(config, rng)
-        self.log_tau = Tensor(np.array(min(config.tau_init, MAX_LOG_TEMPERATURE)))
+        self.log_tau = Tensor(np.array(TAU_INIT))
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {f"eeg.{k}": t for k, t in self.eeg_encoder.params.items()}
@@ -303,7 +298,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     model = RetrievalModel(config, rng)
-    optimizer = Adam(model.named_parameters(), lr=config.lr, beta1=config.beta1, beta2=config.beta2)
+    optimizer = Adam(model.named_parameters(), lr=config.lr)
 
     records: list[MetricsRecord] = []
     n = len(train_rows)

@@ -140,8 +140,8 @@ def _ry_factors(angles: np.ndarray) -> np.ndarray:
 def _layer_factors(weight_bytes: bytes, n_layers: int, n: int) -> tuple[np.ndarray, ...]:
     """RY factors of each qubit group per layer, keyed on the weights' bytes.
 
-    The row blocks of one evaluation and the input shifts of one VJP share their
-    weights, so they build these once; two entries hold one per encoder head.
+    The row blocks of one evaluation, and a training step's forward and its VJP,
+    share their weights, so they build these once; two entries hold one per head.
     """
     weights = np.frombuffer(weight_bytes).reshape(n_layers, n)
     return tuple(_ry_factors(weights[:, start:stop]) for start, stop in _width(n).groups)

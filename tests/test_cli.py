@@ -262,6 +262,22 @@ def test_config_numpy_cannot_size_exits_one(tmp_path):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+def test_config_with_a_retired_key_exits_one(tmp_path):
+    """Adam's betas and the initial temperature are constants, no longer config keys."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**TINY.to_dict(), "beta1": 0.5, "beta2": 0.999,
+                                       "tau_init": 2.0}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vqcontrast.cli", "train", "--config", str(config_path),
+         "--data", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "unknown config keys: ['beta1', 'beta2', 'tau_init']" in proc.stderr, proc.stderr
+
+
 def test_memory_error_exits_one(tmp_path, config_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. PiB")
@@ -315,7 +331,7 @@ def _json_bytes(doc, base) -> bytes:
 @pytest.mark.parametrize("config,manifest,index", [
     ({"lr": "abc"}, {}, None),
     ({"epochs": True}, {}, None),
-    ({"tau_init": 10**400}, {}, None),
+    ({"lr": 10**400}, {}, None),
     ({}, {"train_classes": ["x"]}, None),
     ({}, {"train_classes": 5}, None),
     ({}, {"eeg_path": 5}, None),
@@ -327,7 +343,7 @@ def _json_bytes(doc, base) -> bytes:
     (_NOT_UTF8, {}, None),
     ({}, _NOT_UTF8, None),
     ({}, {}, _NOT_UTF8),
-], ids=["config-lr", "config-epochs-bool", "config-tau-huge-int", "manifest-class-id",
+], ids=["config-lr", "config-epochs-bool", "config-lr-huge-int", "manifest-class-id",
         "manifest-classes", "manifest-path", "manifest-path-nul", "index-tensors",
         "index-offset", "index-container", "index-container-nul",
         "config-not-utf8", "manifest-not-utf8", "index-not-utf8"])

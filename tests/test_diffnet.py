@@ -340,11 +340,9 @@ def test_shape_validation():
 
 
 def adam_on(p, **hyper):
-    """An Adam over one tensor ``p``, hyperparameters defaulting to RunConfig's."""
-    d = RunConfig()
-    kw = dict(lr=d.lr, beta1=d.beta1, beta2=d.beta2)
+    """An Adam over one tensor ``p``: RunConfig's lr and Adam's own betas by default."""
     params = {"p": Tensor(p)}
-    return params["p"], Adam(params, **{**kw, **hyper})
+    return params["p"], Adam(params, **{"lr": RunConfig().lr, **hyper})
 
 
 def step_with(t, opt, g):
@@ -384,9 +382,9 @@ def test_adam_matches_reference_loop():
 
 
 def test_adam_default_hyperparameters():
-    """The defaults live in RunConfig; only eps is fixed by the optimizer."""
-    d = RunConfig()
-    assert (d.lr, d.beta1, d.beta2) == (0.0002, 0.5, 0.999)
+    """The learning rate lives in RunConfig; the paper's betas and eps are Adam's."""
+    _, opt = adam_on(np.zeros(1))
+    assert (opt.lr, opt.beta1, opt.beta2) == (0.0002, 0.5, 0.999)
     assert Adam.EPS == 1e-8
 
 

@@ -47,8 +47,8 @@ EXPORTED = [
 # deliberate edit here too.
 CONFIG_KEYS = [
     "n_qubits", "n_layers",
-    "lr", "beta1", "beta2",
-    "epochs", "batch_size", "tau_init", "seed", "n_runs",
+    "lr",
+    "epochs", "batch_size", "seed", "n_runs",
     "electrodes", "time_samples", "spatial_maps", "temporal_maps", "temporal_kernel",
     "embed_dim", "image_dim",
     "n_train_classes", "n_test_classes", "samples_per_class", "noise_sigma", "latent_dim",
