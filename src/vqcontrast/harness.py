@@ -13,7 +13,12 @@ copied whole.  Evaluation gathers and embeds rows in cache-sized blocks on a
 tape that records no backward closures, so each op's inputs are freed as
 soon as the next op has used them.  In eval mode every op, batch norm
 included, acts on each row alone, so blocking moves results only by
-rounding (about 1e-15).
+rounding (about 1e-15).  The blocks are split into contiguous shares, one
+per usable CPU: a shared thread pool runs every share but the last, the
+calling thread runs the last, and the blocks are joined in order.  Each
+block runs the same forward whichever thread runs it, so the embeddings do
+not depend on the CPU count, and an error raised in any block reaches the
+caller as it was raised.
 
 Metrics are emitted as JSON lines.  Wall time is tracked on the records
 but deliberately left out of the serialized form so that identical
@@ -24,7 +29,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,8 +53,13 @@ from .errors import ConfigurationError, NumericError
 from .qtns import load_params, save_params
 from .vqc import MAX_QUBITS
 
-# Eval call, 1024 queries, 2-CPU Xeon: 32 rows take 4-7% longer than 64, 128 27-32%, 256 82-87%
+# Threaded eval call, 1024 queries, 2-CPU Xeon, median per-pair ratios over 40 interleaved
+# calls: 32 rows take 35-38% longer than 64, 128 rows 32-35%
 _EVAL_BLOCK_ROWS = 64
+_EVAL_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+# Starts its threads on first use; the calling thread runs one share itself
+_EVAL_POOL = ThreadPoolExecutor(max(_EVAL_CPUS - 1, 1), thread_name_prefix="vqcontrast-eval")
 
 
 @dataclass(frozen=True)
@@ -267,9 +279,20 @@ class _ForwardOnlyTape(Tape):
 
 def _blocked(forward, data: np.ndarray, rows: np.ndarray | None = None, **kwargs) -> np.ndarray:
     n = len(data if rows is None else rows)
-    spans = (slice(i, i + _EVAL_BLOCK_ROWS) for i in range(0, max(n, 1), _EVAL_BLOCK_ROWS))
-    blocks = (data[s] if rows is None else data[rows[s]] for s in spans)  # 0 rows: one empty block
-    return np.concatenate([forward(_ForwardOnlyTape(), Tensor(b), **kwargs).data for b in blocks])
+    spans = [slice(i, i + _EVAL_BLOCK_ROWS) for i in range(0, max(n, 1), _EVAL_BLOCK_ROWS)]
+    k = min(_EVAL_CPUS, len(spans))  # 0 rows: one empty block, run here
+    shares = [spans[len(spans) * j // k : len(spans) * (j + 1) // k] for j in range(k)]
+
+    def embed(share):
+        blocks = (data[s] if rows is None else data[rows[s]] for s in share)
+        return [forward(_ForwardOnlyTape(), Tensor(b), **kwargs).data for b in blocks]
+
+    futures = [_EVAL_POOL.submit(embed, share) for share in shares[:-1]]
+    try:
+        last = embed(shares[-1])
+    finally:
+        wait(futures)  # no block outlives the call, even when this share raises
+    return np.concatenate([b for f in futures for b in f.result()] + last)
 
 
 def _load_and_check(config: RunConfig, manifest: DatasetManifest):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from vqcontrast import RetrievalModel, RunConfig, read_metrics, save_params, save_tensor_file
+from vqcontrast import encoders, harness
 from vqcontrast.cli import main
 from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, MANIFEST_FILE
+from vqcontrast.errors import NumericError
 from vqcontrast.qtns import load_tensor_file
 
 TINY = RunConfig(
@@ -162,6 +165,48 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "gen-data" in proc.stdout
+
+
+def test_eval_subprocess_exits_promptly(tmp_path):
+    """80 queries make two blocks, so with two or more CPUs an eval pool
+    thread runs one of them; it must not keep the interpreter from exiting."""
+    config = replace(TINY, samples_per_class=40)
+    config_path = tmp_path / "config.json"
+    config.save(config_path)
+    manifest = gen_data(tmp_path, config_path)
+    params = tmp_path / "model.params"
+    RetrievalModel(config, np.random.default_rng(0)).save(params)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vqcontrast", "eval", "--config", str(config_path),
+         "--data", str(manifest), "--params", str(params), "--out", str(tmp_path / "eval.jsonl")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("top1"), proc.stdout
+
+
+def test_numeric_failure_in_an_eval_pool_thread_exits_two(tmp_path, config_path, capsys,
+                                                          monkeypatch):
+    manifest = gen_data(tmp_path, config_path)
+    params = tmp_path / "model.params"
+    RetrievalModel(TINY, np.random.default_rng(0)).save(params)
+    monkeypatch.setattr(harness, "_EVAL_BLOCK_ROWS", 2)
+    monkeypatch.setattr(harness, "_EVAL_CPUS", 2)
+    forward = encoders.EegConvEncoder.forward
+
+    def fails_off_the_calling_thread(self, tape, x, train):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericError("input contains non-finite entries")
+        return forward(self, tape, x, train)
+
+    monkeypatch.setattr(encoders.EegConvEncoder, "forward", fails_off_the_calling_thread)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_path), "--data", str(manifest),
+                 "--params", str(params), "--out", str(tmp_path / "eval.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err == "numeric failure: input contains non-finite entries\n", err
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

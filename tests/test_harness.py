@@ -1,6 +1,8 @@
 """Run configuration, metrics stream, training loop, and protocol harness."""
 
 import json
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -311,25 +313,45 @@ def _model_with_running_stats(config, seed):
     return model
 
 
+# One CPU runs every block in the calling thread; two split them with a pool
+# worker; three make more shares than this pool has workers.
+CPU_COUNTS = (1, 2, 3)
+
+
+def _at_each_cpu_count(monkeypatch, embed):
+    """``embed()`` at every count in ``CPU_COUNTS``; asserts they agree byte for byte."""
+    results = []
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(harness, "_EVAL_CPUS", cpus)
+        results.append(embed())
+    for result in results[1:]:
+        assert [r.tobytes() for r in result] == [r.tobytes() for r in results[0]]
+    return results[0]
+
+
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
-def test_blocked_embeddings_match_one_unblocked_forward(n):
+def test_blocked_embeddings_match_one_unblocked_forward(n, monkeypatch):
     model = _model_with_running_stats(TINY_RUN, 4)
     rng = np.random.default_rng(n)
     eeg = rng.standard_normal((n, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
     emb = rng.standard_normal((n, TINY_RUN.image_dim))
     whole_eeg = model.eeg_encoder.forward(Tape(), Tensor(eeg), train=False).data
     whole_img = model.image_head.forward(Tape(), Tensor(emb)).data
-    np.testing.assert_allclose(model.embed_eeg(eeg), whole_eeg, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(model.embed_images(emb), whole_img, rtol=0, atol=1e-12)
+    got_eeg, got_img = _at_each_cpu_count(
+        monkeypatch, lambda: (model.embed_eeg(eeg), model.embed_images(emb)))
+    np.testing.assert_allclose(got_eeg, whole_eeg, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_img, whole_img, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("picked", [0, 1, BLOCK + 1])
-def test_embedding_picked_rows_equals_embedding_their_copy(picked):
+def test_embedding_picked_rows_equals_embedding_their_copy(picked, monkeypatch):
     model = _model_with_running_stats(TINY_RUN, 4)
     rng = np.random.default_rng(picked)
     eeg = rng.standard_normal((2 * BLOCK, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
     rows = np.sort(rng.choice(len(eeg), picked, replace=False))
-    np.testing.assert_array_equal(model.embed_eeg(eeg, rows), model.embed_eeg(eeg[rows]))
+    by_index, by_copy = _at_each_cpu_count(
+        monkeypatch, lambda: (model.embed_eeg(eeg, rows), model.embed_eeg(eeg[rows])))
+    np.testing.assert_array_equal(by_index, by_copy)
 
 
 def test_eval_forwards_record_no_backward_closure(monkeypatch):
@@ -348,11 +370,13 @@ def test_eval_forwards_record_no_backward_closure(monkeypatch):
     assert model.embed_images(emb).tobytes() == taped_img.tobytes()
 
 
-def test_zero_row_batch_embeds_to_an_empty_matrix():
+def test_zero_row_batch_embeds_to_an_empty_matrix(monkeypatch):
     model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
     eeg = np.zeros((0, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
-    assert model.embed_eeg(eeg).shape == (0, TINY_RUN.embed_dim)
-    assert model.embed_images(np.zeros((0, TINY_RUN.image_dim))).shape == (0, TINY_RUN.embed_dim)
+    img = np.zeros((0, TINY_RUN.image_dim))
+    got_eeg, got_img = _at_each_cpu_count(
+        monkeypatch, lambda: (model.embed_eeg(eeg), model.embed_images(img)))
+    assert got_eeg.shape == got_img.shape == (0, TINY_RUN.embed_dim)
 
 
 def test_embed_eeg_peak_memory_stays_cache_sized():
@@ -404,6 +428,44 @@ def test_evaluate_zero_shot_record_shape(tiny_data):
     assert 0.0 <= record.top1 <= 1.0
     # Only two held-out classes, so "top 5" saturates at the class count.
     assert record.top5 == 1.0
+
+
+def test_evaluate_zero_shot_gives_one_record_at_any_cpu_count(tiny_data, monkeypatch):
+    """Eight queries in four blocks, so two or three CPUs split them; a short
+    switch interval makes the threads interleave inside every op."""
+    model, _ = train(TINY_RUN, tiny_data)
+    monkeypatch.setattr(harness, "_EVAL_BLOCK_ROWS", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    lines = []
+    try:
+        for cpus in CPU_COUNTS:
+            monkeypatch.setattr(harness, "_EVAL_CPUS", cpus)
+            lines.append(evaluate_zero_shot(model, tiny_data).to_json_line())
+    finally:
+        sys.setswitchinterval(interval)
+    assert lines == [lines[0]] * len(CPU_COUNTS)
+
+
+def test_numeric_error_in_a_pool_workers_share_reaches_the_caller(tiny_data, monkeypatch):
+    model, _ = train(TINY_RUN, tiny_data)
+    monkeypatch.setattr(harness, "_EVAL_BLOCK_ROWS", 2)
+    monkeypatch.setattr(harness, "_EVAL_CPUS", 2)
+    error = NumericError("non-finite angle in a worker's block")
+    forward = encoders.EegConvEncoder.forward
+    raised_in = []
+
+    def fails_off_the_calling_thread(self, tape, x, train):
+        if threading.current_thread() is not threading.main_thread():
+            raised_in.append(threading.current_thread().name)
+            raise error
+        return forward(self, tape, x, train)
+
+    monkeypatch.setattr(encoders.EegConvEncoder, "forward", fails_off_the_calling_thread)
+    with pytest.raises(NumericError) as caught:
+        evaluate_zero_shot(model, tiny_data)
+    assert caught.value is error
+    assert raised_in and raised_in[0].startswith("vqcontrast-eval")
 
 
 def test_float32_dataset_trains_and_scores_as_its_float64_widening(tiny_data, monkeypatch):
