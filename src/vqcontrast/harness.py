@@ -13,12 +13,13 @@ copied whole.  Evaluation gathers and embeds rows in cache-sized blocks on a
 tape that records no backward closures, so each op's inputs are freed as
 soon as the next op has used them.  In eval mode every op, batch norm
 included, acts on each row alone, so blocking moves results only by
-rounding (about 1e-15).  The blocks are split into contiguous shares, one
-per usable CPU: a shared thread pool runs every share but the last, the
-calling thread runs the last, and the blocks are joined in order.  Each
-block runs the same forward whichever thread runs it, so the embeddings do
-not depend on the CPU count, and an error raised in any block reaches the
-caller as it was raised.
+rounding (about 1e-15).  The blocks are embedded on every usable CPU: the
+calling thread and up to (CPUs - 1) pool threads started for the call each
+take the next block not yet taken until none is left, so a thread the host
+slows down takes fewer, and the blocks are joined in row order.  Each block
+runs the same forward whichever thread takes it, so the embeddings do not
+depend on the CPU count, and an error raised in any block reaches the
+caller as it was raised, once every thread has stopped.
 
 Metrics are emitted as JSON lines.  Wall time is tracked on the records
 but deliberately left out of the serialized form so that identical
@@ -30,8 +31,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -54,12 +56,10 @@ from .qtns import load_params, save_params
 from .vqc import MAX_QUBITS
 
 # Threaded eval call, 1024 queries, 2-CPU Xeon, median per-pair ratios over 40 interleaved
-# calls: 32 rows take 35-38% longer than 64, 128 rows 32-35%
+# calls: 32 rows take 29-30% longer than 64, 48 rows 9%, 128 rows 19-31%
 _EVAL_BLOCK_ROWS = 64
 _EVAL_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
-# Starts its threads on first use; the calling thread runs one share itself
-_EVAL_POOL = ThreadPoolExecutor(max(_EVAL_CPUS - 1, 1), thread_name_prefix="vqcontrast-eval")
 
 
 @dataclass(frozen=True)
@@ -261,11 +261,13 @@ class RetrievalModel:
 
     def embed_eeg(self, eeg: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Eval-mode embeddings of ``eeg``, or of ``eeg[rows]`` gathered block by
-        block, run in row blocks (see the module doc)."""
+        block, run in row blocks on every usable CPU (see the module doc); the
+        bytes do not depend on the CPU count."""
         return _blocked(self.eeg_encoder.forward, eeg, rows, train=False)
 
     def embed_images(self, embeddings: np.ndarray) -> np.ndarray:
-        """Image-head embeddings, run in row blocks (see the module doc)."""
+        """Image-head embeddings, run in row blocks on every usable CPU (see the
+        module doc); the bytes do not depend on the CPU count."""
         return _blocked(self.image_head.forward, embeddings)
 
 
@@ -280,19 +282,27 @@ class _ForwardOnlyTape(Tape):
 def _blocked(forward, data: np.ndarray, rows: np.ndarray | None = None, **kwargs) -> np.ndarray:
     n = len(data if rows is None else rows)
     spans = [slice(i, i + _EVAL_BLOCK_ROWS) for i in range(0, max(n, 1), _EVAL_BLOCK_ROWS)]
-    k = min(_EVAL_CPUS, len(spans))  # 0 rows: one empty block, run here
-    shares = [spans[len(spans) * j // k : len(spans) * (j + 1) // k] for j in range(k)]
+    out = [None] * len(spans)  # 0 rows: one empty block
+    todo, lock = iter(range(len(spans))), threading.Lock()
 
-    def embed(share):
-        blocks = (data[s] if rows is None else data[rows[s]] for s in share)
-        return [forward(_ForwardOnlyTape(), Tensor(b), **kwargs).data for b in blocks]
+    def drain():  # embed the next block not yet taken until none is left
+        while True:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            block = data[spans[k]] if rows is None else data[rows[spans[k]]]
+            out[k] = forward(_ForwardOnlyTape(), Tensor(block), **kwargs).data
 
-    futures = [_EVAL_POOL.submit(embed, share) for share in shares[:-1]]
-    try:
-        last = embed(shares[-1])
-    finally:
-        wait(futures)  # no block outlives the call, even when this share raises
-    return np.concatenate([b for f in futures for b in f.result()] + last)
+    helpers = min(_EVAL_CPUS, len(spans)) - 1
+    # A pool per call: no thread outlives the call, even when a block raises,
+    # and no idle thread is left to a process forked later.
+    with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="vqcontrast-eval") as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+    for future in futures:
+        future.result()
+    return np.concatenate(out)
 
 
 def _load_and_check(config: RunConfig, manifest: DatasetManifest):

@@ -195,13 +195,17 @@ def test_numeric_failure_in_an_eval_pool_thread_exits_two(tmp_path, config_path,
     monkeypatch.setattr(harness, "_EVAL_BLOCK_ROWS", 2)
     monkeypatch.setattr(harness, "_EVAL_CPUS", 2)
     forward = encoders.EegConvEncoder.forward
+    raised = threading.Event()
 
-    def fails_off_the_calling_thread(self, tape, x, train):
-        if threading.current_thread() is not threading.main_thread():
-            raise NumericError("input contains non-finite entries")
-        return forward(self, tape, x, train)
+    def fails_in_the_pool(self, tape, x, train):
+        # the calling thread waits, so that the pool thread takes a block
+        if threading.current_thread() is threading.main_thread():
+            assert raised.wait(timeout=60), "no pool thread took a block"
+            return forward(self, tape, x, train)
+        raised.set()
+        raise NumericError("input contains non-finite entries")
 
-    monkeypatch.setattr(encoders.EegConvEncoder, "forward", fails_off_the_calling_thread)
+    monkeypatch.setattr(encoders.EegConvEncoder, "forward", fails_in_the_pool)
     capsys.readouterr()
     assert main(["eval", "--config", str(config_path), "--data", str(manifest),
                  "--params", str(params), "--out", str(tmp_path / "eval.jsonl")]) == 2

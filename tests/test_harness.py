@@ -1,8 +1,11 @@
 """Run configuration, metrics stream, training loop, and protocol harness."""
 
 import json
+import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -430,42 +433,120 @@ def test_evaluate_zero_shot_record_shape(tiny_data):
     assert record.top5 == 1.0
 
 
+def _gate_eeg_forward(monkeypatch, pool_forward=None):
+    """Patch the EEG forward so that, with more than one CPU, the calling thread
+    embeds nothing until a pool thread has taken a block: with several blocks,
+    both then embed.  ``pool_forward`` stands in for the forward on pool threads.
+    Returns the name of the thread of each block, and the event a pool thread sets."""
+    forward = encoders.EegConvEncoder.forward
+    names, pool_took_one = [], threading.Event()
+
+    def gated(self, tape, x, train):
+        names.append(threading.current_thread().name)
+        if threading.current_thread() is not threading.main_thread():
+            pool_took_one.set()
+            return (pool_forward or forward)(self, tape, x, train)
+        if harness._EVAL_CPUS > 1:
+            assert pool_took_one.wait(timeout=60), "no pool thread took a block"
+        return forward(self, tape, x, train)
+
+    monkeypatch.setattr(encoders.EegConvEncoder, "forward", gated)
+    return names, pool_took_one
+
+
 def test_evaluate_zero_shot_gives_one_record_at_any_cpu_count(tiny_data, monkeypatch):
-    """Eight queries in four blocks, so two or three CPUs split them; a short
-    switch interval makes the threads interleave inside every op."""
+    """Eight queries in four blocks; a short switch interval makes the threads
+    interleave inside every op."""
     model, _ = train(TINY_RUN, tiny_data)
     monkeypatch.setattr(harness, "_EVAL_BLOCK_ROWS", 2)
+    names, pool_took_one = _gate_eeg_forward(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     lines = []
     try:
         for cpus in CPU_COUNTS:
             monkeypatch.setattr(harness, "_EVAL_CPUS", cpus)
+            names.clear()
+            pool_took_one.clear()
             lines.append(evaluate_zero_shot(model, tiny_data).to_json_line())
+            assert len(names) == 4
+            assert ("MainThread" in names) and (pool_took_one.is_set() == (cpus > 1)), names
     finally:
         sys.setswitchinterval(interval)
     assert lines == [lines[0]] * len(CPU_COUNTS)
 
 
-def test_numeric_error_in_a_pool_workers_share_reaches_the_caller(tiny_data, monkeypatch):
+def test_numeric_error_in_a_pool_thread_reaches_the_caller(tiny_data, monkeypatch):
     model, _ = train(TINY_RUN, tiny_data)
     monkeypatch.setattr(harness, "_EVAL_BLOCK_ROWS", 2)
     monkeypatch.setattr(harness, "_EVAL_CPUS", 2)
-    error = NumericError("non-finite angle in a worker's block")
-    forward = encoders.EegConvEncoder.forward
-    raised_in = []
+    error = NumericError("non-finite angle in a pool thread's block")
 
-    def fails_off_the_calling_thread(self, tape, x, train):
-        if threading.current_thread() is not threading.main_thread():
-            raised_in.append(threading.current_thread().name)
-            raise error
-        return forward(self, tape, x, train)
+    def fails(self, tape, x, train):
+        raise error
 
-    monkeypatch.setattr(encoders.EegConvEncoder, "forward", fails_off_the_calling_thread)
+    names, _ = _gate_eeg_forward(monkeypatch, pool_forward=fails)
     with pytest.raises(NumericError) as caught:
         evaluate_zero_shot(model, tiny_data)
     assert caught.value is error
-    assert raised_in and raised_in[0].startswith("vqcontrast-eval")
+    assert any(name.startswith("vqcontrast-eval") for name in names), names
+
+
+def test_an_error_in_the_calling_threads_block_waits_for_the_pool(tiny_data, monkeypatch):
+    """No pool block is still running when the caller sees the error."""
+    model, _ = train(TINY_RUN, tiny_data)
+    monkeypatch.setattr(harness, "_EVAL_BLOCK_ROWS", 2)
+    monkeypatch.setattr(harness, "_EVAL_CPUS", 2)
+    forward = encoders.EegConvEncoder.forward
+    running = []
+
+    def slow(self, tape, x, train):
+        running.append(x.shape)
+        time.sleep(0.05)
+        out = forward(self, tape, x, train)
+        running.pop()
+        return out
+
+    names, _ = _gate_eeg_forward(monkeypatch, pool_forward=slow)
+    gated = encoders.EegConvEncoder.forward
+    error = NumericError("non-finite angle in the calling thread's block")
+
+    def calling_thread_fails(self, tape, x, train):
+        out = gated(self, tape, x, train)
+        if threading.current_thread() is threading.main_thread():
+            raise error
+        return out
+
+    monkeypatch.setattr(encoders.EegConvEncoder, "forward", calling_thread_fails)
+    with pytest.raises(NumericError) as caught:
+        evaluate_zero_shot(model, tiny_data)
+    assert caught.value is error
+    assert not running and len(names) == 4, names
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_process_forked_after_an_eval_can_eval(monkeypatch):
+    """A pool thread kept between calls would not exist in the child, whose
+    eval would then wait for it forever."""
+    monkeypatch.setattr(harness, "_EVAL_CPUS", 2)
+    model = _model_with_running_stats(TINY_RUN, 4)
+    eeg = np.random.default_rng(3).standard_normal(
+        (2 * BLOCK + 5, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+    before = model.embed_eeg(eeg).tobytes()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if model.embed_eeg(eeg).tobytes() == before else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0, done
 
 
 def test_float32_dataset_trains_and_scores_as_its_float64_widening(tiny_data, monkeypatch):
