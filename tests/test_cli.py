@@ -168,8 +168,8 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_eval_subprocess_exits_promptly(tmp_path):
-    """80 queries make two blocks, so with two or more CPUs an eval pool
-    thread runs one of them; it must not keep the interpreter from exiting."""
+    """80 queries make two blocks, so with two or more CPUs the eval starts a
+    pool thread; it must not keep the interpreter from exiting."""
     config = replace(TINY, samples_per_class=40)
     config_path = tmp_path / "config.json"
     config.save(config_path)
