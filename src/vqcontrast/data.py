@@ -4,8 +4,9 @@ Each class owns a latent vector; fixed random linear maps turn it into an
 EEG prototype and an image-embedding prototype, so the two modalities are
 genuinely correlated and cross-modal retrieval is learnable.  Samples are
 the class prototype plus Gaussian noise.  Everything is deterministic
-given the seed, down to the bytes on disk.  The EEG tensor, the largest
-object, is written ``_CHUNK_ROWS`` samples at a time and read in one piece.
+given the seed, down to the bytes on disk.  The EEG tensor, (samples,
+electrodes, time samples) and the largest object, is written
+``_CHUNK_ROWS`` samples at a time and read in one piece.
 Both float tensors stay float32 in memory, as stored; compute widens each
 batch or block to float64 exactly (``diffnet.Tensor``), so nothing is
 rounded and the resident copy is the size of the file.
@@ -129,7 +130,7 @@ class DatasetManifest:
         return {**self.__dict__, "_loaded": None}
 
     def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (eeg [N,1,E,T] f32, image_emb [C,D_img] f32, labels [N] int), read-only."""
+        """Return (eeg [N,E,T] f32, image_emb [C,D_img] f32, labels [N] int), read-only."""
         if self._loaded is None:
             arrays = self._read_arrays()
             for array in arrays:
@@ -145,8 +146,8 @@ class DatasetManifest:
             # min and max carry any NaN or inf (no tensor file is empty), and need no mask
             if not (np.isfinite(array.min()) and np.isfinite(array.max())):
                 raise NumericError(f"{path} holds non-finite values")
-        if eeg.ndim != 4 or eeg.shape[1] != 1:
-            raise ConfigurationError(f"EEG tensor must be [N, 1, E, T], got {eeg.shape}")
+        if eeg.ndim != 3:
+            raise ConfigurationError(f"EEG tensor must be [N, E, T], got {eeg.shape}")
         if emb.ndim != 2:
             raise ConfigurationError(f"image embeddings must be [C, D], got {emb.shape}")
         if labels_f.ndim != 1 or labels_f.shape[0] != eeg.shape[0]:
@@ -205,7 +206,7 @@ def generate_dataset(
 
     labels = np.repeat(np.arange(n_classes), samples_per_class)
     with open(out_dir / EEG_FILE, "wb") as f:
-        f.write(tensor_header_bytes((n_samples, 1, electrodes, time_samples)))
+        f.write(tensor_header_bytes((n_samples, electrodes, time_samples)))
         for start in range(0, n_samples, _CHUNK_ROWS):  # draws in sequence: the one-shot draw
             rows = labels[start : start + _CHUNK_ROWS]
             eeg = rng.standard_normal((len(rows), electrodes, time_samples))

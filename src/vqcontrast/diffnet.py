@@ -13,12 +13,13 @@ input, in order, each added to that input's ``grad``.  An output that never
 reached the loss (its ``grad`` is None) is skipped without calling ``vjp``.
 
 The op set is exactly what the encoders and the contrastive objective need:
-a dense linear layer, the two EEG convolutions (a spatial convolution that
-collapses the electrode axis, then a 1-D temporal convolution), batch
-normalization, ELU, an angle squash pi*tanh(x) used to bound rotation
-angles, row-wise L2 normalization, and reshape.  Optimization is Adam with
-bias correction, which uses its gradients up as ``backward`` uses the tape
-up; its betas default to the paper's (0.5, 0.999).
+a dense linear layer, the two EEG convolutions on (batch, channel, time)
+arrays (a spatial convolution that collapses the electrode axis, then a 1-D
+temporal convolution), batch normalization over the same layout, ELU, an
+angle squash pi*tanh(x) used to bound rotation angles, row-wise L2
+normalization, and reshape.  Optimization is Adam with bias correction,
+which uses its gradients up as ``backward`` uses the tape up; its betas
+default to the paper's (0.5, 0.999).
 """
 
 from __future__ import annotations
@@ -107,70 +108,60 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def conv_spatial(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
-    """Collapse the electrode axis of (B, 1, E, T) into feature maps.
+    """Collapse the electrode axis of (B, E, T) into feature maps.
 
-    The kernel spans the full electrode axis: shape (F, 1, E, 1), stride 1,
-    no padding, so the output is (B, F, 1, T).
+    The kernel (F, E) spans the full electrode axis, so the output is (B, F, T).
     """
-    if x.data.ndim != 4 or x.shape[1] != 1:
-        raise ShapeError(f"conv_spatial: expected (B, 1, E, T) input, got {x.shape}")
-    if kernel.data.ndim != 4 or kernel.shape[1] != 1 or kernel.shape[3] != 1:
+    if x.data.ndim != 3 or kernel.data.ndim != 2:
         raise ShapeError(
-            f"conv_spatial: expected (F, 1, E, 1) kernel, got {kernel.shape}"
+            f"conv_spatial: expected (B, E, T) input and (F, E) kernel, "
+            f"got {x.shape} and {kernel.shape}"
         )
-    if kernel.shape[2] != x.shape[2]:
+    if kernel.shape[1] != x.shape[1]:
         raise ShapeError(
-            f"conv_spatial: kernel spans {kernel.shape[2]} electrodes, "
-            f"input has {x.shape[2]}"
+            f"conv_spatial: kernel spans {kernel.shape[1]} electrodes, "
+            f"input has {x.shape[1]}"
         )
-    xs = x.data[:, 0]  # (B, E, T)
-    ks = kernel.data[:, 0, :, 0]  # (F, E)
-
-    def vjp(g):
-        gs = g[:, :, 0, :]  # (B, F, T)
-        return (ks.T @ gs)[:, None], (gs @ xs.transpose(0, 2, 1)).sum(0)[:, None, :, None]
-
-    return tape.op((x, kernel), (ks @ xs)[:, :, None, :], vjp)
+    xs, ks = x.data, kernel.data
+    return tape.op((x, kernel), ks @ xs,
+                   lambda g: (ks.T @ g, (g @ xs.transpose(0, 2, 1)).sum(0)))
 
 
 def conv_temporal(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
-    """1-D convolution along the time axis of (B, F, 1, T).
+    """1-D convolution along the time axis of (B, F, T).
 
-    Kernel shape (G, F, 1, k); output (B, G, 1, T - k + 1); stride 1, no padding.
+    Kernel shape (G, F, k); output (B, G, T - k + 1); stride 1, no padding.
     One matmul per kernel tap, so no (B, F, T', k) window array is built.
     """
-    if x.data.ndim != 4 or x.shape[2] != 1:
-        raise ShapeError(f"conv_temporal: expected (B, F, 1, T) input, got {x.shape}")
-    if kernel.data.ndim != 4 or kernel.shape[2] != 1:
+    if x.data.ndim != 3 or kernel.data.ndim != 3:
         raise ShapeError(
-            f"conv_temporal: expected (G, F, 1, k) kernel, got {kernel.shape}"
+            f"conv_temporal: expected (B, F, T) input and (G, F, k) kernel, "
+            f"got {x.shape} and {kernel.shape}"
         )
     if kernel.shape[1] != x.shape[1]:
         raise ShapeError(
             f"conv_temporal: kernel expects {kernel.shape[1]} maps, input has {x.shape[1]}"
         )
-    k = kernel.shape[3]
-    t_in = x.shape[3]
+    k = kernel.shape[2]
+    t_in = x.shape[2]
     if k > t_in:
         raise ShapeError(f"conv_temporal: kernel length {k} exceeds input length {t_in}")
     t_out = t_in - k + 1
 
-    xs = x.data[:, :, 0, :]  # (B, F, T)
-    ks = kernel.data[:, :, 0, :]  # (G, F, k)
+    xs, ks = x.data, kernel.data
     acc = ks[:, :, 0] @ xs[:, :, :t_out]
     for off in range(1, k):
         acc += ks[:, :, off] @ xs[:, :, off : off + t_out]
 
     def vjp(g):
-        gs = g[:, :, 0, :]  # (B, G, T')
         gk = np.empty_like(ks)
         gx = np.zeros_like(xs)
         for off in range(k):
-            gk[:, :, off] = (gs @ xs[:, :, off : off + t_out].transpose(0, 2, 1)).sum(0)
-            gx[:, :, off : off + t_out] += ks[:, :, off].T @ gs
-        return gx[:, :, None, :], gk[:, :, None, :]
+            gk[:, :, off] = (g @ xs[:, :, off : off + t_out].transpose(0, 2, 1)).sum(0)
+            gx[:, :, off : off + t_out] += ks[:, :, off].T @ g
+        return gx, gk
 
-    return tape.op((x, kernel), acc[:, :, None, :], vjp)
+    return tape.op((x, kernel), acc, vjp)
 
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
@@ -186,18 +177,18 @@ def batch_norm(
     running_var: np.ndarray,
     train: bool,
 ) -> Tensor:
-    """Per-feature standardization of (B, C, 1, T) input with a learned affine map.
+    """Per-feature standardization of (B, C, T) input with a learned affine map.
 
     Axis 1 is the feature axis.  Train mode uses the batch statistics and
     updates the running ones in place; eval mode uses the running ones.  The
     forward is one scale and shift per feature.
     """
-    if x.data.ndim != 4 or x.shape[2] != 1:
-        raise ShapeError(f"batch_norm: expected (B, C, 1, T) input, got {x.shape}")
+    if x.data.ndim != 3:
+        raise ShapeError(f"batch_norm: expected (B, C, T) input, got {x.shape}")
     channels = x.shape[1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ShapeError("batch_norm: gamma/beta must match the feature axis")
-    axes, count = (0, 2, 3), x.shape[0] * x.shape[3]
+    axes, count = (0, 2), x.shape[0] * x.shape[2]
     if train and count < 2:
         raise ConfigurationError("batch_norm: train mode needs at least 2 samples")
 
@@ -214,20 +205,20 @@ def batch_norm(
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv_std
-    y = x.data * scale[:, None, None]
-    y += (beta.data - mean * scale)[:, None, None]
+    y = x.data * scale[:, None]
+    y += (beta.data - mean * scale)[:, None]
 
     def vjp(g):
-        x_hat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
-        g_hat = g * gamma.data[:, None, None]
+        x_hat = (x.data - mean[:, None]) * inv_std[:, None]
+        g_hat = g * gamma.data[:, None]
         if train:
             # Batch statistics depend on x, so propagate through mean and var.
             g_sum = g_hat.sum(axis=axes)
             gx_sum = (g_hat * x_hat).sum(axis=axes)
-            dx = (g_hat - (g_sum / count)[:, None, None]
-                  - x_hat * (gx_sum / count)[:, None, None]) * inv_std[:, None, None]
+            dx = (g_hat - (g_sum / count)[:, None]
+                  - x_hat * (gx_sum / count)[:, None]) * inv_std[:, None]
         else:
-            dx = g_hat * inv_std[:, None, None]
+            dx = g_hat * inv_std[:, None]
         return dx, (g * x_hat).sum(axis=axes), g.sum(axis=axes)
 
     return tape.op((x, gamma, beta), y, vjp)

@@ -5,7 +5,8 @@ tail, built by ``_tail_params`` and run by ``_tail``: project features to
 the qubit count, squash them to rotation angles in (-pi, pi), run the
 variational quantum layer, project to the shared embedding dimension,
 and L2-normalize.  The EEG path prepends a spatial convolution across
-electrodes and a temporal convolution along samples; the image path
+electrodes and a temporal convolution along samples, on (batch, electrodes,
+time) input and (batch, feature map, time) activations; the image path
 starts from precomputed backbone embeddings, which are input data and
 never trained.
 
@@ -83,20 +84,20 @@ def _tail(tape: Tape, h: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 class EegConvEncoder:
     """Spatial conv -> BN -> ELU -> temporal conv -> BN -> ELU -> flatten,
-    then the shared quantum tail; geometry from a ``RunConfig``."""
+    then the shared quantum tail, on (B, electrodes, time_samples) input;
+    geometry from a ``RunConfig``."""
 
     def __init__(self, config: RunConfig, rng: np.random.Generator):
         self.config = c = config
         flat_dim = c.temporal_maps * (c.time_samples - c.temporal_kernel + 1)
         self.params: dict[str, Tensor] = {
             "spatial_kernel": Tensor(
-                _glorot(rng, (c.spatial_maps, 1, c.electrodes, 1),
-                        c.electrodes, c.spatial_maps)
+                _glorot(rng, (c.spatial_maps, c.electrodes), c.electrodes, c.spatial_maps)
             ),
             "bn1_gamma": Tensor(np.ones(c.spatial_maps)),
             "bn1_beta": Tensor(np.zeros(c.spatial_maps)),
             "temporal_kernel": Tensor(
-                _glorot(rng, (c.temporal_maps, c.spatial_maps, 1, c.temporal_kernel),
+                _glorot(rng, (c.temporal_maps, c.spatial_maps, c.temporal_kernel),
                         c.spatial_maps * c.temporal_kernel,
                         c.temporal_maps * c.temporal_kernel)
             ),
@@ -113,9 +114,9 @@ class EegConvEncoder:
 
     def forward(self, tape: Tape, x: Tensor, train: bool) -> Tensor:
         c = self.config
-        if x.data.ndim != 4 or x.shape[1:] != (1, c.electrodes, c.time_samples):
+        if x.data.ndim != 3 or x.shape[1:] != (c.electrodes, c.time_samples):
             raise ShapeError(
-                f"expected (B, 1, {c.electrodes}, {c.time_samples}) input, got {x.shape}"
+                f"expected (B, {c.electrodes}, {c.time_samples}) input, got {x.shape}"
             )
         p, b = self.params, self.buffers
         h = diffnet.conv_spatial(tape, x, p["spatial_kernel"])

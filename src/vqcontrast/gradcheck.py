@@ -171,20 +171,20 @@ def _check_pipeline(name, head_cls, init_seed, shape, rng, **forward_kwargs):
 STANDARD_CHECKS: tuple[Callable[[np.random.Generator], CheckResult], ...] = (
     *(partial(_check_spec, *spec) for spec in (
         ("linear", _op("linear"), _normal((4, 3), (3, 5), 5)),
-        ("conv_spatial", _op("conv_spatial"), _normal((3, 1, 4, 6), (2, 1, 4, 1))),
-        ("conv_temporal", _op("conv_temporal"), _normal((2, 2, 1, 9), (3, 2, 1, 4))),
-        ("batch_norm_train", _bn(True), _normal((3, 2, 1, 4), 2, 2)),
-        ("batch_norm_eval", _bn(False), _normal((3, 2, 1, 4), 2, 2)),
+        ("conv_spatial", _op("conv_spatial"), _normal((3, 4, 6), (2, 4))),
+        ("conv_temporal", _op("conv_temporal"), _normal((2, 2, 9), (3, 2, 4))),
+        ("batch_norm_train", _bn(True), _normal((3, 2, 4), 2, 2)),
+        ("batch_norm_eval", _bn(False), _normal((3, 2, 4), 2, 2)),
         ("elu", _op("elu"), _normal((4, 5))),
         ("angle_squash", _op("angle_squash"), _normal((4, 5))),
         ("l2_normalize", _op("l2_normalize"), _normal((4, 6))),
-        ("flatten", _op("flatten"), _normal((3, 2, 1, 4))),
+        ("flatten", _op("flatten"), _normal((3, 2, 4))),
         ("quantum_layer", _op("quantum_layer", encoders),
          lambda rng: [rng.uniform(-np.pi, np.pi, s) for s in ((4, 3), (2, 3))]),
     )),
     _check_vqc_parameter_shift,
     partial(_check_pipeline, "eeg_encoder_pipeline", EegConvEncoder, 1,
-            (3, 1, _TINY.electrodes, _TINY.time_samples), train=True),
+            (3, _TINY.electrodes, _TINY.time_samples), train=True),
     partial(_check_pipeline, "image_head_pipeline", ImageEmbedHead, 2,
             (3, _TINY.image_dim)),
     partial(_check_spec, "clip_loss_chain", _clip_chain,

@@ -307,9 +307,9 @@ def _blocked(forward, data: np.ndarray, rows: np.ndarray | None = None, **kwargs
 
 def _load_and_check(config: RunConfig, manifest: DatasetManifest):
     eeg, emb, labels = manifest.load_arrays()
-    if eeg.shape[2] != config.electrodes or eeg.shape[3] != config.time_samples:
+    if eeg.shape[1:] != (config.electrodes, config.time_samples):
         raise ConfigurationError(
-            f"dataset EEG geometry {eeg.shape[2:]} does not match config "
+            f"dataset EEG geometry {eeg.shape[1:]} does not match config "
             f"({config.electrodes}, {config.time_samples})"
         )
     if emb.shape[1] != config.image_dim:

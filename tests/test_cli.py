@@ -274,6 +274,39 @@ def test_transposed_params_file_exits_one(tmp_path, config_path, capsys):
     assert not (tmp_path / "eval.jsonl").exists()
 
 
+def test_dataset_with_a_singleton_channel_axis_exits_one(tmp_path, config_path, capsys):
+    """An EEG file in the old (N, 1, E, T) layout is refused, not reshaped."""
+    manifest = gen_data(tmp_path, config_path)
+    eeg_path = manifest.parent / EEG_FILE
+    save_tensor_file(eeg_path, load_tensor_file(eeg_path)[:, None])
+    code = main([
+        "train", "--config", str(config_path), "--data", str(manifest),
+        "--out", str(tmp_path / "metrics.jsonl"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "[N, E, T], got (16, 1, 3, 16)" in err, err
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
+def test_params_file_with_singleton_kernel_axes_exits_one(tmp_path, config_path, capsys):
+    """A spatial kernel saved in the old (F, 1, E, 1) layout is a shape mismatch."""
+    manifest = gen_data(tmp_path, config_path)
+    state = RetrievalModel(TINY, np.random.default_rng(0)).named_state()
+    state["eeg.spatial_kernel"] = state["eeg.spatial_kernel"][:, None, :, None]
+    params = tmp_path / "model.params"
+    save_params(params, state)
+    code = main([
+        "eval", "--config", str(config_path), "--data", str(manifest),
+        "--params", str(params), "--out", str(tmp_path / "eval.jsonl"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert "mismatch for 'eeg.spatial_kernel': got shape (2, 1, 3, 1), expected (2, 3)" in err
+    assert not (tmp_path / "eval.jsonl").exists()
+
+
 @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent-dir"])
 def test_params_index_naming_a_container_elsewhere_exits_one(tmp_path, config_path, absolute):
     """An index may name only a container beside it, even a valid one elsewhere."""

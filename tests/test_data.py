@@ -31,7 +31,7 @@ def test_generate_writes_expected_files_and_shapes(tmp_path):
     for name in (EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE, MANIFEST_FILE):
         assert (tmp_path / name).exists()
     eeg, emb, labels = manifest.load_arrays()
-    assert eeg.shape == (20, 1, 3, 10)
+    assert eeg.shape == (20, 3, 10)
     assert emb.shape == (5, 6)
     assert labels.shape == (20,)
     np.testing.assert_array_equal(np.unique(labels), np.arange(5))
@@ -124,7 +124,7 @@ def one_shot_files(seed, n_classes, samples_per_class, electrodes, time_samples,
     protos = (latents @ eeg_map * scale).reshape(n_classes, electrodes, time_samples)
     labels = np.repeat(np.arange(n_classes), samples_per_class)
     noise = rng.standard_normal((len(labels), electrodes, time_samples))
-    eeg = (protos[labels] + noise_sigma * noise)[:, None, :, :]
+    eeg = protos[labels] + noise_sigma * noise
     return {EEG_FILE: tensor_record_bytes(eeg),
             IMAGE_EMB_FILE: tensor_record_bytes(latents @ img_map * scale),
             LABELS_FILE: tensor_record_bytes(labels)}
@@ -225,7 +225,7 @@ def test_manifest_takes_a_string_root(tmp_path):
     doc = json.loads((tmp_path / MANIFEST_FILE).read_text())
     manifest = DatasetManifest(root=str(tmp_path), **doc)
     assert manifest.root == tmp_path
-    assert manifest.load_arrays()[0].shape == (20, 1, 3, 10)
+    assert manifest.load_arrays()[0].shape == (20, 3, 10)
 
 
 def test_manifest_rejects_a_root_that_is_not_a_path():
@@ -294,8 +294,17 @@ def test_load_arrays_rejects_labels_outside_splits(tmp_path):
 
 def test_load_arrays_rejects_wrong_eeg_rank(tmp_path):
     generate_dataset(tmp_path, seed=9, **GEN_KW)
-    save_tensor_file(tmp_path / EEG_FILE, np.zeros((20, 3, 10)))
+    save_tensor_file(tmp_path / EEG_FILE, np.zeros((20, 30)))
     with pytest.raises(ConfigurationError):
+        DatasetManifest.load(tmp_path / MANIFEST_FILE).load_arrays()
+
+
+def test_load_arrays_refuses_the_old_four_axis_eeg_layout(tmp_path):
+    """A dataset written with a singleton channel axis, (N, 1, E, T), is refused."""
+    generate_dataset(tmp_path, seed=9, **GEN_KW)
+    eeg = load_tensor_file(tmp_path / EEG_FILE)
+    save_tensor_file(tmp_path / EEG_FILE, eeg[:, None])
+    with pytest.raises(ConfigurationError, match=r"\[N, E, T\], got \(20, 1, 3, 10\)"):
         DatasetManifest.load(tmp_path / MANIFEST_FILE).load_arrays()
 
 

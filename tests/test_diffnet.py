@@ -46,36 +46,36 @@ def test_linear_backward_closed_form():
 
 def test_conv_spatial_matches_loops():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 1, 3, 5))
-    k = rng.standard_normal((4, 1, 3, 1))
+    x = rng.standard_normal((2, 3, 5))
+    k = rng.standard_normal((4, 3))
     out, (dx, dk), r = backprop(lambda t, x_, k_: diffnet.conv_spatial(t, x_, k_), [x, k])
-    assert out.shape == (2, 4, 1, 5)
+    assert out.shape == (2, 4, 5)
     expected_dx, expected_dk = np.zeros_like(x), np.zeros_like(k)
     for b in range(2):
         for f in range(4):
             for t in range(5):
-                expected = np.dot(k[f, 0, :, 0], x[b, 0, :, t])
-                assert abs(out[b, f, 0, t] - expected) < 1e-12
-                expected_dx[b, 0, :, t] += r[b, f, 0, t] * k[f, 0, :, 0]
-                expected_dk[f, 0, :, 0] += r[b, f, 0, t] * x[b, 0, :, t]
+                expected = np.dot(k[f], x[b, :, t])
+                assert abs(out[b, f, t] - expected) < 1e-12
+                expected_dx[b, :, t] += r[b, f, t] * k[f]
+                expected_dk[f] += r[b, f, t] * x[b, :, t]
     np.testing.assert_allclose(dx, expected_dx, atol=1e-12)
     np.testing.assert_allclose(dk, expected_dk, atol=1e-12)
 
 
 def test_conv_temporal_matches_loops():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 3, 1, 10))
-    k = rng.standard_normal((4, 3, 1, 4))
+    x = rng.standard_normal((2, 3, 10))
+    k = rng.standard_normal((4, 3, 4))
     out, (dx, dk), r = backprop(lambda t, x_, k_: diffnet.conv_temporal(t, x_, k_), [x, k])
-    assert out.shape == (2, 4, 1, 7)
+    assert out.shape == (2, 4, 7)
     expected_dx, expected_dk = np.zeros_like(x), np.zeros_like(k)
     for b in range(2):
         for g in range(4):
             for t in range(7):
-                window = x[b, :, 0, t : t + 4]
-                assert abs(out[b, g, 0, t] - np.sum(window * k[g, :, 0, :])) < 1e-12
-                expected_dx[b, :, 0, t : t + 4] += r[b, g, 0, t] * k[g, :, 0, :]
-                expected_dk[g, :, 0, :] += r[b, g, 0, t] * window
+                window = x[b, :, t : t + 4]
+                assert abs(out[b, g, t] - np.sum(window * k[g])) < 1e-12
+                expected_dx[b, :, t : t + 4] += r[b, g, t] * k[g]
+                expected_dk[g] += r[b, g, t] * window
     np.testing.assert_allclose(dx, expected_dx, atol=1e-12)
     np.testing.assert_allclose(dk, expected_dk, atol=1e-12)
 
@@ -83,7 +83,7 @@ def test_conv_temporal_matches_loops():
 def test_conv_temporal_never_holds_a_window_array():
     """Forward and backward at paper-step shape stay below one (B, F, T', k) array."""
     rng = np.random.default_rng(13)
-    x, k = rng.standard_normal((64, 8, 1, 100)), rng.standard_normal((8, 8, 1, 16))
+    x, k = rng.standard_normal((64, 8, 100)), rng.standard_normal((8, 8, 16))
     window_bytes = 64 * 8 * (100 - 16 + 1) * 16 * 8
     tracemalloc.start()
     try:
@@ -95,12 +95,12 @@ def test_conv_temporal_never_holds_a_window_array():
     assert peak < window_bytes
 
 
-AXES = (0, 2, 3)  # batch norm's statistics run over every axis but the feature axis 1
+AXES = (0, 2)  # batch norm's statistics run over the batch and time axes, not features
 
 
 def test_batch_norm_train_standardizes():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((10, 3, 1, 5)) * 2.5 + 1.0
+    x = rng.standard_normal((10, 3, 5)) * 2.5 + 1.0
     gamma, beta = np.ones(3), np.zeros(3)
     mean, var = np.zeros(3), np.ones(3)
     tape = Tape()
@@ -111,7 +111,7 @@ def test_batch_norm_train_standardizes():
 
 def test_batch_norm_running_stats_update():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((4, 4, 1, 5))
+    x = rng.standard_normal((4, 4, 5))
     mean, var = np.zeros(4), np.ones(4)
     tape = Tape()
     diffnet.batch_norm(tape, Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
@@ -123,7 +123,7 @@ def test_batch_norm_running_stats_update():
 
 
 def test_batch_norm_eval_uses_running_stats():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None, None]
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
     mean, var = np.array([1.0, 1.0]), np.array([4.0, 4.0])
     tape = Tape()
     out = diffnet.batch_norm(tape, Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
@@ -134,17 +134,17 @@ def test_batch_norm_eval_uses_running_stats():
 
 
 def test_batch_norm_affine_params_apply():
-    x = np.array([[0.0, 0.0], [2.0, 4.0]])[:, :, None, None]
+    x = np.array([[0.0, 0.0], [2.0, 4.0]])[:, :, None]
     tape = Tape()
     out = diffnet.batch_norm(tape, Tensor(x), Tensor(np.array([2.0, 3.0])),
                              Tensor(np.array([1.0, -1.0])), np.zeros(2), np.ones(2),
                              train=True)
-    np.testing.assert_allclose(out.data[:, 0, 0, 0], [1.0 - 2.0, 1.0 + 2.0], atol=1e-4)
-    np.testing.assert_allclose(out.data[:, 1, 0, 0], [-1.0 - 3.0, -1.0 + 3.0], atol=1e-4)
+    np.testing.assert_allclose(out.data[:, 0, 0], [1.0 - 2.0, 1.0 + 2.0], atol=1e-4)
+    np.testing.assert_allclose(out.data[:, 1, 0], [-1.0 - 3.0, -1.0 + 3.0], atol=1e-4)
 
 
 @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-@pytest.mark.parametrize("shape", [(5, 3, 1, 7), (2, 3, 1, 1)], ids=["4d", "smallest"])
+@pytest.mark.parametrize("shape", [(5, 3, 7), (2, 3, 1)], ids=["3d", "smallest"])
 def test_batch_norm_matches_textbook_form(train, shape):
     """The one-pass scale and shift equals gamma * (x - mean) / sigma + beta, down
     to the two positions per feature that train mode needs."""
@@ -158,7 +158,7 @@ def test_batch_norm_matches_textbook_form(train, shape):
         mean, var = running_mean.copy(), running_var.copy()
 
     def cast(a):
-        return a[:, None, None]
+        return a[:, None]
 
     expected = cast(gamma) * (x - cast(mean)) / np.sqrt(cast(var) + 1e-5) + cast(beta)
     out = diffnet.batch_norm(Tape(), Tensor(x), Tensor(gamma), Tensor(beta),
@@ -169,7 +169,7 @@ def test_batch_norm_matches_textbook_form(train, shape):
 def test_batch_norm_single_sample_train_rejected():
     tape = Tape()
     with pytest.raises(ConfigurationError):
-        diffnet.batch_norm(tape, Tensor(np.ones((1, 3, 1, 1))), Tensor(np.ones(3)),
+        diffnet.batch_norm(tape, Tensor(np.ones((1, 3, 1))), Tensor(np.ones(3)),
                            Tensor(np.zeros(3)), np.zeros(3), np.ones(3), train=True)
 
 
@@ -324,13 +324,13 @@ def test_shape_validation():
     with pytest.raises(ShapeError):
         diffnet.linear(t, Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
     with pytest.raises(ShapeError):
-        diffnet.conv_spatial(t, Tensor(np.ones((2, 1, 4, 8))), Tensor(np.ones((3, 1, 5, 1))))
+        diffnet.conv_spatial(t, Tensor(np.ones((2, 4, 8))), Tensor(np.ones((3, 5))))
     with pytest.raises(ShapeError):
-        diffnet.conv_temporal(t, Tensor(np.ones((2, 3, 1, 4))), Tensor(np.ones((2, 3, 1, 6))))
+        diffnet.conv_temporal(t, Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 6))))
     with pytest.raises(ShapeError):
         diffnet.l2_normalize(t, Tensor(np.ones(4)))
-    for shape in ((4, 3), (4, 3, 2, 5)):  # batch norm takes the encoder's (B, C, 1, T) only
-        with pytest.raises(ShapeError, match=r"\(B, C, 1, T\)"):
+    for shape in ((4, 3), (4, 3, 1, 5)):  # batch norm takes the encoder's (B, C, T) only
+        with pytest.raises(ShapeError, match=r"\(B, C, T\)"):
             diffnet.batch_norm(t, Tensor(np.ones(shape)), Tensor(np.ones(3)),
                                Tensor(np.zeros(3)), np.zeros(3), np.ones(3), train=True)
 

@@ -86,7 +86,7 @@ def test_quantum_layer_rejects_flat_weights():
 def test_eeg_encoder_output_is_unit_rows():
     rng = np.random.default_rng(1)
     enc = EegConvEncoder(TINY, rng)
-    x = Tensor(rng.standard_normal((5, 1, 4, 32)))
+    x = Tensor(rng.standard_normal((5, 4, 32)))
     out = enc.forward(Tape(), x, train=True)
     assert out.shape == (5, TINY.embed_dim)
     np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
@@ -109,7 +109,7 @@ def test_eeg_encoder_zeroed_angles_collapse_to_one_row():
     enc.params["angle_w"].data[:] = 0.0
     enc.params["angle_b"].data[:] = 0.0
     enc.params["circuit_weights"].data[:] = 0.0
-    x = Tensor(rng.standard_normal((4, 1, 4, 32)))
+    x = Tensor(rng.standard_normal((4, 4, 32)))
     out = enc.forward(Tape(), x, train=False)
     z = np.ones(TINY.n_qubits) @ enc.params["proj_w"].data + enc.params["proj_b"].data
     expected = z / np.linalg.norm(z)
@@ -121,7 +121,7 @@ def test_eeg_encoder_eval_mode_is_per_sample():
     """In eval mode no op couples samples, so row order cannot matter."""
     rng = np.random.default_rng(3)
     enc = EegConvEncoder(TINY, rng)
-    x = rng.standard_normal((6, 1, 4, 32))
+    x = rng.standard_normal((6, 4, 32))
     perm = rng.permutation(6)
     out = enc.forward(Tape(), Tensor(x), train=False)
     out_perm = enc.forward(Tape(), Tensor(x[perm]), train=False)
@@ -132,7 +132,7 @@ def test_eeg_encoder_train_mode_updates_running_stats():
     rng = np.random.default_rng(4)
     enc = EegConvEncoder(TINY, rng)
     before = {k: v.copy() for k, v in enc.buffers.items()}
-    enc.forward(Tape(), Tensor(rng.standard_normal((4, 1, 4, 32))), train=True)
+    enc.forward(Tape(), Tensor(rng.standard_normal((4, 4, 32))), train=True)
     assert any(not np.array_equal(before[k], enc.buffers[k]) for k in before)
 
 
@@ -140,22 +140,21 @@ def test_eeg_encoder_single_sample_train_pools_over_time():
     # Channel statistics pool over the time axis, so even B=1 is well posed.
     rng = np.random.default_rng(5)
     enc = EegConvEncoder(TINY, rng)
-    out = enc.forward(Tape(), Tensor(rng.standard_normal((1, 1, 4, 32))), train=True)
+    out = enc.forward(Tape(), Tensor(rng.standard_normal((1, 4, 32))), train=True)
     np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
 
 
 def test_eeg_encoder_rejects_wrong_input_shape():
     enc = EegConvEncoder(TINY, np.random.default_rng(6))
-    with pytest.raises(ShapeError):
-        enc.forward(Tape(), Tensor(np.zeros((4, 4, 32))), train=False)
-    with pytest.raises(ShapeError):
-        enc.forward(Tape(), Tensor(np.zeros((4, 1, 5, 32))), train=False)
+    for shape in ((4, 1, 4, 32), (4, 5, 32)):  # a singleton channel axis; wrong electrodes
+        with pytest.raises(ShapeError, match=r"expected \(B, 4, 32\) input"):
+            enc.forward(Tape(), Tensor(np.zeros(shape)), train=False)
 
 
 def test_eeg_encoder_extreme_inputs_stay_finite():
     rng = np.random.default_rng(7)
     enc = EegConvEncoder(TINY, rng)
-    x = Tensor(1e3 * rng.standard_normal((4, 1, 4, 32)))
+    x = Tensor(1e3 * rng.standard_normal((4, 4, 32)))
     out = enc.forward(Tape(), x, train=True)
     assert np.all(np.isfinite(out.data))
     np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
@@ -165,7 +164,7 @@ def test_eeg_encoder_gradients_reach_every_parameter():
     rng = np.random.default_rng(8)
     enc = EegConvEncoder(TINY, rng)
     tape = Tape()
-    out = enc.forward(tape, Tensor(rng.standard_normal((4, 1, 4, 32))), train=True)
+    out = enc.forward(tape, Tensor(rng.standard_normal((4, 4, 32))), train=True)
     r = rng.standard_normal(out.data.shape)
     tape.backward(tape.op((out,), np.sum(out.data * r), lambda g: (g * r,)))
     for name, p in enc.params.items():

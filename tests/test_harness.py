@@ -336,7 +336,7 @@ def _at_each_cpu_count(monkeypatch, embed):
 def test_blocked_embeddings_match_one_unblocked_forward(n, monkeypatch):
     model = _model_with_running_stats(TINY_RUN, 4)
     rng = np.random.default_rng(n)
-    eeg = rng.standard_normal((n, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+    eeg = rng.standard_normal((n, TINY_RUN.electrodes, TINY_RUN.time_samples))
     emb = rng.standard_normal((n, TINY_RUN.image_dim))
     whole_eeg = model.eeg_encoder.forward(Tape(), Tensor(eeg), train=False).data
     whole_img = model.image_head.forward(Tape(), Tensor(emb)).data
@@ -350,7 +350,7 @@ def test_blocked_embeddings_match_one_unblocked_forward(n, monkeypatch):
 def test_embedding_picked_rows_equals_embedding_their_copy(picked, monkeypatch):
     model = _model_with_running_stats(TINY_RUN, 4)
     rng = np.random.default_rng(picked)
-    eeg = rng.standard_normal((2 * BLOCK, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+    eeg = rng.standard_normal((2 * BLOCK, TINY_RUN.electrodes, TINY_RUN.time_samples))
     rows = np.sort(rng.choice(len(eeg), picked, replace=False))
     by_index, by_copy = _at_each_cpu_count(
         monkeypatch, lambda: (model.embed_eeg(eeg, rows), model.embed_eeg(eeg[rows])))
@@ -360,7 +360,7 @@ def test_embedding_picked_rows_equals_embedding_their_copy(picked, monkeypatch):
 def test_eval_forwards_record_no_backward_closure(monkeypatch):
     model = _model_with_running_stats(TINY_RUN, 4)
     rng = np.random.default_rng(7)
-    eeg = rng.standard_normal((BLOCK, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+    eeg = rng.standard_normal((BLOCK, TINY_RUN.electrodes, TINY_RUN.time_samples))
     emb = rng.standard_normal((BLOCK, TINY_RUN.image_dim))
     taped_eeg = model.eeg_encoder.forward(Tape(), Tensor(eeg), train=False).data
     taped_img = model.image_head.forward(Tape(), Tensor(emb)).data
@@ -375,7 +375,7 @@ def test_eval_forwards_record_no_backward_closure(monkeypatch):
 
 def test_zero_row_batch_embeds_to_an_empty_matrix(monkeypatch):
     model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
-    eeg = np.zeros((0, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+    eeg = np.zeros((0, TINY_RUN.electrodes, TINY_RUN.time_samples))
     img = np.zeros((0, TINY_RUN.image_dim))
     got_eeg, got_img = _at_each_cpu_count(
         monkeypatch, lambda: (model.embed_eeg(eeg), model.embed_images(img)))
@@ -387,7 +387,7 @@ def test_embed_eeg_peak_memory_stays_cache_sized():
     config = RunConfig()
     model = _model_with_running_stats(config, 5)
     eeg = np.random.default_rng(6).standard_normal(
-        (1024, 1, config.electrodes, config.time_samples))
+        (1024, config.electrodes, config.time_samples))
     tracemalloc.start()
     try:
         out = model.embed_eeg(eeg)
@@ -406,7 +406,7 @@ def test_training_step_peak_memory_frees_what_backward_has_passed():
     rng = np.random.default_rng(9)
     tracemalloc.start()
     try:
-        eeg = rng.standard_normal((64, 1, config.electrodes, config.time_samples))
+        eeg = rng.standard_normal((64, config.electrodes, config.time_samples))
         emb = rng.standard_normal((64, config.image_dim))
         tape = Tape()
         e = model.eeg_encoder.forward(tape, Tensor(eeg), train=True)
@@ -434,24 +434,27 @@ def test_evaluate_zero_shot_record_shape(tiny_data):
 
 
 def _gate_eeg_forward(monkeypatch, pool_forward=None):
-    """Patch the EEG forward so that, with more than one CPU, the calling thread
-    embeds nothing until a pool thread has taken a block: with several blocks,
-    both then embed.  ``pool_forward`` stands in for the forward on pool threads.
-    Returns the name of the thread of each block, and the event a pool thread sets."""
+    """Patch the EEG forward so that, with more than one CPU, a thread that has
+    taken a block embeds nothing until the other side has taken one too: the
+    calling thread waits for a pool thread, and a pool thread for the calling
+    thread.  With several blocks, both then embed, whichever starts first.
+    ``pool_forward`` stands in for the forward on pool threads.  Returns the
+    name of the thread of each block, and the events the two sides set, keyed
+    ``"caller"`` and ``"pool"``."""
     forward = encoders.EegConvEncoder.forward
-    names, pool_took_one = [], threading.Event()
+    names, took = [], {"caller": threading.Event(), "pool": threading.Event()}
 
     def gated(self, tape, x, train):
         names.append(threading.current_thread().name)
-        if threading.current_thread() is not threading.main_thread():
-            pool_took_one.set()
-            return (pool_forward or forward)(self, tape, x, train)
+        in_pool = threading.current_thread() is not threading.main_thread()
+        mine, other = ("pool", "caller") if in_pool else ("caller", "pool")
+        took[mine].set()
         if harness._EVAL_CPUS > 1:
-            assert pool_took_one.wait(timeout=60), "no pool thread took a block"
-        return forward(self, tape, x, train)
+            assert took[other].wait(timeout=60), f"the {other} side took no block"
+        return (pool_forward or forward if in_pool else forward)(self, tape, x, train)
 
     monkeypatch.setattr(encoders.EegConvEncoder, "forward", gated)
-    return names, pool_took_one
+    return names, took
 
 
 def test_evaluate_zero_shot_gives_one_record_at_any_cpu_count(tiny_data, monkeypatch):
@@ -459,7 +462,7 @@ def test_evaluate_zero_shot_gives_one_record_at_any_cpu_count(tiny_data, monkeyp
     interleave inside every op."""
     model, _ = train(TINY_RUN, tiny_data)
     monkeypatch.setattr(harness, "_EVAL_BLOCK_ROWS", 2)
-    names, pool_took_one = _gate_eeg_forward(monkeypatch)
+    names, took = _gate_eeg_forward(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     lines = []
@@ -467,11 +470,12 @@ def test_evaluate_zero_shot_gives_one_record_at_any_cpu_count(tiny_data, monkeyp
         for cpus in CPU_COUNTS:
             monkeypatch.setattr(harness, "_EVAL_CPUS", cpus)
             names.clear()
-            pool_took_one.clear()
+            for event in took.values():
+                event.clear()
             lines.append(evaluate_zero_shot(model, tiny_data).to_json_line())
             assert len(names) == 4
             assert threading.main_thread().name in names, names
-            assert pool_took_one.is_set() == (cpus > 1), names
+            assert took["pool"].is_set() == (cpus > 1), names
     finally:
         sys.setswitchinterval(interval)
     assert lines == [lines[0]] * len(CPU_COUNTS)
@@ -532,7 +536,7 @@ def test_a_process_forked_after_an_eval_can_eval(monkeypatch):
     monkeypatch.setattr(harness, "_EVAL_CPUS", 2)
     model = _model_with_running_stats(TINY_RUN, 4)
     eeg = np.random.default_rng(3).standard_normal(
-        (2 * BLOCK + 5, 1, TINY_RUN.electrodes, TINY_RUN.time_samples))
+        (2 * BLOCK + 5, TINY_RUN.electrodes, TINY_RUN.time_samples))
     before = model.embed_eeg(eeg).tobytes()
     pid = os.fork()
     if pid == 0:

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vqcontrast
-from vqcontrast import DatasetManifest
+from vqcontrast import DatasetManifest, RetrievalModel, RunConfig
 from vqcontrast.vqc import QuantumLayerParams
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -55,6 +56,33 @@ CONFIG_KEYS = [
     "data_manifest",
 ]
 
+# Every tensor a parameter file holds for the default RunConfig, in
+# ``named_state`` order, with its shape; changing the parameter format is a
+# deliberate edit here too.  The EEG kernels carry no singleton axes.
+PARAM_SHAPES = [
+    ("eeg.spatial_kernel", (8, 17)),
+    ("eeg.bn1_gamma", (8,)),
+    ("eeg.bn1_beta", (8,)),
+    ("eeg.temporal_kernel", (8, 8, 16)),
+    ("eeg.bn2_gamma", (8,)),
+    ("eeg.bn2_beta", (8,)),
+    ("eeg.angle_w", (680, 10)),
+    ("eeg.angle_b", (10,)),
+    ("eeg.circuit_weights", (4, 10)),
+    ("eeg.proj_w", (10, 64)),
+    ("eeg.proj_b", (64,)),
+    ("img.angle_w", (512, 10)),
+    ("img.angle_b", (10,)),
+    ("img.circuit_weights", (4, 10)),
+    ("img.proj_w", (10, 64)),
+    ("img.proj_b", (64,)),
+    ("log_tau", ()),
+    ("eeg.buffers.bn1_mean", (8,)),
+    ("eeg.buffers.bn1_var", (8,)),
+    ("eeg.buffers.bn2_mean", (8,)),
+    ("eeg.buffers.bn2_var", (8,)),
+]
+
 
 def test_all_is_sorted_unique_and_resolves():
     names = vqcontrast.__all__
@@ -70,6 +98,11 @@ def test_all_equals_the_agreed_surface():
 
 def test_run_config_keys_are_the_agreed_knobs():
     assert list(vqcontrast.RunConfig().to_dict()) == CONFIG_KEYS
+
+
+def test_parameter_format_is_the_agreed_one():
+    state = RetrievalModel(RunConfig(), np.random.default_rng(0)).named_state()
+    assert [(name, value.shape) for name, value in state.items()] == PARAM_SHAPES
 
 
 def test_runs_import_no_oracle():
