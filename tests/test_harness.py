@@ -451,7 +451,7 @@ def _gate_eeg_forward(monkeypatch, pool_forward=None):
         took[mine].set()
         if harness._EVAL_CPUS > 1:
             assert took[other].wait(timeout=60), f"the {other} side took no block"
-        return (pool_forward or forward if in_pool else forward)(self, tape, x, train)
+        return ((pool_forward or forward) if in_pool else forward)(self, tape, x, train)
 
     monkeypatch.setattr(encoders.EegConvEncoder, "forward", gated)
     return names, took
