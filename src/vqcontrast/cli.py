@@ -106,8 +106,6 @@ def _cmd_protocol(args) -> int:
     config = RunConfig.load(args.config)
     if args.data:
         manifest = DatasetManifest.load(args.data)
-    elif config.data_manifest:
-        manifest = DatasetManifest.load(config.data_manifest)
     else:
         out = Path(args.out)
         manifest = _generate_from_config(config, out.with_name(out.name + ".data"))
@@ -150,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("protocol", help="multi-seed train+eval aggregate report")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="aggregate report JSON path")
-    p.add_argument("--data", help="dataset manifest (default: from config, else generated)")
+    p.add_argument("--data", help="dataset manifest (default: generated next to --out)")
     p.set_defaults(func=_cmd_protocol)
 
     return parser

@@ -91,7 +91,7 @@ def _directional_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def clip_loss(logits) -> float:
-    """Mean of row-wise and column-wise cross-entropy, halved."""
+    """The mean of the row-wise and the column-wise cross-entropy."""
     return clip_loss_gradient(logits)[0]
 
 

@@ -18,8 +18,8 @@ arrays (a spatial convolution that collapses the electrode axis, then a 1-D
 temporal convolution), batch normalization over the same layout, ELU, an
 angle squash pi*tanh(x) used to bound rotation angles, row-wise L2
 normalization, and reshape.  Optimization is Adam with bias correction,
-which uses its gradients up as ``backward`` uses the tape up; its betas
-default to the paper's (0.5, 0.999).
+which uses its gradients up as ``backward`` uses the tape up; its betas are
+the paper's (0.5, 0.999), fixed on the class.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def flatten(tape: Tape, x: Tensor) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction over named tensors, betas (0.5, 0.999) by default.
+    """Adam with bias correction over named tensors, with the paper's betas.
 
     The moments are kept per parameter and the step count is shared, so the
     bias corrections are worked out once per step.  A step reads every
@@ -271,11 +271,13 @@ class Adam:
     so a step that raises moves nothing.
     """
 
+    beta1 = 0.5
+    beta2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.5, beta2=0.999):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
-        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
+        self.lr = lr
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.steps = 0

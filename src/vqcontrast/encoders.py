@@ -137,7 +137,6 @@ class ImageEmbedHead:
     def __init__(self, config: RunConfig, rng: np.random.Generator):
         self.config = config
         self.params: dict[str, Tensor] = _tail_params(rng, config.image_dim, config)
-        self.buffers: dict[str, np.ndarray] = {}
 
     def forward(self, tape: Tape, x: Tensor) -> Tensor:
         width = self.config.image_dim

@@ -1,15 +1,17 @@
 """Finite-difference verification of every backward pass in the package.
 
 Each check builds a scalar loss sum(output * R) with a fixed random R,
-computes analytic gradients (tape replay, or the circuit's
-``vqc_batched_vjp``), then re-evaluates the loss with every input element
-nudged by +/- h to form central differences.  The maximum absolute deviation
-per op is reported.
+computes analytic gradients by tape replay, then re-evaluates the loss with
+every input element nudged by +/- h to form central differences.  The maximum
+absolute deviation per op is reported.
 
 The standard suite, ``STANDARD_CHECKS``, is one ordered table of
-``(name, build, draw)`` op specs, one pipeline check for both encoder heads
-and the tape-free check of the circuit's VJP.  Ops are looked up at call time,
-so a patched op is the one checked; check ``i`` draws from ``default_rng(seed + i)``.
+``(name, build, draw)`` op specs, one pipeline check for each encoder head
+and one for the contrastive loss chain.  The circuit's ``vqc_batched_vjp`` is
+checked through its tape op, ``quantum_layer``, on four rows of five qubits,
+so its weight partials are read in both qubit groups of the RY layers.  Ops
+are looked up at call time, so a patched op is the one checked; check ``i``
+draws from ``default_rng(seed + i)``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .contrastive import clip_logits_op, clip_loss_op
 from .diffnet import Tape, Tensor
 from .encoders import EegConvEncoder, ImageEmbedHead
 from .harness import RunConfig
-from .vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
 
 DEFAULT_H = 1e-5
 OP_TOL = 1e-6
@@ -127,25 +128,6 @@ def _check_spec(name: str, build, draw, rng: np.random.Generator) -> CheckResult
     return check_gradients(name, build, draw(rng))
 
 
-def _check_vqc_parameter_shift(rng):
-    """The circuit VJP of one row against central differences, weights in both qubit groups.
-
-    ``vqc_batched_vjp`` says which method gives each partial; the check keeps its name.
-    """
-    n, layers, h = 5, 2, DEFAULT_H
-    x = rng.uniform(-np.pi, np.pi, n)
-    weights = rng.uniform(-np.pi, np.pi, (layers, n))
-    r = rng.standard_normal(n)
-
-    def scalar() -> float:
-        return float(vqc_batched_forward(x[None], QuantumLayerParams(n, layers, weights))[0] @ r)
-
-    dx, dw = vqc_batched_vjp(x[None], QuantumLayerParams(n, layers, weights), r[None])
-    worst = float(np.abs(dx[0] - central_difference(scalar, x, h)).max())
-    worst = max(worst, float(np.abs(dw - central_difference(scalar, weights, h)).max()))
-    return CheckResult("vqc_parameter_shift", worst, OP_TOL)
-
-
 _TINY = RunConfig(
     electrodes=4, time_samples=32, spatial_maps=2, temporal_maps=2,
     temporal_kernel=8, embed_dim=6, n_qubits=2, n_layers=2, image_dim=5,
@@ -179,10 +161,10 @@ STANDARD_CHECKS: tuple[Callable[[np.random.Generator], CheckResult], ...] = (
         ("angle_squash", _op("angle_squash"), _normal((4, 5))),
         ("l2_normalize", _op("l2_normalize"), _normal((4, 6))),
         ("flatten", _op("flatten"), _normal((3, 2, 4))),
+        # five qubits: two RY groups, qubits 0-2 and 3-4
         ("quantum_layer", _op("quantum_layer", encoders),
-         lambda rng: [rng.uniform(-np.pi, np.pi, s) for s in ((4, 3), (2, 3))]),
+         lambda rng: [rng.uniform(-np.pi, np.pi, s) for s in ((4, 5), (2, 5))]),
     )),
-    _check_vqc_parameter_shift,
     partial(_check_pipeline, "eeg_encoder_pipeline", EegConvEncoder, 1,
             (3, _TINY.electrodes, _TINY.time_samples), train=True),
     partial(_check_pipeline, "image_head_pipeline", ImageEmbedHead, 2,

@@ -34,7 +34,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .contrastive import (
     clip_loss_op,
     topk_accuracy,
 )
-from .data import DatasetManifest, generate_dataset, require_finite, require_ints
+from .data import DatasetManifest, require_finite, require_ints
 from .diffnet import Adam, Tape, Tensor
 from .encoders import EegConvEncoder, ImageEmbedHead
 from .errors import ConfigurationError, NumericError
@@ -64,7 +64,8 @@ _EVAL_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every setting a run varies, JSON-serializable, unknown keys rejected."""
+    """Every setting a run varies, JSON-serializable, unknown keys rejected;
+    the dataset is not one, its manifest is passed beside the config."""
 
     # circuit
     n_qubits: int = 10
@@ -90,8 +91,6 @@ class RunConfig:
     samples_per_class: int = 20
     noise_sigma: float = 0.3
     latent_dim: int = 2
-    # optional default dataset location (CLI --data overrides)
-    data_manifest: str | None = None
 
     def __post_init__(self):
         require_ints(
@@ -118,8 +117,6 @@ class RunConfig:
                 f"temporal_kernel {self.temporal_kernel} exceeds "
                 f"time_samples {self.time_samples}"
             )
-        if self.data_manifest is not None and not isinstance(self.data_manifest, str):
-            raise ConfigurationError("data_manifest must be a path string or null")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

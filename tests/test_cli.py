@@ -115,30 +115,20 @@ def test_protocol_generates_dataset_when_none_given(tmp_path, capsys):
     assert (tmp_path / "report.json.data" / MANIFEST_FILE).exists()
 
 
-def test_protocol_prefers_manifest_from_config(tmp_path):
-    base = tmp_path / "base.json"
-    TINY.save(base)
-    manifest = gen_data(tmp_path, base)
-
-    config_path = tmp_path / "config.json"
-    replace(TINY, epochs=1, data_manifest=str(manifest)).save(config_path)
-    report_path = tmp_path / "report.json"
-    assert main(["protocol", "--config", str(config_path), "--out", str(report_path)]) == 0
-    assert not (tmp_path / "report.json.data").exists()
-
-
 def test_explicit_data_flag_overrides_config(tmp_path):
+    """With --data the protocol runs on that dataset and generates none."""
     base = tmp_path / "base.json"
     TINY.save(base)
     manifest = gen_data(tmp_path, base)
 
     config_path = tmp_path / "config.json"
-    replace(TINY, epochs=1, data_manifest="does/not/exist.json").save(config_path)
+    replace(TINY, epochs=1).save(config_path)
     report_path = tmp_path / "report.json"
     assert main([
         "protocol", "--config", str(config_path),
         "--out", str(report_path), "--data", str(manifest),
     ]) == 0
+    assert not (tmp_path / "report.json.data").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +335,11 @@ def test_config_numpy_cannot_size_exits_one(tmp_path):
 
 
 def test_config_with_a_retired_key_exits_one(tmp_path):
-    """Adam's betas and the initial temperature are constants, no longer config keys."""
+    """Adam's betas and the initial temperature are constants, and the dataset
+    comes from --data: none of them is a config key any longer."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**TINY.to_dict(), "beta1": 0.5, "beta2": 0.999,
-                                       "tau_init": 2.0}))
+                                       "tau_init": 2.0, "data_manifest": "data.json"}))
     proc = subprocess.run(
         [sys.executable, "-m", "vqcontrast.cli", "train", "--config", str(config_path),
          "--data", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out.jsonl")],
@@ -357,7 +348,8 @@ def test_config_with_a_retired_key_exits_one(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert "unknown config keys: ['beta1', 'beta2', 'tau_init']" in proc.stderr, proc.stderr
+    assert ("unknown config keys: ['beta1', 'beta2', 'data_manifest', 'tau_init']"
+            in proc.stderr), proc.stderr
 
 
 def test_memory_error_exits_one(tmp_path, config_path, capsys, monkeypatch):

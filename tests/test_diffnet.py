@@ -339,10 +339,10 @@ def test_shape_validation():
 # Optimizer
 
 
-def adam_on(p, **hyper):
-    """An Adam over one tensor ``p``: RunConfig's lr and Adam's own betas by default."""
+def adam_on(p, lr=RunConfig().lr):
+    """An Adam over one tensor ``p``, with RunConfig's lr by default."""
     params = {"p": Tensor(p)}
-    return params["p"], Adam(params, **{"lr": RunConfig().lr, **hyper})
+    return params["p"], Adam(params, lr)
 
 
 def step_with(t, opt, g):
@@ -356,16 +356,17 @@ def test_adam_first_step_closed_form():
     rng = np.random.default_rng(10)
     p = rng.standard_normal(6)
     g = rng.standard_normal(6)
-    t, opt = adam_on(p.copy(), lr=0.01, beta1=0.5, beta2=0.999)
+    t, opt = adam_on(p.copy(), lr=0.01)
     updated = step_with(t, opt, g)
     # after bias correction the first step is lr * g / (|g| + eps)
     np.testing.assert_allclose(updated, p - 0.01 * g / (np.abs(g) + 1e-8), atol=1e-12)
 
 
-def test_adam_matches_reference_loop():
+def test_adam_matches_reference_loop(monkeypatch):
+    monkeypatch.setattr(Adam, "beta2", 0.9)  # a step reads the betas off the class
     rng = np.random.default_rng(11)
     p = rng.standard_normal((3, 2))
-    t, opt = adam_on(p.copy(), lr=0.05, beta1=0.5, beta2=0.9)
+    t, opt = adam_on(p.copy(), lr=0.05)
 
     m = np.zeros_like(p)
     v = np.zeros_like(p)
@@ -392,7 +393,7 @@ def test_adam_refuses_a_missing_gradient():
     """A parameter without a gradient never reached the loss: the step names it
     and moves nothing."""
     params = {"a": Tensor(np.ones(2)), "b": Tensor(np.ones(2))}
-    opt = Adam(params, lr=0.1, beta1=0.5, beta2=0.999)
+    opt = Adam(params, lr=0.1)
     params["a"].grad = np.ones(2)
     with pytest.raises(ConfigurationError, match="'b'"):
         opt.step()
@@ -404,7 +405,7 @@ def test_adam_step_shape_mismatch():
     """A wrong-shaped gradient after a good one raises before anything moves:
     the good parameter, its moments and the step count stay as they were."""
     params = {"a": Tensor(np.ones(2)), "b": Tensor(np.ones(3))}
-    opt = Adam(params, lr=0.1, beta1=0.5, beta2=0.999)
+    opt = Adam(params, lr=0.1)
     params["a"].grad = np.ones(2)
     params["b"].grad = np.ones(4)
     with pytest.raises(ShapeError, match="'b'"):

@@ -80,16 +80,16 @@ def tiny_data(tmp_path_factory):
 
 
 def test_config_round_trips_through_json(tmp_path):
-    config = replace(TINY_RUN, data_manifest="somewhere/manifest.json")
     path = tmp_path / "config.json"
-    config.save(path)
-    assert RunConfig.load(path) == config
-    assert RunConfig.from_dict(config.to_dict()) == config
+    TINY_RUN.save(path)
+    assert RunConfig.load(path) == TINY_RUN
+    assert RunConfig.from_dict(TINY_RUN.to_dict()) == TINY_RUN
 
 
 def test_config_rejects_unknown_keys():
-    # Adam's betas and the initial temperature are constants, not config keys
-    for key in ("learning_rate", "beta1", "beta2", "tau_init"):
+    # Adam's betas and the initial temperature are constants, and the dataset
+    # comes from --data: none of them is a config key
+    for key in ("learning_rate", "beta1", "beta2", "tau_init", "data_manifest"):
         with pytest.raises(ConfigurationError, match=rf"unknown config keys: \['{key}'\]"):
             RunConfig.from_dict({**RunConfig().to_dict(), key: 0.1})
 
@@ -695,7 +695,7 @@ def test_gradcheck_all_passes_for_default_config():
 SUITE = [
     "linear", "conv_spatial", "conv_temporal", "batch_norm_train", "batch_norm_eval",
     "elu", "angle_squash", "l2_normalize", "flatten", "quantum_layer",
-    "vqc_parameter_shift", "eeg_encoder_pipeline", "image_head_pipeline", "clip_loss_chain",
+    "eeg_encoder_pipeline", "image_head_pipeline", "clip_loss_chain",
 ]
 
 
@@ -727,6 +727,23 @@ def test_gradcheck_looks_each_op_up_at_call_time(monkeypatch, op):
         i = SUITE.index(name)
         result = gradcheck.STANDARD_CHECKS[i](np.random.default_rng(i))
         assert result.name == name and not result.passed, str(result)
+
+
+def test_gradcheck_quantum_layer_reads_both_qubit_groups(monkeypatch):
+    """The row's five qubits make two RY groups, qubits 0-2 and 3-4; weight
+    partials wrong in the second group alone fail it."""
+    real = encoders.vqc_batched_vjp
+
+    def halved_second_group(x, params, upstream):
+        d_inputs, d_weights = real(x, params, upstream)
+        d_weights = d_weights.copy()
+        d_weights[:, 3:] *= 0.5
+        return d_inputs, d_weights
+
+    monkeypatch.setattr(encoders, "vqc_batched_vjp", halved_second_group)
+    i = SUITE.index("quantum_layer")
+    result = gradcheck.STANDARD_CHECKS[i](np.random.default_rng(i))
+    assert result.name == "quantum_layer" and not result.passed, str(result)
 
 
 def test_gradcheck_flags_a_broken_backward(monkeypatch):

@@ -53,7 +53,6 @@ CONFIG_KEYS = [
     "electrodes", "time_samples", "spatial_maps", "temporal_maps", "temporal_kernel",
     "embed_dim", "image_dim",
     "n_train_classes", "n_test_classes", "samples_per_class", "noise_sigma", "latent_dim",
-    "data_manifest",
 ]
 
 # Every tensor a parameter file holds for the default RunConfig, in
@@ -129,6 +128,28 @@ def test_only_diffnet_records_on_the_tape():
                     and node.func.attr == "record"):
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_src_modules_use_every_import():
+    """A name a module imports is read in it, or listed in its ``__all__``."""
+    unused = []
+    for path in sorted(Path(vqcontrast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
 
 
 def test_every_dataclass_is_frozen():
