@@ -11,8 +11,10 @@ Both float tensors stay float32 in memory, as stored; compute widens each
 batch or block to float64 exactly (``diffnet.Tensor``), so nothing is
 rounded and the resident copy is the size of the file.
 
-The manifest is a small JSON file naming the three tensor files and the
-train/test class split; tensor paths are stored relative to the manifest.
+The manifest is a small JSON file holding only the train/test class split.
+The three tensor files sit beside it under the fixed names ``EEG_FILE``,
+``IMAGE_EMB_FILE`` and ``LABELS_FILE``, so no manifest can name a file
+elsewhere.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ZeroShotOverlapError
-from .qtns import load_tensor_file, save_tensor_file, tensor_header_bytes
+from .qtns import load_tensor_file, read_json_object, save_tensor_file, tensor_header_bytes
 
-_MANIFEST_KEYS = {"eeg_path", "image_emb_path", "labels_path", "train_classes", "test_classes"}
+_MANIFEST_KEYS = {"train_classes", "test_classes"}
 
 EEG_FILE = "eeg.qtns"
 IMAGE_EMB_FILE = "image_emb.qtns"
@@ -71,7 +73,8 @@ def _class_ids(name: str, values) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Paths and split descriptor for one dataset directory, checked once.
+    """The class split of the dataset in directory ``root``, checked once; the
+    tensor files are read from their fixed names in ``root``.
 
     The fields cannot change after construction; ``dataclasses.replace``
     builds a checked copy.  ``load_arrays`` reads its three files once and
@@ -80,18 +83,12 @@ class DatasetManifest:
     pickles leave the arrays behind.
     """
 
-    eeg_path: str
-    image_emb_path: str
-    labels_path: str
     train_classes: tuple[int, ...]
     test_classes: tuple[int, ...]
     root: Path = field(default_factory=Path, compare=False)
     _loaded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("eeg_path", "image_emb_path", "labels_path"):
-            if not isinstance(path := getattr(self, name), str) or "\0" in path:
-                raise ConfigurationError(f"{name} must be a path string without NUL")
         for name in ("train_classes", "test_classes"):
             object.__setattr__(self, name, _class_ids(name, getattr(self, name)))
         if not isinstance(self.root, (str, os.PathLike)):
@@ -112,19 +109,14 @@ class DatasetManifest:
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         path = Path(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigurationError(f"manifest is not valid UTF-8 JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise ConfigurationError("manifest must be a JSON object")
+        doc = read_json_object(path, "manifest", ConfigurationError)
         unknown = set(doc) - _MANIFEST_KEYS
         if unknown:
             raise ConfigurationError(f"unknown manifest keys: {sorted(unknown)}")
         missing = _MANIFEST_KEYS - set(doc)
         if missing:
             raise ConfigurationError(f"manifest missing keys: {sorted(missing)}")
-        return cls(root=path.parent, **{k: doc[k] for k in _MANIFEST_KEYS})
+        return cls(root=path.parent, **doc)
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_loaded": None}
@@ -139,13 +131,12 @@ class DatasetManifest:
         return self._loaded
 
     def _read_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        eeg = load_tensor_file(self.root / self.eeg_path)
-        emb = load_tensor_file(self.root / self.image_emb_path)
-        labels_f = load_tensor_file(self.root / self.labels_path)
-        for path, array in ((self.eeg_path, eeg), (self.image_emb_path, emb)):
+        eeg, emb, labels_f = (load_tensor_file(self.root / name)
+                              for name in (EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE))
+        for name, array in ((EEG_FILE, eeg), (IMAGE_EMB_FILE, emb)):
             # min and max carry any NaN or inf (no tensor file is empty), and need no mask
             if not (np.isfinite(array.min()) and np.isfinite(array.max())):
-                raise NumericError(f"{path} holds non-finite values")
+                raise NumericError(f"{name} holds non-finite values")
         if eeg.ndim != 3:
             raise ConfigurationError(f"EEG tensor must be [N, E, T], got {eeg.shape}")
         if emb.ndim != 2:
@@ -217,9 +208,6 @@ def generate_dataset(
     save_tensor_file(out_dir / LABELS_FILE, labels.astype(np.float64))
 
     manifest = DatasetManifest(
-        eeg_path=EEG_FILE,
-        image_emb_path=IMAGE_EMB_FILE,
-        labels_path=LABELS_FILE,
         train_classes=list(range(n_train_classes)),
         test_classes=list(range(n_train_classes, n_classes)),
         root=out_dir,

@@ -52,7 +52,7 @@ from .data import DatasetManifest, require_finite, require_ints
 from .diffnet import Adam, Tape, Tensor
 from .encoders import EegConvEncoder, ImageEmbedHead
 from .errors import ConfigurationError, NumericError
-from .qtns import load_params, save_params
+from .qtns import load_params, read_json_object, save_params
 from .vqc import MAX_QUBITS
 
 # Threaded eval call, 1024 queries, 2-CPU Xeon, median per-pair ratios over 40 interleaved
@@ -136,11 +136,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigurationError(f"config is not valid UTF-8 JSON: {exc}")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json_object(path, "config", ConfigurationError))
 
 
 @dataclass(frozen=True)

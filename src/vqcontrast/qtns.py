@@ -1,4 +1,4 @@
-"""QTNS binary tensor files and the named-parameter container.
+"""QTNS binary tensor files, the named-parameter container, and the JSON reader.
 
 Record layout, all integers little-endian:
 
@@ -8,13 +8,14 @@ Record layout, all integers little-endian:
 Compute happens in double precision; files always store float32.  Parse
 errors raise ``TensorFormatError`` carrying the byte offset at which the
 file stopped making sense; the header writer refuses what the parser
-rejects.  A tensor file is read as its header, then its payload straight
-into the array; ``data.generate_dataset`` writes one in row chunks.
+rejects.  Every record, in a tensor file or a container, is read by
+``_read_record``, header first, payload straight into the array;
+``data.generate_dataset`` writes a tensor file in row chunks.
 
-A parameter set is persisted as one container file of concatenated QTNS
-records plus a JSON index file mapping parameter names to byte offsets
-inside the container.  The index names the container by a bare file name in
-its own directory; any other path is refused before the container is read.
+A parameter set is a JSON index ``<index>``, exactly
+``{"tensors": {name: byte offset}}``, and the container ``<index>.qtns`` of
+concatenated records beside it; an index with any other key is refused.
+``read_json_object`` reads every JSON input (config, manifest, index).
 """
 
 from __future__ import annotations
@@ -35,41 +36,51 @@ DTYPE_FLOAT32 = 1
 _MAX_NDIM = 8
 _MAX_HEADER = 13 + 4 * _MAX_NDIM  # magic, version, dtype, ndim, dims
 
-# Suffix of the record container that accompanies a parameter index file.
-CONTAINER_SUFFIX = ".qtns"
+
+def read_json_object(path, what: str, error) -> dict:
+    """The JSON object in the UTF-8 file ``path``; anything else raises
+    ``error(message)``, the message naming the file as ``what``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{what} is not valid UTF-8 JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object")
+    return doc
 
 
 def _parse_header(head: bytes, offset: int, size: int) -> tuple[tuple[int, ...], int, int]:
-    """Check the header at ``offset`` of ``head``, the start of a ``size``-byte
-    buffer; return (dims, payload start, end)."""
-    if len(head) < offset + 4 or head[offset : offset + 4] != MAGIC:
+    """Check the header bytes ``head`` read at ``offset`` of a ``size``-byte
+    file; return (dims, payload start, end) as file offsets, which errors carry."""
+    if head[:4] != MAGIC:
         raise TensorFormatError("bad magic, expected b'QTNS'", offset)
-    pos = offset + 4
+    pos = 4
     if len(head) < pos + 5:
-        raise TensorFormatError("truncated header", pos)
+        raise TensorFormatError("truncated header", offset + pos)
     version, dtype = struct.unpack_from("<IB", head, pos)
     if version != VERSION:
-        raise TensorFormatError(f"unsupported version {version}", pos)
+        raise TensorFormatError(f"unsupported version {version}", offset + pos)
     if dtype != DTYPE_FLOAT32:
-        raise TensorFormatError(f"unsupported dtype code {dtype}", pos + 4)
+        raise TensorFormatError(f"unsupported dtype code {dtype}", offset + pos + 4)
     pos += 5
     if len(head) < pos + 4:
-        raise TensorFormatError("truncated ndim field", pos)
+        raise TensorFormatError("truncated ndim field", offset + pos)
     (ndim,) = struct.unpack_from("<I", head, pos)
     if ndim > _MAX_NDIM:
-        raise TensorFormatError(f"ndim {ndim} exceeds limit {_MAX_NDIM}", pos)
+        raise TensorFormatError(f"ndim {ndim} exceeds limit {_MAX_NDIM}", offset + pos)
     pos += 4
     if len(head) < pos + 4 * ndim:
-        raise TensorFormatError("truncated dimension list", pos)
+        raise TensorFormatError("truncated dimension list", offset + pos)
     dims = struct.unpack_from(f"<{ndim}I", head, pos)
     for i, d in enumerate(dims):
         if d == 0:
-            raise TensorFormatError("zero-length dimension", pos + 4 * i)
-    pos += 4 * ndim
+            raise TensorFormatError("zero-length dimension", offset + pos + 4 * i)
+    start = offset + pos + 4 * ndim
     need = 4 * math.prod(dims)
-    if size < pos + need:
-        raise TensorFormatError(f"payload needs {need} bytes, only {size - pos} present", pos)
-    return dims, pos, pos + need
+    if size < start + need:
+        raise TensorFormatError(f"payload needs {need} bytes, only {size - start} present",
+                                start)
+    return dims, start, start + need
 
 
 def tensor_header_bytes(shape) -> bytes:
@@ -86,15 +97,16 @@ def tensor_record_bytes(array) -> bytes:
     return tensor_header_bytes(a.shape) + a.astype("<f4", copy=False).tobytes(order="C")
 
 
-def read_tensor_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one record starting at ``offset``; return (array, end offset).
-
-    Trailing bytes after the record are the caller's business, which lets
-    containers hold several concatenated records.
-    """
-    dims, pos, end = _parse_header(buf, offset, len(buf))
-    array = np.frombuffer(buf, dtype="<f4", count=(end - pos) // 4, offset=pos)
-    return array.reshape(dims).copy(), end
+def _read_record(f, offset: int, size: int) -> tuple[np.ndarray, int]:
+    """Read the record at ``offset`` of the open ``size``-byte file ``f``;
+    return (array, end offset).  Bytes after the record are the caller's."""
+    f.seek(min(offset, size))  # past the end reads nothing; seek cannot take every int
+    dims, pos, end = _parse_header(f.read(_MAX_HEADER), offset, size)
+    f.seek(pos)
+    array = np.fromfile(f, dtype="<f4", count=(end - pos) // 4)
+    if (got := 4 * array.size) != end - pos:  # the file shrank after fstat
+        raise TensorFormatError(f"payload needs {end - pos} bytes, only {got} present", pos)
+    return array.reshape(dims), end
 
 
 def save_tensor_file(path, array) -> None:
@@ -102,67 +114,50 @@ def save_tensor_file(path, array) -> None:
 
 
 def load_tensor_file(path) -> np.ndarray:
-    """Read a single-tensor file; payload round-trips bit-exactly.
-
-    Errors are ``read_tensor_record``'s on the file's bytes, or trailing bytes.
-    """
+    """Read a single-tensor file; payload round-trips bit-exactly."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        dims, pos, end = _parse_header(f.read(_MAX_HEADER), 0, size)
-        if end != size:
-            raise TensorFormatError(f"{size - end} trailing bytes after record", end)
-        f.seek(pos)
-        array = np.fromfile(f, dtype="<f4", count=(end - pos) // 4)
-    if (got := 4 * array.size) != end - pos:  # the file shrank after fstat
-        raise TensorFormatError(f"payload needs {end - pos} bytes, only {got} present", pos)
-    return array.reshape(dims)
+        array, end = _read_record(f, 0, size)
+    if end != size:
+        raise TensorFormatError(f"{size - end} trailing bytes after record", end)
+    return array
 
 
 def _container_path(index_path: Path) -> Path:
-    return index_path.with_name(index_path.name + CONTAINER_SUFFIX)
+    return index_path.with_name(index_path.name + ".qtns")
 
 
 def save_params(path, named: dict[str, np.ndarray]) -> None:
     """Write ``<path>`` (JSON name->offset index) and ``<path>.qtns``."""
     index_path = Path(path)
-    container = _container_path(index_path)
     offsets: dict[str, int] = {}
     blob = bytearray()
     for name in sorted(named):
         offsets[name] = len(blob)
         blob += tensor_record_bytes(named[name])
-    container.write_bytes(bytes(blob))
-    index = {"container": container.name, "tensors": offsets}
-    index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    _container_path(index_path).write_bytes(bytes(blob))
+    index_path.write_text(json.dumps({"tensors": offsets}, indent=2, sort_keys=True) + "\n")
 
 
 def load_params(path) -> dict[str, np.ndarray]:
     """Inverse of save_params; arrays come back as float64 for compute."""
     index_path = Path(path)
-    try:
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise TensorFormatError(f"parameter index is not valid UTF-8 JSON: {exc}", 0)
-    if not isinstance(index, dict) or "container" not in index or "tensors" not in index:
-        raise TensorFormatError("parameter index missing container/tensors keys", 0)
-    container = index["container"]
-    if (not isinstance(container, str) or "\0" in container
-            or not isinstance(index["tensors"], dict)):
-        raise TensorFormatError(
-            "parameter index needs a container file name and a name->offset object", 0
-        )
-    if Path(container).name != container or container in ("", ".."):
-        raise TensorFormatError(
-            f"container {container!r} must be a file name in the index's directory", 0
-        )
-    buf = (index_path.parent / container).read_bytes()
+    index = read_json_object(index_path, "parameter index",
+                             lambda message: TensorFormatError(message, 0))
+    unknown = set(index) - {"tensors"}
+    if unknown:
+        raise TensorFormatError(f"unknown parameter index keys: {sorted(unknown)}", 0)
+    if not isinstance(index.get("tensors"), dict):
+        raise TensorFormatError("parameter index needs a tensors name->offset object", 0)
     out: dict[str, np.ndarray] = {}
-    for name, offset in index["tensors"].items():
-        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
-            raise TensorFormatError(
-                f"offset of {name!r} must be a non-negative integer, got {offset!r}", 0
-            )
-        array, _ = read_tensor_record(buf, offset)
-        with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, no warning
-            out[name] = array.astype(np.float64)
+    with open(_container_path(index_path), "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        for name, offset in index["tensors"].items():
+            if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
+                raise TensorFormatError(
+                    f"offset of {name!r} must be a non-negative integer, got {offset!r}", 0
+                )
+            array, _ = _read_record(f, offset, size)
+            with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, no warning
+                out[name] = array.astype(np.float64)
     return out

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from vqcontrast import RetrievalModel, RunConfig, read_metrics, save_params, save_tensor_file
-from vqcontrast import encoders, harness
+from vqcontrast import data, encoders, harness
 from vqcontrast.cli import main
-from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, MANIFEST_FILE
+from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE, MANIFEST_FILE
 from vqcontrast.errors import NumericError
 from vqcontrast.qtns import load_tensor_file
 
@@ -298,14 +298,17 @@ def test_params_file_with_singleton_kernel_axes_exits_one(tmp_path, config_path,
 
 
 @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent-dir"])
-def test_params_index_naming_a_container_elsewhere_exits_one(tmp_path, config_path, absolute):
-    """An index may name only a container beside it, even a valid one elsewhere."""
+def test_params_index_naming_a_container_elsewhere_exits_one(tmp_path, config_path, absolute,
+                                                            monkeypatch, capsys):
+    """Every input file sits at a fixed name beside the JSON that describes it.
+    An index or a manifest that names a file, even a valid one in a sibling
+    directory, exits 1 on the key, and that file is never read."""
     manifest = gen_data(tmp_path, config_path)
     for sub in ("elsewhere", "here"):
         (tmp_path / sub).mkdir()
     RetrievalModel(TINY, np.random.default_rng(0)).save(tmp_path / "elsewhere" / "model.params")
     index = json.loads((tmp_path / "elsewhere" / "model.params").read_text())
-    container = tmp_path / "elsewhere" / index["container"]
+    container = tmp_path / "elsewhere" / "model.params.qtns"
     index["container"] = str(container) if absolute else "../elsewhere/model.params.qtns"
     params = tmp_path / "here" / "model.params"
     params.write_text(json.dumps(index))
@@ -316,8 +319,26 @@ def test_params_index_naming_a_container_elsewhere_exits_one(tmp_path, config_pa
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1 and "container" in proc.stderr, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "'container'" in proc.stderr, proc.stderr
     assert not (tmp_path / "eval.jsonl").exists()
+
+    # a manifest beside no tensor file, naming the valid ones of the generated dataset
+    doc = json.loads(manifest.read_text())
+    for key, name in (("eeg_path", EEG_FILE), ("image_emb_path", IMAGE_EMB_FILE),
+                      ("labels_path", LABELS_FILE)):
+        doc[key] = str(manifest.parent / name) if absolute else f"../data/{name}"
+    naming = tmp_path / "here" / MANIFEST_FILE
+    naming.write_text(json.dumps(doc))
+    reads = []
+    monkeypatch.setattr(data, "load_tensor_file",
+                        lambda path: reads.append(path) or load_tensor_file(path))
+    capsys.readouterr()
+    code = main(["train", "--config", str(config_path), "--data", str(naming),
+                 "--out", str(tmp_path / "metrics.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "'eeg_path'" in err, err
+    assert reads == [] and not (tmp_path / "metrics.jsonl").exists()
 
 
 def test_config_numpy_cannot_size_exits_one(tmp_path):
@@ -388,10 +409,7 @@ def test_non_finite_dataset_is_a_numeric_failure(tmp_path, config_path):
         assert proc.stderr.startswith("numeric failure") and name in proc.stderr, proc.stderr
 
 
-_MANIFEST = {
-    "eeg_path": EEG_FILE, "image_emb_path": "image_emb.qtns",
-    "labels_path": "labels.qtns", "train_classes": [0, 1], "test_classes": [2, 3],
-}
+_MANIFEST = {"train_classes": [0, 1], "test_classes": [2, 3]}
 
 
 _NOT_UTF8 = b"\xff\xfe{}"
@@ -410,16 +428,21 @@ def _json_bytes(doc, base) -> bytes:
     ({}, {"train_classes": 5}, None),
     ({}, {"eeg_path": 5}, None),
     ({}, {"eeg_path": "eeg\0.qtns"}, None),
-    ({}, {}, {"container": "model.params.qtns", "tensors": []}),
-    ({}, {}, {"container": "model.params.qtns", "tensors": {"log_tau": "abc"}}),
+    ({}, {"eeg_path": EEG_FILE, "image_emb_path": IMAGE_EMB_FILE, "labels_path": LABELS_FILE},
+     None),
+    ({}, {}, {"tensors": []}),
+    ({}, {}, {"tensors": {"log_tau": "abc"}}),
     ({}, {}, {"container": 5, "tensors": {}}),
     ({}, {}, {"container": "model\0.qtns", "tensors": {}}),
+    ({}, {}, {"container": "model.params.qtns", "tensors": {}}),
+    ({}, {}, {"tensors": {}, "version": 2}),
     (_NOT_UTF8, {}, None),
     ({}, _NOT_UTF8, None),
     ({}, {}, _NOT_UTF8),
 ], ids=["config-lr", "config-epochs-bool", "config-lr-huge-int", "manifest-class-id",
-        "manifest-classes", "manifest-path", "manifest-path-nul", "index-tensors",
-        "index-offset", "index-container", "index-container-nul",
+        "manifest-classes", "manifest-path", "manifest-path-nul", "manifest-old-layout",
+        "index-tensors", "index-offset", "index-container", "index-container-nul",
+        "index-old-layout", "index-unknown-key",
         "config-not-utf8", "manifest-not-utf8", "index-not-utf8"])
 def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest, index):
     config_path = tmp_path / "config.json"
@@ -443,6 +466,9 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest,
     else:
         for name in config:  # refused by the config check, not by a later stage
             assert f"{name} must" in proc.stderr, proc.stderr
+        # a key the manifest or the index does not hold is refused by name
+        for name in ({*manifest} - {*_MANIFEST}) | ({*(index or {})} - {"tensors"}):
+            assert repr(name) in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("nested", ["config", "manifest", "index"])
@@ -451,7 +477,7 @@ def test_deeply_nested_json_exits_one_without_traceback(tmp_path, nested):
     paths = {name: tmp_path / f"{name}.json" for name in ("config", "manifest", "index")}
     paths["config"].write_bytes(_json_bytes({}, TINY.to_dict()))
     paths["manifest"].write_bytes(_json_bytes({}, _MANIFEST))
-    paths["index"].write_text(json.dumps({"container": "index.json.qtns", "tensors": {}}))
+    paths["index"].write_text(json.dumps({"tensors": {}}))
     paths[nested].write_bytes(b"[" * 100_000)
     proc = subprocess.run(
         [sys.executable, "-m", "vqcontrast.cli", "eval", "--config", str(paths["config"]),

@@ -189,9 +189,6 @@ def test_load_arrays_keeps_the_stored_float32_and_peaks_near_its_size(tmp_path):
 
 def manifest_doc():
     return {
-        "eeg_path": EEG_FILE,
-        "image_emb_path": IMAGE_EMB_FILE,
-        "labels_path": LABELS_FILE,
         "train_classes": [0, 1],
         "test_classes": [2],
     }
@@ -199,6 +196,9 @@ def manifest_doc():
 
 def test_manifest_round_trip(tmp_path):
     manifest = generate_dataset(tmp_path, seed=6, **GEN_KW)
+    # the tensor files sit beside it under fixed names; the manifest holds the split
+    assert sorted(json.loads((tmp_path / MANIFEST_FILE).read_text())) == [
+        "test_classes", "train_classes"]
     back = DatasetManifest.load(tmp_path / MANIFEST_FILE)
     assert back.train_classes == manifest.train_classes
     assert back.test_classes == manifest.test_classes
@@ -231,7 +231,7 @@ def test_manifest_takes_a_string_root(tmp_path):
 def test_manifest_rejects_a_root_that_is_not_a_path():
     for root in (5, None, b"data"):
         with pytest.raises(ConfigurationError, match="root must be a path"):
-            DatasetManifest("a", "b", "c", [0], [1], root=root)
+            DatasetManifest([0], [1], root=root)
 
 
 def test_manifest_rejects_empty_split():
@@ -252,7 +252,7 @@ def test_manifest_load_rejects_unknown_keys(tmp_path):
 
 def test_manifest_load_rejects_missing_keys(tmp_path):
     doc = manifest_doc()
-    del doc["labels_path"]
+    del doc["test_classes"]
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError, match="missing"):

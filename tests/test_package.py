@@ -166,8 +166,8 @@ def test_every_dataclass_is_frozen():
 
 
 @pytest.mark.parametrize("record,field", [
-    (DatasetManifest("eeg.qtns", "emb.qtns", "labels.qtns", [0], [1]), "test_classes"),
-    (DatasetManifest("eeg.qtns", "emb.qtns", "labels.qtns", [0], [1]), "root"),
+    (DatasetManifest([0], [1]), "test_classes"),
+    (DatasetManifest([0], [1]), "root"),
     (QuantumLayerParams(2, 1, [[0.1, 0.2]]), "weights"),
     (QuantumLayerParams(2, 1, [[0.1, 0.2]]), "n_qubits"),
 ], ids=["manifest-split", "manifest-root", "circuit-weights", "circuit-qubits"])

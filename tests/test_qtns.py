@@ -12,7 +12,7 @@ from hypothesis import given
 
 from vqcontrast import load_params, load_tensor_file, qtns, save_params, save_tensor_file
 from vqcontrast.errors import TensorFormatError
-from vqcontrast.qtns import read_tensor_record, tensor_header_bytes, tensor_record_bytes
+from vqcontrast.qtns import tensor_header_bytes, tensor_record_bytes
 
 
 def test_record_bytes_match_hand_built_layout():
@@ -54,12 +54,15 @@ def test_float64_input_is_stored_as_float32(tmp_path):
     assert back[0] == np.float32(1 / 3)
 
 
-def test_read_record_reports_end_offset():
+def test_read_record_reports_end_offset(tmp_path):
     a = np.zeros((2, 3), dtype=np.float32)
-    blob = tensor_record_bytes(a) + tensor_record_bytes(a)
-    first, end = read_tensor_record(blob, 0)
-    second, end2 = read_tensor_record(blob, end)
-    assert end2 == len(blob)
+    path = tmp_path / "two.qtns"
+    path.write_bytes(tensor_record_bytes(a) + tensor_record_bytes(a))
+    size = path.stat().st_size
+    with open(path, "rb") as f:
+        first, end = qtns._read_record(f, 0, size)
+        second, end2 = qtns._read_record(f, end, size)
+    assert end2 == size
     np.testing.assert_array_equal(first, second)
 
 
@@ -67,51 +70,53 @@ def test_read_record_reports_end_offset():
 # Parse failures carry the byte offset
 
 
-def expect_offset(blob, offset, match=None):
+def expect_offset(tmp_path, blob, offset, match=None):
+    path = tmp_path / "t.qtns"
+    path.write_bytes(blob)
     with pytest.raises(TensorFormatError, match=match) as info:
-        read_tensor_record(blob, 0)
+        load_tensor_file(path)
     assert info.value.offset == offset
     assert f"byte offset {offset}" in str(info.value)
     return info.value
 
 
-def test_bad_magic():
-    expect_offset(b"NOPE" + b"\x00" * 20, 0, match="magic")
+def test_bad_magic(tmp_path):
+    expect_offset(tmp_path, b"NOPE" + b"\x00" * 20, 0, match="magic")
 
 
-def test_truncated_header():
+def test_truncated_header(tmp_path):
     blob = tensor_record_bytes(np.zeros(1, dtype=np.float32))[:6]
-    expect_offset(blob, 4)
+    expect_offset(tmp_path, blob, 4)
 
 
-def test_unsupported_version():
+def test_unsupported_version(tmp_path):
     blob = b"QTNS" + struct.pack("<IB", 9, 1) + struct.pack("<I", 0)
-    expect_offset(blob, 4, match="version")
+    expect_offset(tmp_path, blob, 4, match="version")
 
 
-def test_unsupported_dtype():
+def test_unsupported_dtype(tmp_path):
     blob = b"QTNS" + struct.pack("<IB", 1, 7) + struct.pack("<I", 0)
-    expect_offset(blob, 8, match="dtype")
+    expect_offset(tmp_path, blob, 8, match="dtype")
 
 
-def test_excessive_ndim():
+def test_excessive_ndim(tmp_path):
     blob = b"QTNS" + struct.pack("<IB", 1, 1) + struct.pack("<I", 9)
-    expect_offset(blob, 9, match="ndim")
+    expect_offset(tmp_path, blob, 9, match="ndim")
 
 
-def test_truncated_dimension_list():
+def test_truncated_dimension_list(tmp_path):
     blob = b"QTNS" + struct.pack("<IB", 1, 1) + struct.pack("<I", 2) + struct.pack("<I", 3)
-    expect_offset(blob, 13)
+    expect_offset(tmp_path, blob, 13)
 
 
-def test_zero_length_dimension():
+def test_zero_length_dimension(tmp_path):
     blob = b"QTNS" + struct.pack("<IB", 1, 1) + struct.pack("<I", 2) + struct.pack("<II", 3, 0)
-    expect_offset(blob, 17, match="zero")
+    expect_offset(tmp_path, blob, 17, match="zero")
 
 
-def test_truncated_payload():
+def test_truncated_payload(tmp_path):
     blob = tensor_record_bytes(np.ones((2, 2), dtype=np.float32))[:-1]
-    expect_offset(blob, 21, match="payload")
+    expect_offset(tmp_path, blob, 21, match="payload")
 
 
 def test_trailing_bytes_rejected_for_single_tensor_file(tmp_path):
@@ -135,16 +140,32 @@ def test_file_that_shrinks_after_its_size_is_read_is_a_truncated_payload(tmp_pat
     assert info.value.offset == 21
 
 
-def test_offset_error_at_container_position():
+def test_offset_error_at_container_position(tmp_path):
+    """Errors in a record after the first carry offsets in the container file."""
     good = tensor_record_bytes(np.zeros(1, dtype=np.float32))
-    blob = good + b"JUNK" + good
-    with pytest.raises(TensorFormatError) as info:
-        read_tensor_record(blob, len(good))
-    assert info.value.offset == len(good)
+    path = tmp_path / "model.params"
+    path.write_text(json.dumps({"tensors": {"a": 0, "b": len(good)}}))
+    bad_version = b"QTNS" + struct.pack("<IB", 9, 1) + struct.pack("<I", 0)
+    for bad, match, at in ((b"JUNK", "magic", 0), (bad_version, "version", 4)):
+        (tmp_path / "model.params.qtns").write_bytes(good + bad + good)
+        with pytest.raises(TensorFormatError, match=match) as info:
+            load_params(path)
+        assert info.value.offset == len(good) + at
 
 
 # ---------------------------------------------------------------------------
 # Named-parameter container
+
+
+def test_params_offset_past_the_container_end_is_bad_magic(tmp_path):
+    path = tmp_path / "model.params"
+    save_params(path, {"w": np.zeros(2)})
+    size = (tmp_path / "model.params.qtns").stat().st_size
+    for offset in (size, size + 1, 2**63, 2**200):  # no file offset holds the last two
+        path.write_text(json.dumps({"tensors": {"w": offset}}))
+        with pytest.raises(TensorFormatError, match="magic") as info:
+            load_params(path)
+        assert info.value.offset == offset
 
 
 def test_params_round_trip(tmp_path):
@@ -169,11 +190,12 @@ def test_params_index_points_into_container(tmp_path):
     path = tmp_path / "model.params"
     save_params(path, {"a": np.zeros(1), "b": np.ones((2, 2))})
     index = json.loads(path.read_text())
-    assert index["container"] == "model.params.qtns"
-    blob = (tmp_path / index["container"]).read_bytes()
-    for name, offset in index["tensors"].items():
-        array, _ = read_tensor_record(blob, offset)
-        assert array.size > 0, name
+    assert list(index) == ["tensors"]
+    container = tmp_path / "model.params.qtns"
+    with open(container, "rb") as f:
+        for name, offset in index["tensors"].items():
+            array, _ = qtns._read_record(f, offset, container.stat().st_size)
+            assert array.size > 0, name
 
 
 def test_params_index_rejects_bad_json(tmp_path):
@@ -185,15 +207,17 @@ def test_params_index_rejects_bad_json(tmp_path):
 
 def test_params_index_rejects_missing_keys(tmp_path):
     path = tmp_path / "model.params"
-    path.write_text(json.dumps({"tensors": {}}))
-    with pytest.raises(TensorFormatError):
-        load_params(path)
+    for doc in ({}, {"tensors": []}):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TensorFormatError, match="tensors name->offset object"):
+            load_params(path)
 
 
 @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent-dir"])
 def test_params_index_names_its_container_beside_it(tmp_path, absolute):
-    """A valid container in a sibling directory is refused, by absolute path and
-    by a ``../`` path alike."""
+    """The container is always ``<index>.qtns``: an index that still names one,
+    a valid one in a sibling directory by absolute or ``../`` path, is refused
+    by the key."""
     for sub in ("elsewhere", "here"):
         (tmp_path / sub).mkdir()
     save_params(tmp_path / "elsewhere" / "model.params", {"w": np.zeros(2)})
@@ -201,7 +225,8 @@ def test_params_index_names_its_container_beside_it(tmp_path, absolute):
     name = str(container) if absolute else "../elsewhere/model.params.qtns"
     path = tmp_path / "here" / "model.params"
     path.write_text(json.dumps({"container": name, "tensors": {"w": 0}}))
-    with pytest.raises(TensorFormatError, match="file name in the index's directory") as info:
+    with pytest.raises(TensorFormatError, match=r"unknown parameter index keys: \['container'\]"
+                       ) as info:
         load_params(path)
     assert info.value.offset == 0
 
@@ -237,16 +262,23 @@ def test_writer_refuses_a_shape_the_reader_rejects(tmp_path, shape, offset, matc
     assert not list(tmp_path.iterdir())
 
 
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """One directory for every example: each overwrites the file it reads."""
+    return tmp_path_factory.mktemp("qtns")
+
+
 @given(hnp.arrays(np.uint32, hnp.array_shapes(min_dims=0, max_dims=10, min_side=0,
                                               max_side=2)))
-def test_every_array_the_writer_accepts_reads_back_bit_for_bit(bits):
+def test_every_array_the_writer_accepts_reads_back_bit_for_bit(scratch, bits):
     array = bits.view(np.float32)  # any bit pattern, signaling NaNs included
     try:
         record = tensor_record_bytes(array)
     except TensorFormatError:
         assert 0 in array.shape or array.ndim > 8
         return
-    back, end = read_tensor_record(record)
-    assert end == len(record)
+    path = scratch / "t.qtns"
+    path.write_bytes(record)
+    back = load_tensor_file(path)
     assert back.dtype == np.float32 and back.shape == array.shape
     assert back.tobytes() == array.tobytes()
