@@ -319,8 +319,9 @@ def train(
     """Optimize both encoders and tau; one MetricsRecord per epoch."""
     eeg, emb, labels = _load_and_check(config, manifest)
     train_rows = np.flatnonzero(np.isin(labels, manifest.train_classes))
-    if not train_rows.size:
-        raise ConfigurationError("no samples belong to the training classes")
+    if train_rows.size < 2:  # so the first batch of every epoch holds two rows
+        raise ConfigurationError("a training batch needs 2 samples; the training classes "
+                                 f"hold {train_rows.size}")
 
     rng = np.random.default_rng(config.seed)
     model = RetrievalModel(config, rng)
@@ -356,10 +357,6 @@ def train(
             np.minimum(model.log_tau.data, MAX_LOG_TEMPERATURE, out=model.log_tau.data)
             loss_sum += value * len(rows)
             seen += len(rows)
-        if seen == 0:
-            raise ConfigurationError(
-                "every batch was smaller than 2 samples; shrink batch_size"
-            )
         records.append(MetricsRecord(
             run_id=config.seed, epoch=epoch, train_loss=loss_sum / seen,
             wall_time=time.perf_counter() - started,

@@ -8,14 +8,15 @@ Record layout, all integers little-endian:
 Compute happens in double precision; files always store float32.  Parse
 errors raise ``TensorFormatError`` carrying the byte offset at which the
 file stopped making sense; the header writer refuses what the parser
-rejects.  Every record, in a tensor file or a container, is read by
-``_read_record``, header first, payload straight into the array;
-``data.generate_dataset`` writes a tensor file in row chunks.
+rejects.  ``_read_records`` reads every QTNS file (a tensor file, a
+container): a given number of records front to back, header first, payload
+straight into the array, no byte left over.  ``data.generate_dataset``
+writes a tensor file in row chunks.
 
-A parameter set is a JSON index ``<index>``, exactly
-``{"tensors": {name: byte offset}}``, and the container ``<index>.qtns`` of
-concatenated records beside it; an index with any other key is refused.
-``read_json_object`` reads every JSON input (config, manifest, index).
+A parameter set is a JSON index ``<index>``, exactly ``{"tensors": [name,
+...]}`` in record order, and the container ``<index>.qtns`` of the records
+back to back beside it.  ``read_json_object`` reads every JSON input
+(config, manifest, index) and refuses a repeated key.
 """
 
 from __future__ import annotations
@@ -38,10 +39,18 @@ _MAX_HEADER = 13 + 4 * _MAX_NDIM  # magic, version, dtype, ndim, dims
 
 
 def read_json_object(path, what: str, error) -> dict:
-    """The JSON object in the UTF-8 file ``path``; anything else raises
-    ``error(message)``, the message naming the file as ``what``."""
+    """The JSON object in the UTF-8 file ``path``; anything else, or a repeated
+    key, raises ``error(message)``, the message naming the file as ``what``."""
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise error(f"{what} repeats the key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise error(f"{what} is not valid UTF-8 JSON: {exc}")
     if not isinstance(doc, dict):
@@ -97,16 +106,23 @@ def tensor_record_bytes(array) -> bytes:
     return tensor_header_bytes(a.shape) + a.astype("<f4", copy=False).tobytes(order="C")
 
 
-def _read_record(f, offset: int, size: int) -> tuple[np.ndarray, int]:
-    """Read the record at ``offset`` of the open ``size``-byte file ``f``;
-    return (array, end offset).  Bytes after the record are the caller's."""
-    f.seek(min(offset, size))  # past the end reads nothing; seek cannot take every int
-    dims, pos, end = _parse_header(f.read(_MAX_HEADER), offset, size)
-    f.seek(pos)
-    array = np.fromfile(f, dtype="<f4", count=(end - pos) // 4)
-    if (got := 4 * array.size) != end - pos:  # the file shrank after fstat
-        raise TensorFormatError(f"payload needs {end - pos} bytes, only {got} present", pos)
-    return array.reshape(dims), end
+def _read_records(path, count: int) -> list[np.ndarray]:
+    """The ``count`` records that fill the file ``path`` front to back."""
+    arrays = []
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        end = 0
+        for _ in range(count):
+            dims, pos, end = _parse_header(f.read(_MAX_HEADER), end, size)
+            f.seek(pos)
+            array = np.fromfile(f, dtype="<f4", count=(end - pos) // 4)
+            if (got := 4 * array.size) != end - pos:  # the file shrank after fstat
+                raise TensorFormatError(f"payload needs {end - pos} bytes, only {got} present",
+                                        pos)
+            arrays.append(array.reshape(dims))
+    if end != size:
+        raise TensorFormatError(f"{size - end} trailing bytes after record", end)
+    return arrays
 
 
 def save_tensor_file(path, array) -> None:
@@ -115,12 +131,7 @@ def save_tensor_file(path, array) -> None:
 
 def load_tensor_file(path) -> np.ndarray:
     """Read a single-tensor file; payload round-trips bit-exactly."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        array, end = _read_record(f, 0, size)
-    if end != size:
-        raise TensorFormatError(f"{size - end} trailing bytes after record", end)
-    return array
+    return _read_records(path, 1)[0]
 
 
 def _container_path(index_path: Path) -> Path:
@@ -128,36 +139,24 @@ def _container_path(index_path: Path) -> Path:
 
 
 def save_params(path, named: dict[str, np.ndarray]) -> None:
-    """Write ``<path>`` (JSON name->offset index) and ``<path>.qtns``."""
-    index_path = Path(path)
-    offsets: dict[str, int] = {}
-    blob = bytearray()
-    for name in sorted(named):
-        offsets[name] = len(blob)
-        blob += tensor_record_bytes(named[name])
-    _container_path(index_path).write_bytes(bytes(blob))
-    index_path.write_text(json.dumps({"tensors": offsets}, indent=2, sort_keys=True) + "\n")
+    """Write ``<path>`` (JSON list of names) and ``<path>.qtns``, in name order."""
+    names = sorted(named)
+    blob = b"".join(tensor_record_bytes(named[name]) for name in names)
+    _container_path(Path(path)).write_bytes(blob)
+    Path(path).write_text(json.dumps({"tensors": names}, indent=2) + "\n")
 
 
 def load_params(path) -> dict[str, np.ndarray]:
     """Inverse of save_params; arrays come back as float64 for compute."""
-    index_path = Path(path)
-    index = read_json_object(index_path, "parameter index",
+    index = read_json_object(path, "parameter index",
                              lambda message: TensorFormatError(message, 0))
     unknown = set(index) - {"tensors"}
     if unknown:
         raise TensorFormatError(f"unknown parameter index keys: {sorted(unknown)}", 0)
-    if not isinstance(index.get("tensors"), dict):
-        raise TensorFormatError("parameter index needs a tensors name->offset object", 0)
-    out: dict[str, np.ndarray] = {}
-    with open(_container_path(index_path), "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        for name, offset in index["tensors"].items():
-            if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
-                raise TensorFormatError(
-                    f"offset of {name!r} must be a non-negative integer, got {offset!r}", 0
-                )
-            array, _ = _read_record(f, offset, size)
-            with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, no warning
-                out[name] = array.astype(np.float64)
-    return out
+    names = index.get("tensors")
+    if (not isinstance(names, list) or not all(isinstance(name, str) for name in names)
+            or len(set(names)) < len(names)):
+        raise TensorFormatError("parameter index needs a tensors list of distinct names", 0)
+    arrays = _read_records(_container_path(Path(path)), len(names))
+    with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, no warning
+        return {name: array.astype(np.float64) for name, array in zip(names, arrays)}

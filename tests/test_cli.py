@@ -264,6 +264,36 @@ def test_transposed_params_file_exits_one(tmp_path, config_path, capsys):
     assert not (tmp_path / "eval.jsonl").exists()
 
 
+@pytest.mark.parametrize("damage, refusal", [
+    ("trailing-bytes", "4 trailing bytes after record"),
+    ("missing-record", "bad magic"),
+], ids=["trailing-bytes", "missing-record"])
+def test_params_index_and_container_must_agree_record_for_record(tmp_path, config_path, capsys,
+                                                                 damage, refusal):
+    """The index names the container's records in order and every container byte
+    is read: bytes after the last record, or a name with no record, exit 1 with
+    one line.  (A name given twice is an input of the malformed-input test.)"""
+    manifest = gen_data(tmp_path, config_path)
+    params = tmp_path / "model.params"
+    RetrievalModel(TINY, np.random.default_rng(0)).save(params)
+    container = tmp_path / "model.params.qtns"
+    if damage == "trailing-bytes":
+        container.write_bytes(container.read_bytes() + bytes(4))
+    else:
+        names = json.loads(params.read_text())["tensors"]
+        params.write_text(json.dumps({"tensors": [*names, "zz.extra"]}))
+    code = main([
+        "eval", "--config", str(config_path), "--data", str(manifest),
+        "--params", str(params), "--out", str(tmp_path / "eval.jsonl"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and refusal in err, err
+    if damage == "missing-record":
+        assert f"byte offset {container.stat().st_size})" in err, err
+    assert not (tmp_path / "eval.jsonl").exists()
+
+
 def test_dataset_with_a_singleton_channel_axis_exits_one(tmp_path, config_path, capsys):
     """An EEG file in the old (N, 1, E, T) layout is refused, not reshaped."""
     manifest = gen_data(tmp_path, config_path)
@@ -413,6 +443,16 @@ _MANIFEST = {"train_classes": [0, 1], "test_classes": [2, 3]}
 
 
 _NOT_UTF8 = b"\xff\xfe{}"
+_REPEATED_CONFIG = b'{"lr": 5.0, ' + json.dumps(TINY.to_dict()).encode()[1:]
+_REPEATED_MANIFEST = b'{"train_classes": [0, 1], "test_classes": [2, 3], "test_classes": [3]}'
+_REPEATED_INDEX = b'{"tensors": [], "tensors": []}'
+# what the refusal of each raw-bytes input says
+_RAW_REFUSALS = {
+    _NOT_UTF8: "not valid UTF-8",
+    _REPEATED_CONFIG: "config repeats the key 'lr'",
+    _REPEATED_MANIFEST: "manifest repeats the key 'test_classes'",
+    _REPEATED_INDEX: "parameter index repeats the key 'tensors'",
+}
 
 
 def _json_bytes(doc, base) -> bytes:
@@ -430,20 +470,24 @@ def _json_bytes(doc, base) -> bytes:
     ({}, {"eeg_path": "eeg\0.qtns"}, None),
     ({}, {"eeg_path": EEG_FILE, "image_emb_path": IMAGE_EMB_FILE, "labels_path": LABELS_FILE},
      None),
-    ({}, {}, {"tensors": []}),
-    ({}, {}, {"tensors": {"log_tau": "abc"}}),
-    ({}, {}, {"container": 5, "tensors": {}}),
-    ({}, {}, {"container": "model\0.qtns", "tensors": {}}),
-    ({}, {}, {"container": "model.params.qtns", "tensors": {}}),
-    ({}, {}, {"tensors": {}, "version": 2}),
+    ({}, {}, {"tensors": {}}),
+    ({}, {}, {"tensors": ["log_tau", "log_tau"]}),
+    ({}, {}, {"container": 5, "tensors": []}),
+    ({}, {}, {"container": "model\0.qtns", "tensors": []}),
+    ({}, {}, {"container": "model.params.qtns", "tensors": []}),
+    ({}, {}, {"tensors": [], "version": 2}),
     (_NOT_UTF8, {}, None),
     ({}, _NOT_UTF8, None),
     ({}, {}, _NOT_UTF8),
+    (_REPEATED_CONFIG, {}, None),
+    ({}, _REPEATED_MANIFEST, None),
+    ({}, {}, _REPEATED_INDEX),
 ], ids=["config-lr", "config-epochs-bool", "config-lr-huge-int", "manifest-class-id",
         "manifest-classes", "manifest-path", "manifest-path-nul", "manifest-old-layout",
-        "index-tensors", "index-offset", "index-container", "index-container-nul",
+        "index-tensors", "index-repeated-name", "index-container", "index-container-nul",
         "index-old-layout", "index-unknown-key",
-        "config-not-utf8", "manifest-not-utf8", "index-not-utf8"])
+        "config-not-utf8", "manifest-not-utf8", "index-not-utf8",
+        "config-repeated-key", "manifest-repeated-key", "index-repeated-key"])
 def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest, index):
     config_path = tmp_path / "config.json"
     config_path.write_bytes(_json_bytes(config, TINY.to_dict()))
@@ -461,14 +505,17 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest,
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    if _NOT_UTF8 in (config, manifest, index):
-        assert "not valid UTF-8" in proc.stderr, proc.stderr
+    raw = [doc for doc in (config, manifest, index) if isinstance(doc, bytes)]
+    if raw:
+        assert _RAW_REFUSALS[raw[0]] in proc.stderr, proc.stderr
     else:
         for name in config:  # refused by the config check, not by a later stage
             assert f"{name} must" in proc.stderr, proc.stderr
         # a key the manifest or the index does not hold is refused by name
         for name in ({*manifest} - {*_MANIFEST}) | ({*(index or {})} - {"tensors"}):
             assert repr(name) in proc.stderr, proc.stderr
+        if index and {*index} == {"tensors"}:  # the names themselves are refused
+            assert "tensors list of distinct names" in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("nested", ["config", "manifest", "index"])
@@ -477,7 +524,7 @@ def test_deeply_nested_json_exits_one_without_traceback(tmp_path, nested):
     paths = {name: tmp_path / f"{name}.json" for name in ("config", "manifest", "index")}
     paths["config"].write_bytes(_json_bytes({}, TINY.to_dict()))
     paths["manifest"].write_bytes(_json_bytes({}, _MANIFEST))
-    paths["index"].write_text(json.dumps({"tensors": {}}))
+    paths["index"].write_text(json.dumps({"tensors": []}))
     paths[nested].write_bytes(b"[" * 100_000)
     proc = subprocess.run(
         [sys.executable, "-m", "vqcontrast.cli", "eval", "--config", str(paths["config"]),

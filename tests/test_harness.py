@@ -278,7 +278,8 @@ def test_train_rejects_all_undersized_batches(tmp_path):
         noise_sigma=0.2,
     )
     config = replace(TINY_RUN, n_train_classes=1, n_test_classes=1, samples_per_class=1)
-    with pytest.raises(ConfigurationError, match="batch"):
+    with pytest.raises(ConfigurationError, match="batch needs 2 samples; the training classes "
+                       "hold 1$"):
         train(config, manifest)
 
 

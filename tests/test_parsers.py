@@ -2,7 +2,7 @@
 valid input gives a typed error or a valid object, never another exception.
 
 The parsers are the QTNS record reader (``load_tensor_file``, and
-``_read_record`` at any offset of a container), ``load_params``,
+``_read_records`` for any record count), ``load_params``,
 ``DatasetManifest.load`` and ``RunConfig.from_dict``.  Example counts and
 seeds come from the ``tier1`` profile in ``conftest.py``.
 """
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from vqcontrast import RunConfig, load_params, load_tensor_file, read_metrics, save_params
 from vqcontrast.data import DatasetManifest
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError, TensorFormatError
-from vqcontrast.qtns import _read_record, tensor_record_bytes
+from vqcontrast.qtns import _read_records, tensor_record_bytes
 
 TYPED = (ConfigurationError, NumericError, ShapeError, TensorFormatError)
 
@@ -74,16 +74,26 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("parsers")
 
 
-@given(blob=st.binary(max_size=64), offset=st.integers(0, 72))
-def test_read_record_on_arbitrary_bytes(scratch, blob, offset):
+@st.composite
+def containers(draw) -> bytes:
+    """Arbitrary bytes, or records back to back, perhaps mutated."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    blob = b"".join(map(tensor_record_bytes, draw(st.lists(arrays, max_size=3))))
+    return draw(mutated(blob)) if draw(st.booleans()) else blob
+
+
+@given(blob=containers(), count=st.integers(0, 4))
+def test_read_records_on_arbitrary_bytes(scratch, blob, count):
     path = scratch / "container.qtns"
     path.write_bytes(blob)
     try:
-        with open(path, "rb") as f:
-            array, end = _read_record(f, offset, len(blob))
+        arrays = _read_records(path, count)
     except TensorFormatError:
         return
-    assert offset < end <= len(blob) and array.dtype == np.float32
+    # the records that parse fill the file exactly
+    assert len(arrays) == count and all(array.dtype == np.float32 for array in arrays)
+    assert len(blob) == sum(13 + 4 * array.ndim + 4 * array.size for array in arrays)
 
 
 @st.composite

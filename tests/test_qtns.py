@@ -55,15 +55,18 @@ def test_float64_input_is_stored_as_float32(tmp_path):
 
 
 def test_read_record_reports_end_offset(tmp_path):
+    """Records are read back to back; a byte after the last one asked for is
+    refused at that record's end."""
     a = np.zeros((2, 3), dtype=np.float32)
+    b = np.arange(4, dtype=np.float32)
     path = tmp_path / "two.qtns"
-    path.write_bytes(tensor_record_bytes(a) + tensor_record_bytes(a))
-    size = path.stat().st_size
-    with open(path, "rb") as f:
-        first, end = qtns._read_record(f, 0, size)
-        second, end2 = qtns._read_record(f, end, size)
-    assert end2 == size
-    np.testing.assert_array_equal(first, second)
+    path.write_bytes(tensor_record_bytes(a) + tensor_record_bytes(b))
+    first, second = qtns._read_records(path, 2)
+    np.testing.assert_array_equal(first, a)
+    np.testing.assert_array_equal(second, b)
+    with pytest.raises(TensorFormatError, match="33 trailing bytes after record") as info:
+        qtns._read_records(path, 1)
+    assert info.value.offset == len(tensor_record_bytes(a))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +147,7 @@ def test_offset_error_at_container_position(tmp_path):
     """Errors in a record after the first carry offsets in the container file."""
     good = tensor_record_bytes(np.zeros(1, dtype=np.float32))
     path = tmp_path / "model.params"
-    path.write_text(json.dumps({"tensors": {"a": 0, "b": len(good)}}))
+    path.write_text(json.dumps({"tensors": ["a", "b"]}))
     bad_version = b"QTNS" + struct.pack("<IB", 9, 1) + struct.pack("<I", 0)
     for bad, match, at in ((b"JUNK", "magic", 0), (bad_version, "version", 4)):
         (tmp_path / "model.params.qtns").write_bytes(good + bad + good)
@@ -157,15 +160,14 @@ def test_offset_error_at_container_position(tmp_path):
 # Named-parameter container
 
 
-def test_params_offset_past_the_container_end_is_bad_magic(tmp_path):
+def test_params_index_naming_a_missing_record_is_bad_magic(tmp_path):
     path = tmp_path / "model.params"
     save_params(path, {"w": np.zeros(2)})
     size = (tmp_path / "model.params.qtns").stat().st_size
-    for offset in (size, size + 1, 2**63, 2**200):  # no file offset holds the last two
-        path.write_text(json.dumps({"tensors": {"w": offset}}))
-        with pytest.raises(TensorFormatError, match="magic") as info:
-            load_params(path)
-        assert info.value.offset == offset
+    path.write_text(json.dumps({"tensors": ["w", "x"]}))
+    with pytest.raises(TensorFormatError, match="magic") as info:
+        load_params(path)
+    assert info.value.offset == size
 
 
 def test_params_round_trip(tmp_path):
@@ -187,15 +189,13 @@ def test_params_round_trip(tmp_path):
 
 
 def test_params_index_points_into_container(tmp_path):
+    """The index is the sorted names, and the container their records back to back."""
+    named = {"b": np.ones((2, 2)), "a": np.zeros(1)}
     path = tmp_path / "model.params"
-    save_params(path, {"a": np.zeros(1), "b": np.ones((2, 2))})
-    index = json.loads(path.read_text())
-    assert list(index) == ["tensors"]
-    container = tmp_path / "model.params.qtns"
-    with open(container, "rb") as f:
-        for name, offset in index["tensors"].items():
-            array, _ = qtns._read_record(f, offset, container.stat().st_size)
-            assert array.size > 0, name
+    save_params(path, named)
+    assert json.loads(path.read_text()) == {"tensors": ["a", "b"]}
+    assert ((tmp_path / "model.params.qtns").read_bytes()
+            == tensor_record_bytes(named["a"]) + tensor_record_bytes(named["b"]))
 
 
 def test_params_index_rejects_bad_json(tmp_path):
@@ -207,10 +207,15 @@ def test_params_index_rejects_bad_json(tmp_path):
 
 def test_params_index_rejects_missing_keys(tmp_path):
     path = tmp_path / "model.params"
-    for doc in ({}, {"tensors": []}):
+    (tmp_path / "model.params.qtns").write_bytes(tensor_record_bytes(np.zeros(1)) * 2)
+    for doc in ({}, {"tensors": {}}, {"tensors": {"a": 0}}, {"tensors": ["a", 0]},
+                {"tensors": ["a", "a"]}):
         path.write_text(json.dumps(doc))
-        with pytest.raises(TensorFormatError, match="tensors name->offset object"):
+        with pytest.raises(TensorFormatError, match="tensors list of distinct names"):
             load_params(path)
+    (tmp_path / "model.params.qtns").write_bytes(b"")
+    path.write_text(json.dumps({"tensors": []}))
+    assert load_params(path) == {}
 
 
 @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent-dir"])
@@ -224,7 +229,7 @@ def test_params_index_names_its_container_beside_it(tmp_path, absolute):
     container = tmp_path / "elsewhere" / "model.params.qtns"
     name = str(container) if absolute else "../elsewhere/model.params.qtns"
     path = tmp_path / "here" / "model.params"
-    path.write_text(json.dumps({"container": name, "tensors": {"w": 0}}))
+    path.write_text(json.dumps({"container": name, "tensors": ["w"]}))
     with pytest.raises(TensorFormatError, match=r"unknown parameter index keys: \['container'\]"
                        ) as info:
         load_params(path)
