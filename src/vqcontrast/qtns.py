@@ -14,8 +14,8 @@ straight into the array, no byte left over.  ``data.generate_dataset``
 writes a tensor file in row chunks.
 
 A parameter set is a JSON index ``<index>``, exactly ``{"tensors": [name,
-...]}`` in record order, and the container ``<index>.qtns`` of the records
-back to back beside it.  ``read_json_object`` reads every JSON input
+...]}`` sorted, and the container ``<index>.qtns`` of their records back to
+back in that order beside it.  ``read_json_object`` reads every JSON input
 (config, manifest, index) and refuses a repeated key.
 """
 
@@ -155,8 +155,8 @@ def load_params(path) -> dict[str, np.ndarray]:
         raise TensorFormatError(f"unknown parameter index keys: {sorted(unknown)}", 0)
     names = index.get("tensors")
     if (not isinstance(names, list) or not all(isinstance(name, str) for name in names)
-            or len(set(names)) < len(names)):
-        raise TensorFormatError("parameter index needs a tensors list of distinct names", 0)
+            or names != sorted(set(names))):  # so no two same-shape names can swap
+        raise TensorFormatError("parameter index tensors must be sorted distinct names", 0)
     arrays = _read_records(_container_path(Path(path)), len(names))
     with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, no warning
         return {name: array.astype(np.float64) for name, array in zip(names, arrays)}

@@ -472,6 +472,7 @@ def _json_bytes(doc, base) -> bytes:
      None),
     ({}, {}, {"tensors": {}}),
     ({}, {}, {"tensors": ["log_tau", "log_tau"]}),
+    ({}, {}, {"tensors": ["log_tau", "img.proj_w"]}),
     ({}, {}, {"container": 5, "tensors": []}),
     ({}, {}, {"container": "model\0.qtns", "tensors": []}),
     ({}, {}, {"container": "model.params.qtns", "tensors": []}),
@@ -484,8 +485,8 @@ def _json_bytes(doc, base) -> bytes:
     ({}, {}, _REPEATED_INDEX),
 ], ids=["config-lr", "config-epochs-bool", "config-lr-huge-int", "manifest-class-id",
         "manifest-classes", "manifest-path", "manifest-path-nul", "manifest-old-layout",
-        "index-tensors", "index-repeated-name", "index-container", "index-container-nul",
-        "index-old-layout", "index-unknown-key",
+        "index-tensors", "index-repeated-name", "index-unsorted", "index-container",
+        "index-container-nul", "index-old-layout", "index-unknown-key",
         "config-not-utf8", "manifest-not-utf8", "index-not-utf8",
         "config-repeated-key", "manifest-repeated-key", "index-repeated-key"])
 def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest, index):
@@ -515,7 +516,7 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest,
         for name in ({*manifest} - {*_MANIFEST}) | ({*(index or {})} - {"tensors"}):
             assert repr(name) in proc.stderr, proc.stderr
         if index and {*index} == {"tensors"}:  # the names themselves are refused
-            assert "tensors list of distinct names" in proc.stderr, proc.stderr
+            assert "tensors must be sorted distinct names" in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("nested", ["config", "manifest", "index"])

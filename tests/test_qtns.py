@@ -209,9 +209,9 @@ def test_params_index_rejects_missing_keys(tmp_path):
     path = tmp_path / "model.params"
     (tmp_path / "model.params.qtns").write_bytes(tensor_record_bytes(np.zeros(1)) * 2)
     for doc in ({}, {"tensors": {}}, {"tensors": {"a": 0}}, {"tensors": ["a", 0]},
-                {"tensors": ["a", "a"]}):
+                {"tensors": ["a", "a"]}, {"tensors": ["b", "a"]}):
         path.write_text(json.dumps(doc))
-        with pytest.raises(TensorFormatError, match="tensors list of distinct names"):
+        with pytest.raises(TensorFormatError, match="tensors must be sorted distinct names"):
             load_params(path)
     (tmp_path / "model.params.qtns").write_bytes(b"")
     path.write_text(json.dumps({"tensors": []}))
