@@ -71,7 +71,7 @@ after = evaluate_zero_shot(model, manifest)
 print(f"\ntrained top-1 on unseen classes: {after.top1:.3f}  (chance = {chance:.3f})")
 print(f"learned temperature e^tau = {np.exp(float(model.log_tau.data)):.2f}")
 
-# Parameters persist as a binary container plus a JSON index of names in record order.
+# Parameters persist as one binary container, their records in sorted-name order.
 params_path = workdir / "model.params"
 model.save(params_path)
 restored = RetrievalModel.from_saved(config, params_path)

@@ -249,7 +249,7 @@ class RetrievalModel:
     @classmethod
     def from_saved(cls, config: RunConfig, path) -> "RetrievalModel":
         model = cls(config, np.random.default_rng(config.seed))
-        model.load_state(load_params(path))
+        model.load_state(load_params(path, model.named_state()))
         return model
 
     def embed_eeg(self, eeg: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:

@@ -13,10 +13,9 @@ container): a given number of records front to back, header first, payload
 straight into the array, no byte left over.  ``data.generate_dataset``
 writes a tensor file in row chunks.
 
-A parameter set is a JSON index ``<index>``, exactly ``{"tensors": [name,
-...]}`` sorted, and the container ``<index>.qtns`` of their records back to
-back in that order beside it.  ``read_json_object`` reads every JSON input
-(config, manifest, index) and refuses a repeated key.
+A parameter set is one container, the records of its sorted names back to
+back; the file holds no names, the loader brings them.  ``read_json_object``
+reads every JSON input (config, manifest) and refuses a repeated key.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TensorFormatError
+from .errors import ConfigurationError, TensorFormatError
 
 MAGIC = b"QTNS"
 VERSION = 1
@@ -134,29 +133,18 @@ def load_tensor_file(path) -> np.ndarray:
     return _read_records(path, 1)[0]
 
 
-def _container_path(index_path: Path) -> Path:
-    return index_path.with_name(index_path.name + ".qtns")
-
-
 def save_params(path, named: dict[str, np.ndarray]) -> None:
-    """Write ``<path>`` (JSON list of names) and ``<path>.qtns``, in name order."""
-    names = sorted(named)
-    blob = b"".join(tensor_record_bytes(named[name]) for name in names)
-    _container_path(Path(path)).write_bytes(blob)
-    Path(path).write_text(json.dumps({"tensors": names}, indent=2) + "\n")
+    """Write the records of ``named`` to ``path`` in sorted-name order; all are
+    built first, so a shape the reader would reject leaves no file."""
+    blob = b"".join(tensor_record_bytes(named[name]) for name in sorted(named))
+    Path(path).write_bytes(blob)
 
 
-def load_params(path) -> dict[str, np.ndarray]:
-    """Inverse of save_params; arrays come back as float64 for compute."""
-    index = read_json_object(path, "parameter index",
-                             lambda message: TensorFormatError(message, 0))
-    unknown = set(index) - {"tensors"}
-    if unknown:
-        raise TensorFormatError(f"unknown parameter index keys: {sorted(unknown)}", 0)
-    names = index.get("tensors")
-    if (not isinstance(names, list) or not all(isinstance(name, str) for name in names)
-            or names != sorted(set(names))):  # so no two same-shape names can swap
-        raise TensorFormatError("parameter index tensors must be sorted distinct names", 0)
-    arrays = _read_records(_container_path(Path(path)), len(names))
+def load_params(path, names) -> dict[str, np.ndarray]:
+    """The parameters ``names`` from the file save_params wrote, as float64."""
+    names = sorted(names)
+    if len(set(names)) != len(names):
+        raise ConfigurationError(f"parameter names repeat: {names}")
+    arrays = _read_records(path, len(names))
     with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, no warning
         return {name: array.astype(np.float64) for name, array in zip(names, arrays)}

@@ -73,7 +73,7 @@ def test_train_eval_round_trip(tmp_path, config_path, capsys):
     assert "final loss" in capsys.readouterr().out
     records = read_metrics(metrics)
     assert len(records) == TINY.epochs
-    assert params.exists() and params.with_name("model.params.qtns").exists()
+    assert [p.name for p in tmp_path.glob("model.params*")] == ["model.params"]
 
     eval_out = tmp_path / "eval.jsonl"
     code = main([
@@ -265,23 +265,21 @@ def test_transposed_params_file_exits_one(tmp_path, config_path, capsys):
 
 
 @pytest.mark.parametrize("damage, refusal", [
-    ("trailing-bytes", "4 trailing bytes after record"),
+    ("trailing-bytes", "21 trailing bytes after record"),
     ("missing-record", "bad magic"),
 ], ids=["trailing-bytes", "missing-record"])
-def test_params_index_and_container_must_agree_record_for_record(tmp_path, config_path, capsys,
-                                                                 damage, refusal):
-    """The index names the container's records in order and every container byte
-    is read: bytes after the last record, or a name with no record, exit 1 with
-    one line.  (A name given twice is an input of the malformed-input test.)"""
+def test_params_file_must_hold_the_models_records_and_no_more(tmp_path, config_path, capsys,
+                                                              damage, refusal):
+    """The file holds one record per parameter name and every byte is read: a
+    record too many, or one too few, exits 1 with one line."""
     manifest = gen_data(tmp_path, config_path)
-    params = tmp_path / "model.params"
-    RetrievalModel(TINY, np.random.default_rng(0)).save(params)
-    container = tmp_path / "model.params.qtns"
+    state = RetrievalModel(TINY, np.random.default_rng(0)).named_state()
     if damage == "trailing-bytes":
-        container.write_bytes(container.read_bytes() + bytes(4))
+        state["zz.extra"] = np.zeros(1)
     else:
-        names = json.loads(params.read_text())["tensors"]
-        params.write_text(json.dumps({"tensors": [*names, "zz.extra"]}))
+        del state[max(state)]
+    params = tmp_path / "model.params"
+    save_params(params, state)
     code = main([
         "eval", "--config", str(config_path), "--data", str(manifest),
         "--params", str(params), "--out", str(tmp_path / "eval.jsonl"),
@@ -290,7 +288,7 @@ def test_params_index_and_container_must_agree_record_for_record(tmp_path, confi
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and refusal in err, err
     if damage == "missing-record":
-        assert f"byte offset {container.stat().st_size})" in err, err
+        assert f"byte offset {params.stat().st_size})" in err, err
     assert not (tmp_path / "eval.jsonl").exists()
 
 
@@ -328,30 +326,13 @@ def test_params_file_with_singleton_kernel_axes_exits_one(tmp_path, config_path,
 
 
 @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent-dir"])
-def test_params_index_naming_a_container_elsewhere_exits_one(tmp_path, config_path, absolute,
-                                                            monkeypatch, capsys):
-    """Every input file sits at a fixed name beside the JSON that describes it.
-    An index or a manifest that names a file, even a valid one in a sibling
-    directory, exits 1 on the key, and that file is never read."""
+def test_manifest_naming_a_file_elsewhere_exits_one(tmp_path, config_path, absolute,
+                                                    monkeypatch, capsys):
+    """Every dataset file sits at a fixed name beside the manifest.  A manifest
+    that names one, even a valid one in a sibling directory, exits 1 on the
+    key, and that file is never read."""
     manifest = gen_data(tmp_path, config_path)
-    for sub in ("elsewhere", "here"):
-        (tmp_path / sub).mkdir()
-    RetrievalModel(TINY, np.random.default_rng(0)).save(tmp_path / "elsewhere" / "model.params")
-    index = json.loads((tmp_path / "elsewhere" / "model.params").read_text())
-    container = tmp_path / "elsewhere" / "model.params.qtns"
-    index["container"] = str(container) if absolute else "../elsewhere/model.params.qtns"
-    params = tmp_path / "here" / "model.params"
-    params.write_text(json.dumps(index))
-    proc = subprocess.run(
-        [sys.executable, "-m", "vqcontrast.cli", "eval", "--config", str(config_path),
-         "--data", str(manifest), "--params", str(params), "--out", str(tmp_path / "eval.jsonl")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1 and "'container'" in proc.stderr, proc.stderr
-    assert not (tmp_path / "eval.jsonl").exists()
-
+    (tmp_path / "here").mkdir()
     # a manifest beside no tensor file, naming the valid ones of the generated dataset
     doc = json.loads(manifest.read_text())
     for key, name in (("eeg_path", EEG_FILE), ("image_emb_path", IMAGE_EMB_FILE),
@@ -362,7 +343,6 @@ def test_params_index_naming_a_container_elsewhere_exits_one(tmp_path, config_pa
     reads = []
     monkeypatch.setattr(data, "load_tensor_file",
                         lambda path: reads.append(path) or load_tensor_file(path))
-    capsys.readouterr()
     code = main(["train", "--config", str(config_path), "--data", str(naming),
                  "--out", str(tmp_path / "metrics.jsonl")])
     err = capsys.readouterr().err
@@ -445,13 +425,15 @@ _MANIFEST = {"train_classes": [0, 1], "test_classes": [2, 3]}
 _NOT_UTF8 = b"\xff\xfe{}"
 _REPEATED_CONFIG = b'{"lr": 5.0, ' + json.dumps(TINY.to_dict()).encode()[1:]
 _REPEATED_MANIFEST = b'{"train_classes": [0, 1], "test_classes": [2, 3], "test_classes": [3]}'
-_REPEATED_INDEX = b'{"tensors": [], "tensors": []}'
+# a parameter index of the earlier two-file layout, given as the parameter file
+_OLD_INDEX = (json.dumps({"tensors": sorted(RetrievalModel(TINY, np.random.default_rng(0))
+                                           .named_state())}, indent=2) + "\n").encode()
 # what the refusal of each raw-bytes input says
 _RAW_REFUSALS = {
     _NOT_UTF8: "not valid UTF-8",
     _REPEATED_CONFIG: "config repeats the key 'lr'",
     _REPEATED_MANIFEST: "manifest repeats the key 'test_classes'",
-    _REPEATED_INDEX: "parameter index repeats the key 'tensors'",
+    _OLD_INDEX: "bad magic, expected b'QTNS' (byte offset 0)",
 }
 
 
@@ -460,7 +442,7 @@ def _json_bytes(doc, base) -> bytes:
     return doc if isinstance(doc, bytes) else json.dumps({**base, **doc}).encode()
 
 
-@pytest.mark.parametrize("config,manifest,index", [
+@pytest.mark.parametrize("config,manifest,params", [
     ({"lr": "abc"}, {}, None),
     ({"epochs": True}, {}, None),
     ({"lr": 10**400}, {}, None),
@@ -470,34 +452,25 @@ def _json_bytes(doc, base) -> bytes:
     ({}, {"eeg_path": "eeg\0.qtns"}, None),
     ({}, {"eeg_path": EEG_FILE, "image_emb_path": IMAGE_EMB_FILE, "labels_path": LABELS_FILE},
      None),
-    ({}, {}, {"tensors": {}}),
-    ({}, {}, {"tensors": ["log_tau", "log_tau"]}),
-    ({}, {}, {"tensors": ["log_tau", "img.proj_w"]}),
-    ({}, {}, {"container": 5, "tensors": []}),
-    ({}, {}, {"container": "model\0.qtns", "tensors": []}),
-    ({}, {}, {"container": "model.params.qtns", "tensors": []}),
-    ({}, {}, {"tensors": [], "version": 2}),
+    ({}, {}, _OLD_INDEX),
     (_NOT_UTF8, {}, None),
     ({}, _NOT_UTF8, None),
-    ({}, {}, _NOT_UTF8),
     (_REPEATED_CONFIG, {}, None),
     ({}, _REPEATED_MANIFEST, None),
-    ({}, {}, _REPEATED_INDEX),
 ], ids=["config-lr", "config-epochs-bool", "config-lr-huge-int", "manifest-class-id",
         "manifest-classes", "manifest-path", "manifest-path-nul", "manifest-old-layout",
-        "index-tensors", "index-repeated-name", "index-unsorted", "index-container",
-        "index-container-nul", "index-old-layout", "index-unknown-key",
-        "config-not-utf8", "manifest-not-utf8", "index-not-utf8",
-        "config-repeated-key", "manifest-repeated-key", "index-repeated-key"])
-def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest, index):
+        "params-old-layout", "config-not-utf8", "manifest-not-utf8",
+        "config-repeated-key", "manifest-repeated-key"])
+def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest, params):
     config_path = tmp_path / "config.json"
     config_path.write_bytes(_json_bytes(config, TINY.to_dict()))
     manifest_path = tmp_path / "manifest.json"
     manifest_path.write_bytes(_json_bytes(manifest, _MANIFEST))
-    params = tmp_path / "model.params"
-    (tmp_path / "model.params.qtns").write_bytes(b"")
-    params.write_bytes(index if isinstance(index, bytes) else json.dumps(index).encode())
-    command = ["eval", "--params", str(params)] if index else ["train"]
+    params_path = tmp_path / "model.params"
+    command = ["train"]
+    if params is not None:
+        params_path.write_bytes(params)
+        command = ["eval", "--params", str(params_path)]
     proc = subprocess.run(
         [sys.executable, "-m", "vqcontrast.cli", *command, "--config", str(config_path),
          "--data", str(manifest_path), "--out", str(tmp_path / "out.jsonl")],
@@ -506,30 +479,26 @@ def test_malformed_input_exits_one_without_traceback(tmp_path, config, manifest,
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    raw = [doc for doc in (config, manifest, index) if isinstance(doc, bytes)]
+    raw = [doc for doc in (config, manifest, params) if isinstance(doc, bytes)]
     if raw:
         assert _RAW_REFUSALS[raw[0]] in proc.stderr, proc.stderr
     else:
         for name in config:  # refused by the config check, not by a later stage
             assert f"{name} must" in proc.stderr, proc.stderr
-        # a key the manifest or the index does not hold is refused by name
-        for name in ({*manifest} - {*_MANIFEST}) | ({*(index or {})} - {"tensors"}):
+        for name in {*manifest} - {*_MANIFEST}:  # a key the manifest does not hold
             assert repr(name) in proc.stderr, proc.stderr
-        if index and {*index} == {"tensors"}:  # the names themselves are refused
-            assert "tensors must be sorted distinct names" in proc.stderr, proc.stderr
 
 
-@pytest.mark.parametrize("nested", ["config", "manifest", "index"])
+@pytest.mark.parametrize("nested", ["config", "manifest"])
 def test_deeply_nested_json_exits_one_without_traceback(tmp_path, nested):
     """100 000 nested ``[`` in any input file are refused as malformed input."""
-    paths = {name: tmp_path / f"{name}.json" for name in ("config", "manifest", "index")}
+    paths = {name: tmp_path / f"{name}.json" for name in ("config", "manifest")}
     paths["config"].write_bytes(_json_bytes({}, TINY.to_dict()))
     paths["manifest"].write_bytes(_json_bytes({}, _MANIFEST))
-    paths["index"].write_text(json.dumps({"tensors": []}))
     paths[nested].write_bytes(b"[" * 100_000)
     proc = subprocess.run(
         [sys.executable, "-m", "vqcontrast.cli", "eval", "--config", str(paths["config"]),
-         "--data", str(paths["manifest"]), "--params", str(paths["index"]),
+         "--data", str(paths["manifest"]), "--params", str(tmp_path / "model.params"),
          "--out", str(tmp_path / "out.jsonl")],
         capture_output=True, text=True,
     )

@@ -1,6 +1,12 @@
-"""The acceptance-criteria summary printed at the end of a test run."""
+"""The conftest files: the acceptance-criteria summary printed at the end of a
+test run, and the root conftest's import that keeps a failing property test
+from stopping the session."""
 
+import importlib.util
+import warnings
 from pathlib import Path
+
+import pytest
 
 CRITERIA = '''
 import pytest
@@ -32,3 +38,13 @@ def test_summary_marks_criteria_that_did_not_run(pytester):
         "[[]FAIL[]] test_criterion_3_fails",
         "[[]NOT RUN[]] test_criterion_4_skipped",
     ])
+
+
+def test_hypothesis_failure_report_imports_nothing_that_warns():
+    """hypothesis reports a failing ``@given`` test through this module; under
+    ``error::DeprecationWarning`` its first import there would abort pytest."""
+    if importlib.util.find_spec("libcst") is None:  # importorskip would import it quietly
+        pytest.skip("no libcst: hypothesis writes no failure patch")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        importlib.import_module("hypothesis.extra._patching")

@@ -27,7 +27,7 @@ from vqcontrast import RunConfig
 from vqcontrast.cli import main
 
 RECORD = Path(__file__).with_name("identity.json")
-FILES = ("metrics.jsonl", "eval.jsonl", "params.json.qtns", "params.json", "data/eeg.qtns")
+FILES = ("metrics.jsonl", "eval.jsonl", "params.json", "data/eeg.qtns")
 RECIPES = {
     "desk-8-epochs": replace(DESK, epochs=8, n_runs=1),
     "default-2-epochs": RunConfig(epochs=2),

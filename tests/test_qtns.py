@@ -1,6 +1,5 @@
 """Binary tensor format: byte layout, round trips, and parse errors."""
 
-import json
 import struct
 
 import types
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given
 
 from vqcontrast import load_params, load_tensor_file, qtns, save_params, save_tensor_file
-from vqcontrast.errors import TensorFormatError
+from vqcontrast.errors import ConfigurationError, TensorFormatError
 from vqcontrast.qtns import tensor_header_bytes, tensor_record_bytes
 
 
@@ -147,12 +146,11 @@ def test_offset_error_at_container_position(tmp_path):
     """Errors in a record after the first carry offsets in the container file."""
     good = tensor_record_bytes(np.zeros(1, dtype=np.float32))
     path = tmp_path / "model.params"
-    path.write_text(json.dumps({"tensors": ["a", "b"]}))
     bad_version = b"QTNS" + struct.pack("<IB", 9, 1) + struct.pack("<I", 0)
     for bad, match, at in ((b"JUNK", "magic", 0), (bad_version, "version", 4)):
-        (tmp_path / "model.params.qtns").write_bytes(good + bad + good)
+        path.write_bytes(good + bad + good)
         with pytest.raises(TensorFormatError, match=match) as info:
-            load_params(path)
+            load_params(path, ["a", "b", "c"])
         assert info.value.offset == len(good) + at
 
 
@@ -161,13 +159,12 @@ def test_offset_error_at_container_position(tmp_path):
 
 
 def test_params_index_naming_a_missing_record_is_bad_magic(tmp_path):
+    """Asking for one name more than the file holds reads past its last record."""
     path = tmp_path / "model.params"
     save_params(path, {"w": np.zeros(2)})
-    size = (tmp_path / "model.params.qtns").stat().st_size
-    path.write_text(json.dumps({"tensors": ["w", "x"]}))
     with pytest.raises(TensorFormatError, match="magic") as info:
-        load_params(path)
-    assert info.value.offset == size
+        load_params(path, ["w", "x"])
+    assert info.value.offset == path.stat().st_size
 
 
 def test_params_round_trip(tmp_path):
@@ -179,7 +176,7 @@ def test_params_round_trip(tmp_path):
     }
     path = tmp_path / "model.params"
     save_params(path, named)
-    back = load_params(path)
+    back = load_params(path, named)
     assert sorted(back) == sorted(named)
     for name in named:
         assert back[name].dtype == np.float64
@@ -188,52 +185,21 @@ def test_params_round_trip(tmp_path):
         )
 
 
-def test_params_index_points_into_container(tmp_path):
-    """The index is the sorted names, and the container their records back to back."""
+def test_params_file_is_the_sorted_names_records_back_to_back(tmp_path):
     named = {"b": np.ones((2, 2)), "a": np.zeros(1)}
     path = tmp_path / "model.params"
     save_params(path, named)
-    assert json.loads(path.read_text()) == {"tensors": ["a", "b"]}
-    assert ((tmp_path / "model.params.qtns").read_bytes()
-            == tensor_record_bytes(named["a"]) + tensor_record_bytes(named["b"]))
+    assert path.read_bytes() == tensor_record_bytes(named["a"]) + tensor_record_bytes(named["b"])
+    assert [p.name for p in tmp_path.iterdir()] == ["model.params"]
+    save_params(path, {})
+    assert path.read_bytes() == b"" and load_params(path, []) == {}
 
 
-def test_params_index_rejects_bad_json(tmp_path):
+def test_params_names_must_be_distinct(tmp_path):
     path = tmp_path / "model.params"
-    path.write_text("{not json")
-    with pytest.raises(TensorFormatError, match="JSON"):
-        load_params(path)
-
-
-def test_params_index_rejects_missing_keys(tmp_path):
-    path = tmp_path / "model.params"
-    (tmp_path / "model.params.qtns").write_bytes(tensor_record_bytes(np.zeros(1)) * 2)
-    for doc in ({}, {"tensors": {}}, {"tensors": {"a": 0}}, {"tensors": ["a", 0]},
-                {"tensors": ["a", "a"]}, {"tensors": ["b", "a"]}):
-        path.write_text(json.dumps(doc))
-        with pytest.raises(TensorFormatError, match="tensors must be sorted distinct names"):
-            load_params(path)
-    (tmp_path / "model.params.qtns").write_bytes(b"")
-    path.write_text(json.dumps({"tensors": []}))
-    assert load_params(path) == {}
-
-
-@pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "parent-dir"])
-def test_params_index_names_its_container_beside_it(tmp_path, absolute):
-    """The container is always ``<index>.qtns``: an index that still names one,
-    a valid one in a sibling directory by absolute or ``../`` path, is refused
-    by the key."""
-    for sub in ("elsewhere", "here"):
-        (tmp_path / sub).mkdir()
-    save_params(tmp_path / "elsewhere" / "model.params", {"w": np.zeros(2)})
-    container = tmp_path / "elsewhere" / "model.params.qtns"
-    name = str(container) if absolute else "../elsewhere/model.params.qtns"
-    path = tmp_path / "here" / "model.params"
-    path.write_text(json.dumps({"container": name, "tensors": ["w"]}))
-    with pytest.raises(TensorFormatError, match=r"unknown parameter index keys: \['container'\]"
-                       ) as info:
-        load_params(path)
-    assert info.value.offset == 0
+    save_params(path, {"a": np.zeros(1)})
+    with pytest.raises(ConfigurationError, match="repeat"):
+        load_params(path, ["a", "a"])
 
 
 def test_params_with_a_signaling_nan_load_as_nan_without_a_warning(tmp_path):
@@ -241,9 +207,8 @@ def test_params_with_a_signaling_nan_load_as_nan_without_a_warning(tmp_path):
     # itself is refused later, by RetrievalModel.load_state
     path = tmp_path / "model.params"
     save_params(path, {"w": np.zeros(2)})
-    container = tmp_path / "model.params.qtns"
-    container.write_bytes(container.read_bytes()[:-4] + bytes.fromhex("0100807f"))
-    loaded = load_params(path)["w"]
+    path.write_bytes(path.read_bytes()[:-4] + bytes.fromhex("0100807f"))
+    loaded = load_params(path, ["w"])["w"]
     assert loaded[0] == 0.0 and np.isnan(loaded[1])
 
 
