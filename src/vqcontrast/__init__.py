@@ -27,7 +27,6 @@ from .harness import (
     RetrievalModel,
     RunConfig,
     evaluate_zero_shot,
-    read_metrics,
     run_protocol,
     train,
     write_metrics,
@@ -53,7 +52,6 @@ __all__ = [
     "generate_dataset",
     "load_params",
     "load_tensor_file",
-    "read_metrics",
     "run_all_checks",
     "run_protocol",
     "save_params",

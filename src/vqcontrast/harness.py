@@ -21,9 +21,10 @@ runs the same forward whichever thread takes it, so the embeddings do not
 depend on the CPU count, and an error raised in any block reaches the
 caller as it was raised, once every thread has stopped.
 
-Metrics are emitted as JSON lines.  Wall time is tracked on the records
-but deliberately left out of the serialized form so that identical
-seed + config reproduce the stream byte for byte.
+Metrics are emitted as JSON lines, and the package never reads a stream
+back.  Wall time is tracked on the records but deliberately left out of the
+serialized form so that identical seed + config reproduce the stream byte
+for byte.
 """
 
 from __future__ import annotations
@@ -141,7 +142,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """One emitted measurement: a training epoch or an evaluation."""
+    """One emitted measurement: a training epoch or an evaluation.
+
+    Only ``train`` and ``evaluate_zero_shot`` build records, from values
+    checked where they enter the program, so a record checks nothing again.
+    """
 
     run_id: int
     epoch: int | None = None
@@ -149,19 +154,6 @@ class MetricsRecord:
     top1: float | None = None
     top5: float | None = None
     wall_time: float | None = None
-
-    def __post_init__(self):
-        require_ints(0, run_id=self.run_id)
-        if self.epoch is not None:
-            require_ints(0, epoch=self.epoch)
-        if isinstance(self.train_loss, float) and not np.isfinite(self.train_loss):
-            raise NumericError(f"train_loss must be finite, got {self.train_loss}")
-        floats = {"train_loss": self.train_loss, "top1": self.top1, "top5": self.top5,
-                  "wall_time": self.wall_time}
-        require_finite(**{name: v for name, v in floats.items() if v is not None})
-        for name, v in (("top1", self.top1), ("top5", self.top5)):
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {v}")
 
     def to_json_line(self) -> str:
         # wall_time stays in memory only; serialized streams must be
@@ -172,31 +164,9 @@ class MetricsRecord:
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "MetricsRecord":
-        doc = json.loads(line)
-        return cls(**doc)
-
 
 def write_metrics(records, path) -> None:
     Path(path).write_text("".join(r.to_json_line() + "\n" for r in records))
-
-
-def read_metrics(path) -> list[MetricsRecord]:
-    """The records of a metrics file; a malformed line raises ``ConfigurationError``."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: metrics file is not UTF-8: {exc}") from exc
-    records = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(MetricsRecord.from_json_line(line))
-        except (ConfigurationError, NumericError, TypeError, ValueError, RecursionError) as exc:
-            raise ConfigurationError(f"{path}: metrics line {number}: {exc}") from exc
-    return records
 
 
 class RetrievalModel:
@@ -229,19 +199,20 @@ class RetrievalModel:
                 f"parameter set mismatch: missing {sorted(missing)}, "
                 f"unexpected {sorted(extra)}"
             )
-        for name, want in expected.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != want.shape:
+        # Copies: training this model must not move the caller's arrays.
+        values = {name: np.array(state[name], dtype=np.float64) for name in expected}
+        for name, value in values.items():
+            if value.shape != expected[name].shape:
                 raise ConfigurationError(
                     f"parameter mismatch for {name!r}: got shape {value.shape}, "
-                    f"expected {want.shape}"
+                    f"expected {expected[name].shape}"
                 )
             if not np.all(np.isfinite(value)):
                 raise ConfigurationError(f"parameter {name!r} contains non-finite values")
         for name, t in self.named_parameters().items():
-            t.data = np.asarray(state[name], dtype=np.float64)
+            t.data = values[name]
         for k in self.eeg_encoder.buffers:
-            self.eeg_encoder.buffers[k] = np.asarray(state[f"eeg.buffers.{k}"], dtype=np.float64)
+            self.eeg_encoder.buffers[k] = values[f"eeg.buffers.{k}"]
 
     def save(self, path) -> None:
         save_params(path, self.named_state())

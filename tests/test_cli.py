@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqcontrast import RetrievalModel, RunConfig, read_metrics, save_params, save_tensor_file
+from vqcontrast import RetrievalModel, RunConfig, save_params, save_tensor_file
 from vqcontrast import data, encoders, harness
 from vqcontrast.cli import main
 from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE, MANIFEST_FILE
@@ -60,6 +60,9 @@ def test_gen_data_prints_manifest_path(tmp_path, config_path, capsys):
     assert str(manifest) in capsys.readouterr().out
 
 
+STREAM_KEYS = {"epoch", "run_id", "top1", "top5", "train_loss"}
+
+
 def test_train_eval_round_trip(tmp_path, config_path, capsys):
     manifest = gen_data(tmp_path, config_path)
     metrics = tmp_path / "metrics.jsonl"
@@ -71,8 +74,10 @@ def test_train_eval_round_trip(tmp_path, config_path, capsys):
     ])
     assert code == 0
     assert "final loss" in capsys.readouterr().out
-    records = read_metrics(metrics)
-    assert len(records) == TINY.epochs
+    lines = [json.loads(line) for line in metrics.read_text().splitlines()]
+    assert [set(line) for line in lines] == [STREAM_KEYS] * TINY.epochs
+    assert [line["epoch"] for line in lines] == list(range(TINY.epochs))
+    assert all(line["top1"] is None and line["top5"] is None for line in lines)
     assert [p.name for p in tmp_path.glob("model.params*")] == ["model.params"]
 
     eval_out = tmp_path / "eval.jsonl"
@@ -82,8 +87,9 @@ def test_train_eval_round_trip(tmp_path, config_path, capsys):
     ])
     assert code == 0
     assert "top1" in capsys.readouterr().out
-    (record,) = read_metrics(eval_out)
-    assert record.top1 is not None and record.epoch is None
+    (record,) = [json.loads(line) for line in eval_out.read_text().splitlines()]
+    assert set(record) == STREAM_KEYS
+    assert record["epoch"] is None and record["top1"] is not None
 
 
 def test_train_without_params_flag_saves_nothing(tmp_path, config_path):

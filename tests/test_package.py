@@ -34,7 +34,6 @@ EXPORTED = [
     "generate_dataset",
     "load_params",
     "load_tensor_file",
-    "read_metrics",
     "run_all_checks",
     "run_protocol",
     "save_params",
@@ -150,6 +149,34 @@ def test_src_modules_use_every_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_src_reads_every_private_module_name():
+    """A private name (``_x``, not dunder) defined at a module's top level is
+    read somewhere in the package: as a name, an attribute or an import."""
+    defined, read = {}, set()
+    for path in sorted(Path(vqcontrast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined, "the scan found no private names"
+    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in read) == []
 
 
 def test_every_dataclass_is_frozen():
