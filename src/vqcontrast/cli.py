@@ -1,8 +1,9 @@
 """Command-line entry points.
 
-Subcommands: gen-data, train, eval, gradcheck, protocol.  Exit codes:
-0 on success, 1 on validation errors (bad flags, configs, files, shapes),
-2 on numeric failures (non-finite loss, failed gradient checks).
+Subcommands: gen-data, train, eval, gradcheck, protocol.  Every one takes
+``--config`` and reads it first, in ``main``, before it touches any other
+file.  Exit codes: 0 on success, 1 on validation errors (bad flags, configs,
+files, shapes), 2 on numeric failures (non-finite loss, failed gradient checks).
 """
 
 from __future__ import annotations
@@ -53,15 +54,13 @@ def _generate_from_config(config: RunConfig, out_dir) -> DatasetManifest:
     )
 
 
-def _cmd_gen_data(args) -> int:
-    config = RunConfig.load(args.config)
+def _cmd_gen_data(config: RunConfig, args) -> int:
     _generate_from_config(config, args.out_dir)
     print(Path(args.out_dir) / MANIFEST_FILE)
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = RunConfig.load(args.config)
+def _cmd_train(config: RunConfig, args) -> int:
     manifest = DatasetManifest.load(args.data)
     model, records = train(config, manifest)
     write_metrics(records, args.out)
@@ -74,8 +73,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = RunConfig.load(args.config)
+def _cmd_eval(config: RunConfig, args) -> int:
     manifest = DatasetManifest.load(args.data)
     model = RetrievalModel.from_saved(config, args.params)
     record = evaluate_zero_shot(model, manifest)
@@ -84,8 +82,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    config = RunConfig.load(args.config)
+def _cmd_gradcheck(config: RunConfig, args) -> int:
     # the checks run on fixed tiny geometries; the config contributes only the seed
     results = run_all_checks(seed=config.seed)
     for result in results:
@@ -102,8 +99,7 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-def _cmd_protocol(args) -> int:
-    config = RunConfig.load(args.config)
+def _cmd_protocol(config: RunConfig, args) -> int:
     if args.data:
         manifest = DatasetManifest.load(args.data)
     else:
@@ -120,33 +116,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vqcontrast",
         description="Quantum-circuit contrastive EEG/image retrieval experiments.",
     )
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", parents=[], help="write a synthetic paired dataset")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("gen-data", parents=[config], help="write a synthetic paired dataset")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("train", help="train one run and emit per-epoch metrics")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("train", parents=[config], help="train one run and emit per-epoch metrics")
     p.add_argument("--data", required=True, help="dataset manifest JSON")
     p.add_argument("--out", required=True, help="metrics JSONL output path")
     p.add_argument("--params", help="optionally save trained parameters here")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="zero-shot evaluation of saved parameters")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("eval", parents=[config], help="zero-shot evaluation of saved parameters")
     p.add_argument("--data", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference checks for every op")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("gradcheck", parents=[config], help="finite-difference checks for every op")
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("protocol", help="multi-seed train+eval aggregate report")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("protocol", parents=[config], help="multi-seed train+eval aggregate report")
     p.add_argument("--out", required=True, help="aggregate report JSON path")
     p.add_argument("--data", help="dataset manifest (default: generated next to --out)")
     p.set_defaults(func=_cmd_protocol)
@@ -161,7 +154,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        return args.func(RunConfig.load(args.config), args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -109,7 +109,7 @@ class DatasetManifest:
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         path = Path(path)
-        doc = read_json_object(path, "manifest", ConfigurationError)
+        doc = read_json_object(path, "manifest")
         unknown = set(doc) - _MANIFEST_KEYS
         if unknown:
             raise ConfigurationError(f"unknown manifest keys: {sorted(unknown)}")

@@ -137,7 +137,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_dict(read_json_object(path, "config", ConfigurationError))
+        return cls.from_dict(read_json_object(path, "config"))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ writes a tensor file in row chunks.
 
 A parameter set is one container, the records of its sorted names back to
 back; the file holds no names, the loader brings them.  ``read_json_object``
-reads every JSON input (config, manifest) and refuses a repeated key.
+reads every JSON input (config, manifest), refuses a repeated key and raises
+``ConfigurationError`` for every refusal.
 """
 
 from __future__ import annotations
@@ -37,23 +38,23 @@ _MAX_NDIM = 8
 _MAX_HEADER = 13 + 4 * _MAX_NDIM  # magic, version, dtype, ndim, dims
 
 
-def read_json_object(path, what: str, error) -> dict:
+def read_json_object(path, what: str) -> dict:
     """The JSON object in the UTF-8 file ``path``; anything else, or a repeated
-    key, raises ``error(message)``, the message naming the file as ``what``."""
+    key, raises ``ConfigurationError``, the message naming the file as ``what``."""
     def unique(pairs):
         doc = {}
         for key, value in pairs:
             if key in doc:
-                raise error(f"{what} repeats the key {key!r}")
+                raise ConfigurationError(f"{what} repeats the key {key!r}")
             doc[key] = value
         return doc
 
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise error(f"{what} is not valid UTF-8 JSON: {exc}")
+        raise ConfigurationError(f"{what} is not valid UTF-8 JSON: {exc}")
     if not isinstance(doc, dict):
-        raise error(f"{what} must be a JSON object")
+        raise ConfigurationError(f"{what} must be a JSON object")
     return doc
 
 

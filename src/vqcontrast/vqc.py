@@ -162,12 +162,15 @@ def _product_state(angles: np.ndarray) -> np.ndarray:
     return state
 
 
-def _encode(X: np.ndarray, amps: np.ndarray, spare: np.ndarray) -> None:
-    """Write the encoded state of every row of ``X``, first ring applied, into ``amps``."""
+def _encode(X: np.ndarray, amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write the encoded state of every row of ``X``, first ring applied, into ``amps``;
+    return the (high, low) half-register product states it was built from."""
     table, h = _width(X.shape[1]), X.shape[1] // 2
-    np.take(_product_state(X[:, h:]), table.high, axis=0, out=amps, mode="clip")
-    np.take(_product_state(X[:, :h]), table.low, axis=0, out=spare, mode="clip")
+    high, low = _product_state(X[:, h:]), _product_state(X[:, :h])
+    np.take(high, table.high, axis=0, out=amps, mode="clip")
+    np.take(low, table.low, axis=0, out=spare, mode="clip")
     amps *= spare
+    return high, low
 
 
 def _steps(params: QuantumLayerParams, rows: int) -> list:
@@ -217,9 +220,11 @@ def _readout(amps: np.ndarray) -> np.ndarray:
     return amps.T @ _width(amps.shape[0].bit_length() - 1).z
 
 
-def _input_partials(X: np.ndarray, adj: np.ndarray, spare: np.ndarray) -> np.ndarray:
+def _input_partials(X: np.ndarray, high: np.ndarray, low: np.ndarray, adj: np.ndarray,
+                    spare: np.ndarray) -> np.ndarray:
     """dL/dX from the adjoint ``adj`` of the encoded product state; ``spare`` is scratch.
 
+    ``high`` and ``low`` are the half-register product states that ``_encode`` built.
     Each half register's adjoint is ``adj`` contracted with the other half's product
     state.  d/dx RY(x)|0> = RY(x + pi)|0> / 2, so the partial of x_k is half its half's
     adjoint contracted with block k of one product state of the half, x_k + pi in block k.
@@ -228,8 +233,8 @@ def _input_partials(X: np.ndarray, adj: np.ndarray, spare: np.ndarray) -> np.nda
     h = n // 2
     adj = adj.reshape(1 << (n - h), 1 << h, rows)  # (high-half state, low-half state, row)
     scratch = spare.reshape(adj.shape)
-    d_high = np.multiply(adj, _product_state(X[:, :h]), out=scratch).sum(axis=1)
-    d_low = np.multiply(adj, _product_state(X[:, h:])[:, None], out=scratch).sum(axis=0)
+    d_high = np.multiply(adj, low, out=scratch).sum(axis=1)
+    d_low = np.multiply(adj, high[:, None], out=scratch).sum(axis=0)
     d_inputs = np.empty(X.shape)
     for cols, adjoint in ((slice(0, h), d_low), (slice(h, n), d_high)):
         m = cols.stop - cols.start
@@ -279,14 +284,14 @@ def vqc_batched_vjp(
     table, steps = _width(n), _steps(params, len(X))
     encoded = np.empty((1 << n, len(X)))
     amps, spare = np.empty_like(encoded), np.empty_like(encoded)
-    _encode(X, encoded, spare)
+    halves = _encode(X, encoded, spare)
 
     # Input partials: the forward to psi, then the adjoint sweep back to the encoding.
     np.copyto(amps, encoded)
     final, adj = _run(amps, spare, steps)
     np.matmul(table.z, 2.0 * upstream.T, out=adj)
     adj *= final
-    d_inputs = _input_partials(X, *_run(adj, final, _adjoint(steps, table.unring)))
+    d_inputs = _input_partials(X, *halves, *_run(adj, final, _adjoint(steps, table.unring)))
 
     d_weights = np.empty((layers, n))
     for at, (factor, view) in enumerate(steps):

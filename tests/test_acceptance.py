@@ -126,6 +126,7 @@ def test_criterion_3_gradient_suite(tmp_path):
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1:] == [f"all {len(results)} gradient checks passed"]
         assert time.perf_counter() - started < 120.0
 
 

@@ -1,7 +1,9 @@
 """Command-line interface: subcommand wiring and the exit-code contract."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,7 +15,7 @@ import pytest
 
 from vqcontrast import RetrievalModel, RunConfig, save_params, save_tensor_file
 from vqcontrast import data, encoders, harness
-from vqcontrast.cli import main
+from vqcontrast.cli import build_parser, main
 from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE, MANIFEST_FILE
 from vqcontrast.errors import NumericError
 from vqcontrast.qtns import load_tensor_file
@@ -153,6 +155,24 @@ def test_help_exits_zero(capsys):
     assert "gen-data" in capsys.readouterr().out
 
 
+def test_readme_command_block_names_each_subcommands_flags():
+    """The fenced block under "## Command line" in README.md names, for every
+    subcommand, exactly the flags the parser defines for it, -h aside."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    named = {}
+    for usage in re.split(r"^vqcontrast\s+", block, flags=re.M)[1:]:
+        named[usage.split()[0]] = set(re.findall(r"--[\w-]+", usage))
+    (subcommands,) = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    defined = {
+        command: {flag for action in sub._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for command, sub in subcommands.items()
+    }
+    assert named == defined
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -209,18 +229,42 @@ def test_numeric_failure_in_an_eval_pool_thread_exits_two(tmp_path, config_path,
     assert err == "numeric failure: input contains non-finite entries\n", err
 
 
-def test_missing_config_file_exits_one(tmp_path, capsys):
-    assert main(["gradcheck", "--config", str(tmp_path / "nope.json")]) == 1
-    assert "error" in capsys.readouterr().err
+# The flags each subcommand requires besides --config, as names under the test's directory.
+_OTHER_FLAGS = {
+    "gen-data": {"--out-dir": "data"},
+    "train": {"--data": "manifest.json", "--out": "metrics.jsonl"},
+    "eval": {"--data": "manifest.json", "--params": "model.params", "--out": "eval.jsonl"},
+    "gradcheck": {},
+    "protocol": {"--out": "report.json"},
+}
 
 
-def test_unknown_config_key_exits_one(tmp_path, capsys):
+def _refused_config(tmp_path, capsys, command, config_path) -> str:
+    """Run ``command`` on ``config_path``; it must exit 1, print one stderr line and
+    leave behind no file (an --out or --out-dir path included) but the config."""
+    before = sorted(tmp_path.iterdir())
+    argv = [command, "--config", str(config_path)]
+    for flag, name in _OTHER_FLAGS[command].items():
+        argv += [flag, str(tmp_path / name)]
+    assert main(argv) == 1
+    assert sorted(tmp_path.iterdir()) == before
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", _OTHER_FLAGS)
+def test_missing_config_file_exits_one(tmp_path, capsys, command):
+    err = _refused_config(tmp_path, capsys, command, tmp_path / "nope.json")
+    assert err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("command", _OTHER_FLAGS)
+def test_unknown_config_key_exits_one(tmp_path, capsys, command):
     config_path = tmp_path / "config.json"
-    doc = TINY.to_dict()
-    doc["misspelled"] = 1
-    config_path.write_text(json.dumps(doc))
-    assert main(["gradcheck", "--config", str(config_path)]) == 1
-    assert "unknown" in capsys.readouterr().err
+    config_path.write_text(json.dumps({**TINY.to_dict(), "misspelled": 1}))
+    err = _refused_config(tmp_path, capsys, command, config_path)
+    assert "'misspelled'" in err, err
 
 
 def test_corrupt_dataset_exits_one(tmp_path, config_path, capsys):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vqcontrast import vqc
 from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
 from vqcontrast.gradcheck import central_difference
 from vqcontrast.oracles import circuit_gates, cnot, cnot_index, expect_z, ry, run_gates
@@ -327,6 +328,18 @@ def test_vjp_reuses_the_forwards_cached_factors():
     vqc_batched_vjp(X, params, rng.standard_normal((4, 5)))
     after_vjp = _layer_factors.cache_info()
     assert (after_vjp.misses, after_vjp.currsize) == (after_forward.misses, 1)
+
+
+def test_vjp_builds_each_half_state_once(monkeypatch):
+    """One VJP builds four product states: each half register's from the encoding,
+    reused by the input partials, and each half's pi-shifted states."""
+    calls = []
+    build = vqc._product_state
+    monkeypatch.setattr(vqc, "_product_state", lambda angles: calls.append(1) or build(angles))
+    rng = np.random.default_rng(11)
+    params = QuantumLayerParams(10, 4, rng.uniform(-np.pi, np.pi, (4, 10)))
+    vqc_batched_vjp(rng.uniform(-np.pi, np.pi, (8, 10)), params, rng.standard_normal((8, 10)))
+    assert len(calls) == 4
 
 
 def test_parameter_shift_matches_finite_differences():
