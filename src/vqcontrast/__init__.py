@@ -19,7 +19,6 @@ from .errors import (
     NumericError,
     ShapeError,
     TensorFormatError,
-    ZeroShotOverlapError,
 )
 from .gradcheck import CheckResult, run_all_checks
 from .harness import (
@@ -45,7 +44,6 @@ __all__ = [
     "RunConfig",
     "ShapeError",
     "TensorFormatError",
-    "ZeroShotOverlapError",
     "clip_logits",
     "clip_loss",
     "evaluate_zero_shot",

@@ -2,8 +2,11 @@
 
 Subcommands: gen-data, train, eval, gradcheck, protocol.  Every one takes
 ``--config`` and reads it first, in ``main``, before it touches any other
-file.  Exit codes: 0 on success, 1 on validation errors (bad flags, configs,
-files, shapes), 2 on numeric failures (non-finite loss, failed gradient checks).
+file.  Only gen-data writes a dataset; train, eval and protocol read one
+from ``--data``.  Each subcommand finishes or raises; ``main`` turns the
+outcome into the exit code and, on failure, one stderr line: 0 on success,
+1 on validation errors (bad flags, configs, files, shapes), 2 on numeric
+failures (non-finite loss, floating-point overflow, failed gradient checks).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .data import MANIFEST_FILE, DatasetManifest, generate_dataset
@@ -39,9 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _generate_from_config(config: RunConfig, out_dir) -> DatasetManifest:
-    return generate_dataset(
-        out_dir,
+def _cmd_gen_data(config: RunConfig, args) -> None:
+    generate_dataset(
+        args.out_dir,
         seed=config.seed,
         n_train_classes=config.n_train_classes,
         n_test_classes=config.n_test_classes,
@@ -52,15 +56,10 @@ def _generate_from_config(config: RunConfig, out_dir) -> DatasetManifest:
         noise_sigma=config.noise_sigma,
         latent_dim=config.latent_dim,
     )
-
-
-def _cmd_gen_data(config: RunConfig, args) -> int:
-    _generate_from_config(config, args.out_dir)
     print(Path(args.out_dir) / MANIFEST_FILE)
-    return 0
 
 
-def _cmd_train(config: RunConfig, args) -> int:
+def _cmd_train(config: RunConfig, args) -> None:
     manifest = DatasetManifest.load(args.data)
     model, records = train(config, manifest)
     write_metrics(records, args.out)
@@ -70,45 +69,32 @@ def _cmd_train(config: RunConfig, args) -> int:
         print(f"trained {len(records)} epochs; final loss {records[-1].train_loss:.6f}")
     else:
         print("no epochs configured; wrote empty metrics stream")
-    return 0
 
 
-def _cmd_eval(config: RunConfig, args) -> int:
+def _cmd_eval(config: RunConfig, args) -> None:
     manifest = DatasetManifest.load(args.data)
     model = RetrievalModel.from_saved(config, args.params)
     record = evaluate_zero_shot(model, manifest)
     write_metrics([record], args.out)
     print(f"top1 {record.top1:.4f}  top5 {record.top5:.4f}")
-    return 0
 
 
-def _cmd_gradcheck(config: RunConfig, args) -> int:
+def _cmd_gradcheck(config: RunConfig, args) -> None:
     # the checks run on fixed tiny geometries; the config contributes only the seed
     results = run_all_checks(seed=config.seed)
     for result in results:
         print(result)
-    failures = [r for r in results if not r.passed]
-    if failures:
-        first = failures[0]
-        print(
-            f"first failure: {first.name} (max deviation {first.max_deviation:.3e})",
-            file=sys.stderr,
-        )
-        return 2
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        raise NumericError(f"{len(failed)} of {len(results)} gradient checks failed: "
+                           + ", ".join(failed))
     print(f"all {len(results)} gradient checks passed")
-    return 0
 
 
-def _cmd_protocol(config: RunConfig, args) -> int:
-    if args.data:
-        manifest = DatasetManifest.load(args.data)
-    else:
-        out = Path(args.out)
-        manifest = _generate_from_config(config, out.with_name(out.name + ".data"))
-    report = run_protocol(config, manifest)
+def _cmd_protocol(config: RunConfig, args) -> None:
+    report = run_protocol(config, DatasetManifest.load(args.data))
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"top1 {report['top1']['formatted']}  top5 {report['top5']['formatted']}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", parents=[config], help="multi-seed train+eval aggregate report")
     p.add_argument("--out", required=True, help="aggregate report JSON path")
-    p.add_argument("--data", help="dataset manifest (default: generated next to --out)")
+    p.add_argument("--data", required=True, help="dataset manifest JSON")
     p.set_defaults(func=_cmd_protocol)
 
     return parser
@@ -154,13 +140,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(RunConfig.load(args.config), args)
-    except NumericError as exc:
+        # numpy's floating-point warnings (overflow, invalid) are numeric failures
+        # too; the filter is process-wide, so one in an eval pool thread raises
+        # there and reaches here through the future's result
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            args.func(RunConfig.load(args.config), args)
+    except (NumericError, RuntimeWarning) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

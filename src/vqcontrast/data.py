@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ZeroShotOverlapError
+from .errors import ConfigurationError, NumericError
 from .qtns import load_tensor_file, read_json_object, save_tensor_file, tensor_header_bytes
 
 _MANIFEST_KEYS = {"train_classes", "test_classes"}
@@ -98,7 +98,7 @@ class DatasetManifest:
             raise ConfigurationError("both class splits must be non-empty")
         overlap = set(self.train_classes) & set(self.test_classes)
         if overlap:
-            raise ZeroShotOverlapError(
+            raise ConfigurationError(
                 f"classes {sorted(overlap)} appear in both train and test splits"
             )
 
@@ -171,7 +171,9 @@ def generate_dataset(
     noise_sigma: float,
     latent_dim: int = 2,
 ) -> DatasetManifest:
-    """Check the arguments as ``RunConfig`` does, then write the dataset into ``out_dir``."""
+    """Check the arguments as ``RunConfig`` does, then write the dataset into
+    ``out_dir``.  Samples float32 cannot hold raise ``NumericError`` before the
+    manifest is written."""
     require_ints(
         1, n_train_classes=n_train_classes, n_test_classes=n_test_classes,
         samples_per_class=samples_per_class, electrodes=electrodes,
@@ -203,7 +205,13 @@ def generate_dataset(
             eeg = rng.standard_normal((len(rows), electrodes, time_samples))
             eeg *= noise_sigma
             eeg += eeg_protos[rows]
-            eeg.astype("<f4").tofile(f)
+            with np.errstate(over="ignore"):  # an overflow is refused below, as inf
+                stored = eeg.astype("<f4")
+            if not (np.isfinite(stored.min()) and np.isfinite(stored.max())):
+                raise NumericError(
+                    f"noise_sigma={noise_sigma!r} puts EEG samples outside float32"
+                )
+            stored.tofile(f)
     save_tensor_file(out_dir / IMAGE_EMB_FILE, img_protos)
     save_tensor_file(out_dir / LABELS_FILE, labels.astype(np.float64))
 

@@ -20,6 +20,3 @@ class TensorFormatError(ValueError):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
 
-
-class ZeroShotOverlapError(ConfigurationError):
-    """Train and held-out class sets overlap, breaking the zero-shot contract."""

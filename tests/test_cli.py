@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from vqcontrast import RetrievalModel, RunConfig, save_params, save_tensor_file
-from vqcontrast import data, encoders, harness
+from vqcontrast import data, diffnet, encoders, harness
 from vqcontrast.cli import build_parser, main
 from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE, MANIFEST_FILE
 from vqcontrast.errors import NumericError
@@ -111,19 +111,31 @@ def test_gradcheck_reports_and_exits_zero(config_path, capsys):
     assert "linear" in out
 
 
-def test_protocol_generates_dataset_when_none_given(tmp_path, capsys):
-    config_path = tmp_path / "config.json"
-    replace(TINY, epochs=1).save(config_path)
-    report_path = tmp_path / "report.json"
-    assert main(["protocol", "--config", str(config_path), "--out", str(report_path)]) == 0
-    assert "±" in capsys.readouterr().out
-    report = json.loads(report_path.read_text())
-    assert report["n_runs"] == 1
-    assert 0.0 <= report["top1"]["mean"] <= 1.0
-    assert (tmp_path / "report.json.data" / MANIFEST_FILE).exists()
+def test_failed_gradcheck_exits_two(config_path, capsys, monkeypatch):
+    """A backward wrong by a factor of two is reported on stdout as FAIL, and
+    the command exits 2 with one stderr line naming the check."""
+    def bad_elu(tape, x):
+        y = np.where(x.data > 0, x.data, np.expm1(x.data))
+        return tape.op((x,), y, lambda g: (2.0 * g,))
+
+    monkeypatch.setattr(diffnet, "elu", bad_elu)
+    assert main(["gradcheck", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and "elu" in captured.err, captured.err
+    assert "FAIL" in captured.out
 
 
-def test_explicit_data_flag_overrides_config(tmp_path):
+def test_protocol_without_data_exits_one(tmp_path, config_path, capsys):
+    """The protocol generates no dataset of its own: without --data it is a
+    usage error and writes nothing, neither the report nor a dataset beside it."""
+    assert main(["protocol", "--config", str(config_path),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    assert "--data" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "report.json.data").exists()
+
+
+def test_explicit_data_flag_overrides_config(tmp_path, capsys):
     """With --data the protocol runs on that dataset and generates none."""
     base = tmp_path / "base.json"
     TINY.save(base)
@@ -132,10 +144,15 @@ def test_explicit_data_flag_overrides_config(tmp_path):
     config_path = tmp_path / "config.json"
     replace(TINY, epochs=1).save(config_path)
     report_path = tmp_path / "report.json"
+    capsys.readouterr()
     assert main([
         "protocol", "--config", str(config_path),
         "--out", str(report_path), "--data", str(manifest),
     ]) == 0
+    assert "±" in capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert report["n_runs"] == 1
+    assert 0.0 <= report["top1"]["mean"] <= 1.0
     assert not (tmp_path / "report.json.data").exists()
 
 
@@ -203,30 +220,64 @@ def test_eval_subprocess_exits_promptly(tmp_path):
     assert proc.stdout.startswith("top1"), proc.stdout
 
 
-def test_numeric_failure_in_an_eval_pool_thread_exits_two(tmp_path, config_path, capsys,
-                                                          monkeypatch):
+def _eval_failing_in_a_pool_thread(tmp_path, config_path, capsys, monkeypatch, fail):
+    """Run ``eval`` with ``fail()`` in place of the EEG forward of a pool thread's
+    block; return the exit code and stderr."""
     manifest = gen_data(tmp_path, config_path)
     params = tmp_path / "model.params"
     RetrievalModel(TINY, np.random.default_rng(0)).save(params)
     monkeypatch.setattr(harness, "_EVAL_BLOCK_ROWS", 2)
     monkeypatch.setattr(harness, "_EVAL_CPUS", 2)
     forward = encoders.EegConvEncoder.forward
-    raised = threading.Event()
+    failed = threading.Event()
 
     def fails_in_the_pool(self, tape, x, train):
         # the calling thread waits, so that the pool thread takes a block
         if threading.current_thread() is threading.main_thread():
-            assert raised.wait(timeout=60), "no pool thread took a block"
+            assert failed.wait(timeout=60), "no pool thread took a block"
             return forward(self, tape, x, train)
-        raised.set()
-        raise NumericError("input contains non-finite entries")
+        failed.set()
+        return fail()
 
     monkeypatch.setattr(encoders.EegConvEncoder, "forward", fails_in_the_pool)
     capsys.readouterr()
-    assert main(["eval", "--config", str(config_path), "--data", str(manifest),
-                 "--params", str(params), "--out", str(tmp_path / "eval.jsonl")]) == 2
-    err = capsys.readouterr().err
+    code = main(["eval", "--config", str(config_path), "--data", str(manifest),
+                 "--params", str(params), "--out", str(tmp_path / "eval.jsonl")])
+    return code, capsys.readouterr().err
+
+
+def test_numeric_failure_in_an_eval_pool_thread_exits_two(tmp_path, config_path, capsys,
+                                                          monkeypatch):
+    def fail():
+        raise NumericError("input contains non-finite entries")
+
+    code, err = _eval_failing_in_a_pool_thread(tmp_path, config_path, capsys, monkeypatch, fail)
+    assert code == 2
     assert err == "numeric failure: input contains non-finite entries\n", err
+
+
+def test_overflow_in_an_eval_pool_thread_exits_two(tmp_path, config_path, capsys, monkeypatch):
+    """A floating-point warning raised in a pool thread reaches main as a numeric failure."""
+    code, err = _eval_failing_in_a_pool_thread(tmp_path, config_path, capsys, monkeypatch,
+                                               lambda: np.float64(1e308) * 10)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("numeric failure: overflow"), err
+
+
+def test_overflowing_train_exits_two_with_one_line(tmp_path):
+    """An lr that overflows the weights exits 2 with one stderr line, not numpy's
+    warnings and their source lines first."""
+    config_path = tmp_path / "config.json"
+    replace(TINY, lr=1e300).save(config_path)
+    manifest = gen_data(tmp_path, config_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vqcontrast.cli", "train", "--config", str(config_path),
+         "--data", str(manifest), "--out", str(tmp_path / "metrics.jsonl")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("numeric failure:"), proc.stderr
 
 
 # The flags each subcommand requires besides --config, as names under the test's directory.
@@ -235,7 +286,7 @@ _OTHER_FLAGS = {
     "train": {"--data": "manifest.json", "--out": "metrics.jsonl"},
     "eval": {"--data": "manifest.json", "--params": "model.params", "--out": "eval.jsonl"},
     "gradcheck": {},
-    "protocol": {"--out": "report.json"},
+    "protocol": {"--out": "report.json", "--data": "manifest.json"},
 }
 
 

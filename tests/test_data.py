@@ -12,7 +12,7 @@ from vqcontrast import (
     DatasetManifest, data, generate_dataset, load_tensor_file, save_tensor_file,
 )
 from vqcontrast.data import EEG_FILE, IMAGE_EMB_FILE, LABELS_FILE, MANIFEST_FILE
-from vqcontrast.errors import ConfigurationError, ZeroShotOverlapError
+from vqcontrast.errors import ConfigurationError, NumericError
 from vqcontrast.qtns import tensor_record_bytes
 
 GEN_KW = dict(
@@ -108,6 +108,13 @@ def test_generate_rejects_arguments_before_writing(tmp_path, bad):
     with pytest.raises(ConfigurationError, match=next(iter(bad))):
         generate_dataset(tmp_path / "out", **kw)
     assert not (tmp_path / "out").exists()
+
+
+def test_generate_refuses_noise_past_float32_before_the_manifest(tmp_path):
+    """Samples the float32 file cannot hold are refused, not stored as inf."""
+    with pytest.raises(NumericError, match="noise_sigma"):
+        generate_dataset(tmp_path, seed=0, **dict(GEN_KW, noise_sigma=1e39))
+    assert not (tmp_path / MANIFEST_FILE).exists()
 
 
 CHUNK = data._CHUNK_ROWS
@@ -208,7 +215,7 @@ def test_manifest_round_trip(tmp_path):
 def test_manifest_rejects_overlapping_splits():
     doc = manifest_doc()
     doc["test_classes"] = [1, 2]
-    with pytest.raises(ZeroShotOverlapError):
+    with pytest.raises(ConfigurationError, match="appear in both"):
         DatasetManifest(**doc)
 
 

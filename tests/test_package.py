@@ -27,7 +27,6 @@ EXPORTED = [
     "RunConfig",
     "ShapeError",
     "TensorFormatError",
-    "ZeroShotOverlapError",
     "clip_logits",
     "clip_loss",
     "evaluate_zero_shot",
