@@ -14,12 +14,7 @@ live in ``oracles``, which nothing in a run imports.
 
 from .contrastive import clip_logits, clip_loss, topk_accuracy
 from .data import DatasetManifest, generate_dataset
-from .errors import (
-    ConfigurationError,
-    NumericError,
-    ShapeError,
-    TensorFormatError,
-)
+from .errors import ConfigurationError, NumericError
 from .gradcheck import CheckResult, run_all_checks
 from .harness import (
     MetricsRecord,
@@ -42,8 +37,6 @@ __all__ = [
     "NumericError",
     "RetrievalModel",
     "RunConfig",
-    "ShapeError",
-    "TensorFormatError",
     "clip_logits",
     "clip_loss",
     "evaluate_zero_shot",

@@ -29,16 +29,15 @@ from .harness import (
     write_metrics,
 )
 
-# Every typed validation error and json.JSONDecodeError is a ValueError, and so
-# is numpy's refusal of an array it cannot size.
+# ConfigurationError and json.JSONDecodeError are ValueErrors, and so is
+# numpy's refusal of an array it cannot size.
 _VALIDATION_ERRORS = (ValueError, OSError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; our contract reserves 2 for
-    # numeric failures, so usage problems must exit 1 instead.
+    # argparse prints its usage line and exits with 2 on usage errors; our
+    # contract reserves 2 for numeric failures and prints one line per refusal.
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffnet import Tape, Tensor
-from .errors import ConfigurationError, NumericError, ShapeError
+from .errors import ConfigurationError, NumericError
 
 # Common clamp on the learned log-temperature: e^tau never exceeds 100.
 MAX_LOG_TEMPERATURE = float(np.log(100.0))
@@ -43,18 +43,18 @@ class ContrastiveBatch:
         e = np.asarray(self.eeg_features, dtype=np.float64)
         v = np.asarray(self.image_features, dtype=np.float64)
         if e.ndim != 2 or v.ndim != 2 or e.shape != v.shape:
-            raise ShapeError(
+            raise ConfigurationError(
                 f"paired embeddings must share a (B, D) shape, got {e.shape} and {v.shape}"
             )
         if e.shape[0] < 1:
-            raise ShapeError("batch must contain at least one pair")
+            raise ConfigurationError("batch must contain at least one pair")
         if not np.isfinite(self.log_temperature):
             raise ConfigurationError("log-temperature must be finite")
         for name, rows in (("eeg", e), ("image", v)):
             norms = np.linalg.norm(rows, axis=1)
             worst = float(np.abs(norms - 1.0).max())
             if worst > _UNIT_NORM_TOL:
-                raise ShapeError(
+                raise ConfigurationError(
                     f"{name} rows must be unit-norm (max deviation {worst:.3e})"
                 )
         object.__setattr__(self, "eeg_features", e)
@@ -74,9 +74,7 @@ def clip_logits(eeg_features, image_features, log_temperature: float) -> np.ndar
     e = np.asarray(eeg_features, dtype=np.float64)
     v = np.asarray(image_features, dtype=np.float64)
     if e.ndim != 2 or v.ndim != 2 or e.shape[1] != v.shape[1]:
-        raise ShapeError(
-            f"cannot pair embeddings of shape {e.shape} with {v.shape}"
-        )
+        raise ConfigurationError(f"cannot pair embeddings of shape {e.shape} with {v.shape}")
     return (e @ v.T) * np.exp(log_temperature)
 
 
@@ -99,7 +97,7 @@ def clip_loss_gradient(logits) -> tuple[float, np.ndarray]:
     """Loss value plus d(loss)/d(logits), from one softmax per direction."""
     l = np.asarray(logits, dtype=np.float64)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
-        raise ShapeError(f"contrastive logits must be square, got {l.shape}")
+        raise ConfigurationError(f"contrastive logits must be square, got {l.shape}")
     row_loss, rows = _directional_loss(l)
     col_loss, cols = _directional_loss(l.T)
     eye = np.eye(l.shape[0])
@@ -110,7 +108,7 @@ def clip_loss_gradient(logits) -> tuple[float, np.ndarray]:
 def clip_logits_op(tape: Tape, eeg: Tensor, image: Tensor, log_tau: Tensor) -> Tensor:
     """Tape-recorded logits with gradients for both embeddings and tau."""
     if log_tau.data.size != 1:
-        raise ShapeError("log-temperature must be a scalar")
+        raise ConfigurationError("log-temperature must be a scalar")
     logits = clip_logits(eeg.data, image.data, log_tau.data.reshape(()))
     scale = float(np.exp(log_tau.data.reshape(())))
     # d logits / d tau = logits itself, so chain through the output.
@@ -137,12 +135,12 @@ def topk_accuracy(scores, true_class, k: int) -> float:
     s = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(true_class)
     if s.ndim != 2:
-        raise ShapeError(f"scores must be (n_query, n_class), got {s.shape}")
+        raise ConfigurationError(f"scores must be (n_query, n_class), got {s.shape}")
     n_query, n_class = s.shape
     if labels.shape != (n_query,):
-        raise ShapeError(f"labels shape {labels.shape} != ({n_query},)")
+        raise ConfigurationError(f"labels shape {labels.shape} != ({n_query},)")
     if n_query == 0:
-        raise ShapeError("topk_accuracy needs at least one query")
+        raise ConfigurationError("topk_accuracy needs at least one query")
     if not 1 <= k <= n_class:
         raise ConfigurationError(f"k={k} out of range [1, {n_class}]")
     if not np.all(np.isfinite(s)):

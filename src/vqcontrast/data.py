@@ -172,8 +172,10 @@ def generate_dataset(
     latent_dim: int = 2,
 ) -> DatasetManifest:
     """Check the arguments as ``RunConfig`` does, then write the dataset into
-    ``out_dir``.  Samples float32 cannot hold raise ``NumericError`` before the
-    manifest is written."""
+    ``out_dir``.  An earlier manifest there is removed before any file is
+    rewritten and the new one is written last, so a generation that fails
+    part-way, such as on samples float32 cannot hold (``NumericError``),
+    leaves no manifest."""
     require_ints(
         1, n_train_classes=n_train_classes, n_test_classes=n_test_classes,
         samples_per_class=samples_per_class, electrodes=electrodes,
@@ -198,6 +200,7 @@ def generate_dataset(
     img_protos = latents @ img_map * scale
 
     labels = np.repeat(np.arange(n_classes), samples_per_class)
+    (out_dir / MANIFEST_FILE).unlink(missing_ok=True)
     with open(out_dir / EEG_FILE, "wb") as f:
         f.write(tensor_header_bytes((n_samples, electrodes, time_samples)))
         for start in range(0, n_samples, _CHUNK_ROWS):  # draws in sequence: the one-shot draw

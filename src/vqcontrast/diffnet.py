@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError
+from .errors import ConfigurationError, NumericError
 
 
 class Tensor:
@@ -87,7 +87,7 @@ class Tape:
         second call adds nothing.
         """
         if loss.data.size != 1:
-            raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+            raise ConfigurationError(f"backward needs a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
         while self._ops:
             self._ops.pop()()
@@ -100,9 +100,9 @@ class Tape:
 def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """y = x @ w + b for x of shape (batch, in)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear: cannot multiply {x.shape} by {w.shape}")
+        raise ConfigurationError(f"linear: cannot multiply {x.shape} by {w.shape}")
     if b.shape != (w.shape[1],):
-        raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
+        raise ConfigurationError(f"linear: bias shape {b.shape} != ({w.shape[1]},)")
     return tape.op((x, w, b), x.data @ w.data + b.data,
                    lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
@@ -113,12 +113,12 @@ def conv_spatial(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     The kernel (F, E) spans the full electrode axis, so the output is (B, F, T).
     """
     if x.data.ndim != 3 or kernel.data.ndim != 2:
-        raise ShapeError(
+        raise ConfigurationError(
             f"conv_spatial: expected (B, E, T) input and (F, E) kernel, "
             f"got {x.shape} and {kernel.shape}"
         )
     if kernel.shape[1] != x.shape[1]:
-        raise ShapeError(
+        raise ConfigurationError(
             f"conv_spatial: kernel spans {kernel.shape[1]} electrodes, "
             f"input has {x.shape[1]}"
         )
@@ -134,18 +134,18 @@ def conv_temporal(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     One matmul per kernel tap, so no (B, F, T', k) window array is built.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 3:
-        raise ShapeError(
+        raise ConfigurationError(
             f"conv_temporal: expected (B, F, T) input and (G, F, k) kernel, "
             f"got {x.shape} and {kernel.shape}"
         )
     if kernel.shape[1] != x.shape[1]:
-        raise ShapeError(
+        raise ConfigurationError(
             f"conv_temporal: kernel expects {kernel.shape[1]} maps, input has {x.shape[1]}"
         )
     k = kernel.shape[2]
     t_in = x.shape[2]
     if k > t_in:
-        raise ShapeError(f"conv_temporal: kernel length {k} exceeds input length {t_in}")
+        raise ConfigurationError(f"conv_temporal: kernel length {k} exceeds input length {t_in}")
     t_out = t_in - k + 1
 
     xs, ks = x.data, kernel.data
@@ -184,10 +184,10 @@ def batch_norm(
     forward is one scale and shift per feature.
     """
     if x.data.ndim != 3:
-        raise ShapeError(f"batch_norm: expected (B, C, T) input, got {x.shape}")
+        raise ConfigurationError(f"batch_norm: expected (B, C, T) input, got {x.shape}")
     channels = x.shape[1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
-        raise ShapeError("batch_norm: gamma/beta must match the feature axis")
+        raise ConfigurationError("batch_norm: gamma/beta must match the feature axis")
     axes, count = (0, 2), x.shape[0] * x.shape[2]
     if train and count < 2:
         raise ConfigurationError("batch_norm: train mode needs at least 2 samples")
@@ -241,7 +241,7 @@ def angle_squash(tape: Tape, x: Tensor) -> Tensor:
 def l2_normalize(tape: Tape, x: Tensor) -> Tensor:
     """Scale every row of (B, D) to unit Euclidean norm."""
     if x.data.ndim != 2:
-        raise ShapeError(f"l2_normalize: expected (B, D) input, got {x.shape}")
+        raise ConfigurationError(f"l2_normalize: expected (B, D) input, got {x.shape}")
     norms = np.linalg.norm(x.data, axis=1, keepdims=True)
     if np.any(norms < 1e-12):
         raise NumericError("l2_normalize: degenerate zero-norm row")
@@ -287,7 +287,9 @@ class Adam:
             if t.grad is None:
                 raise ConfigurationError(f"Adam: no gradient, {name!r} never reached the loss")
             if t.grad.shape != t.data.shape:
-                raise ShapeError(f"Adam: gradient {t.grad.shape} for {name!r} of shape {t.shape}")
+                raise ConfigurationError(
+                    f"Adam: gradient {t.grad.shape} for {name!r} of shape {t.shape}"
+                )
         self.steps += 1
         correct1 = 1.0 - self.beta1**self.steps
         correct2 = 1.0 - self.beta2**self.steps

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diffnet
 from .diffnet import Tape, Tensor
-from .errors import ShapeError
+from .errors import ConfigurationError
 from .vqc import QuantumLayerParams, vqc_batched_forward, vqc_batched_vjp
 
 if TYPE_CHECKING:
@@ -39,7 +39,7 @@ def quantum_layer(tape: Tape, x: Tensor, weights: Tensor) -> Tensor:
     docstring says which method gives each.
     """
     if weights.data.ndim != 2:
-        raise ShapeError(f"expected (n_layers, n_qubits) weights, got {weights.shape}")
+        raise ConfigurationError(f"expected (n_layers, n_qubits) weights, got {weights.shape}")
     params = QuantumLayerParams(
         n_qubits=weights.shape[1], n_layers=weights.shape[0], weights=weights.data
     )
@@ -115,7 +115,7 @@ class EegConvEncoder:
     def forward(self, tape: Tape, x: Tensor, train: bool) -> Tensor:
         c = self.config
         if x.data.ndim != 3 or x.shape[1:] != (c.electrodes, c.time_samples):
-            raise ShapeError(
+            raise ConfigurationError(
                 f"expected (B, {c.electrodes}, {c.time_samples}) input, got {x.shape}"
             )
         p, b = self.params, self.buffers
@@ -141,5 +141,5 @@ class ImageEmbedHead:
     def forward(self, tape: Tape, x: Tensor) -> Tensor:
         width = self.config.image_dim
         if x.data.ndim != 2 or x.shape[1] != width:
-            raise ShapeError(f"expected (B, {width}) embeddings, got {x.shape}")
+            raise ConfigurationError(f"expected (B, {width}) embeddings, got {x.shape}")
         return _tail(tape, x, self.params)

@@ -1,22 +1,10 @@
-"""Exception types shared across the package."""
+"""The package's two exception types, one per failing exit code of the CLI."""
 
 
 class ConfigurationError(ValueError):
-    """Invalid configuration value, file content, or violated precondition."""
-
-
-class ShapeError(ValueError):
-    """Operands whose shapes do not agree."""
+    """Malformed input (exit 1): a bad configuration value, file content or
+    shape, or a violated precondition."""
 
 
 class NumericError(ArithmeticError):
-    """Non-finite values or numerically degenerate inputs."""
-
-
-class TensorFormatError(ValueError):
-    """Malformed tensor file. Carries the byte offset where parsing failed."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
-
+    """Numeric failure (exit 2): non-finite values or numerically degenerate inputs."""

@@ -6,9 +6,9 @@ Record layout, all integers little-endian:
     | ndim u32 | ndim x dim u32 | payload float32 row-major
 
 Compute happens in double precision; files always store float32.  Parse
-errors raise ``TensorFormatError`` carrying the byte offset at which the
-file stopped making sense; the header writer refuses what the parser
-rejects.  ``_read_records`` reads every QTNS file (a tensor file, a
+errors raise ``ConfigurationError``, the message ending with the byte offset
+at which the file stopped making sense; the header writer refuses what the
+parser rejects.  ``_read_records`` reads every QTNS file (a tensor file, a
 container): a given number of records front to back, header first, payload
 straight into the array, no byte left over.  ``data.generate_dataset``
 writes a tensor file in row chunks.
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, TensorFormatError
+from .errors import ConfigurationError
 
 MAGIC = b"QTNS"
 VERSION = 1
@@ -58,37 +58,42 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
+def _at(message: str, offset: int) -> str:
+    """A parse error's message, naming the byte offset where the file went wrong."""
+    return f"{message} (byte offset {offset})"
+
+
 def _parse_header(head: bytes, offset: int, size: int) -> tuple[tuple[int, ...], int, int]:
     """Check the header bytes ``head`` read at ``offset`` of a ``size``-byte
     file; return (dims, payload start, end) as file offsets, which errors carry."""
     if head[:4] != MAGIC:
-        raise TensorFormatError("bad magic, expected b'QTNS'", offset)
+        raise ConfigurationError(_at("bad magic, expected b'QTNS'", offset))
     pos = 4
     if len(head) < pos + 5:
-        raise TensorFormatError("truncated header", offset + pos)
+        raise ConfigurationError(_at("truncated header", offset + pos))
     version, dtype = struct.unpack_from("<IB", head, pos)
     if version != VERSION:
-        raise TensorFormatError(f"unsupported version {version}", offset + pos)
+        raise ConfigurationError(_at(f"unsupported version {version}", offset + pos))
     if dtype != DTYPE_FLOAT32:
-        raise TensorFormatError(f"unsupported dtype code {dtype}", offset + pos + 4)
+        raise ConfigurationError(_at(f"unsupported dtype code {dtype}", offset + pos + 4))
     pos += 5
     if len(head) < pos + 4:
-        raise TensorFormatError("truncated ndim field", offset + pos)
+        raise ConfigurationError(_at("truncated ndim field", offset + pos))
     (ndim,) = struct.unpack_from("<I", head, pos)
     if ndim > _MAX_NDIM:
-        raise TensorFormatError(f"ndim {ndim} exceeds limit {_MAX_NDIM}", offset + pos)
+        raise ConfigurationError(_at(f"ndim {ndim} exceeds limit {_MAX_NDIM}", offset + pos))
     pos += 4
     if len(head) < pos + 4 * ndim:
-        raise TensorFormatError("truncated dimension list", offset + pos)
+        raise ConfigurationError(_at("truncated dimension list", offset + pos))
     dims = struct.unpack_from(f"<{ndim}I", head, pos)
     for i, d in enumerate(dims):
         if d == 0:
-            raise TensorFormatError("zero-length dimension", offset + pos + 4 * i)
+            raise ConfigurationError(_at("zero-length dimension", offset + pos + 4 * i))
     start = offset + pos + 4 * ndim
     need = 4 * math.prod(dims)
     if size < start + need:
-        raise TensorFormatError(f"payload needs {need} bytes, only {size - start} present",
-                                start)
+        raise ConfigurationError(_at(f"payload needs {need} bytes, only {size - start} present",
+                                     start))
     return dims, start, start + need
 
 
@@ -117,11 +122,11 @@ def _read_records(path, count: int) -> list[np.ndarray]:
             f.seek(pos)
             array = np.fromfile(f, dtype="<f4", count=(end - pos) // 4)
             if (got := 4 * array.size) != end - pos:  # the file shrank after fstat
-                raise TensorFormatError(f"payload needs {end - pos} bytes, only {got} present",
-                                        pos)
+                raise ConfigurationError(_at(f"payload needs {end - pos} bytes, only {got} present",
+                                             pos))
             arrays.append(array.reshape(dims))
     if end != size:
-        raise TensorFormatError(f"{size - end} trailing bytes after record", end)
+        raise ConfigurationError(_at(f"{size - end} trailing bytes after record", end))
     return arrays
 
 

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError
+from .errors import ConfigurationError, NumericError
 
 MAX_QUBITS = 16
 _SHIFT = 0.5 * np.pi
@@ -76,7 +76,7 @@ class QuantumLayerParams:
             raise ConfigurationError(f"n_layers must be >= 1, got {self.n_layers}")
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         if self.weights.shape != (self.n_layers, self.n_qubits):
-            raise ShapeError(
+            raise ConfigurationError(
                 f"weights must have shape ({self.n_layers}, {self.n_qubits}), "
                 f"got {self.weights.shape}"
             )
@@ -248,7 +248,7 @@ def _input_partials(X: np.ndarray, high: np.ndarray, low: np.ndarray, adj: np.nd
 def _check_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_qubits:
-        raise ShapeError(f"expected (batch, {n_qubits}) inputs, got {X.shape}")
+        raise ConfigurationError(f"expected (batch, {n_qubits}) inputs, got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise NumericError("input contains non-finite entries")
     return X
@@ -278,7 +278,7 @@ def vqc_batched_vjp(
     X = _check_batch(X, n)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != X.shape:
-        raise ShapeError(
+        raise ConfigurationError(
             f"upstream gradient shape {upstream.shape} does not match {X.shape}"
         )
     table, steps = _width(n), _steps(params, len(X))

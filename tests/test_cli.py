@@ -130,7 +130,9 @@ def test_protocol_without_data_exits_one(tmp_path, config_path, capsys):
     usage error and writes nothing, neither the report nor a dataset beside it."""
     assert main(["protocol", "--config", str(config_path),
                  "--out", str(tmp_path / "report.json")]) == 1
-    assert "--data" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == ("vqcontrast protocol: error: the following arguments are required: "
+                   "--data\n"), err
     assert not (tmp_path / "report.json").exists()
     assert not (tmp_path / "report.json.data").exists()
 
@@ -161,10 +163,12 @@ def test_explicit_data_flag_overrides_config(tmp_path, capsys):
 
 
 def test_usage_errors_exit_one(capsys):
-    assert main([]) == 1
-    assert main(["no-such-command"]) == 1
-    assert main(["train"]) == 1  # missing required flags
-    capsys.readouterr()
+    """A usage error prints one line, argparse's usage line left out."""
+    for argv in [], ["no-such-command"], ["train"]:  # the last misses required flags
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("vqcontrast"), (argv, err)
+        assert ": error: " in err and "usage:" not in err, (argv, err)
 
 
 def test_help_exits_zero(capsys):
@@ -316,6 +320,22 @@ def test_unknown_config_key_exits_one(tmp_path, capsys, command):
     config_path.write_text(json.dumps({**TINY.to_dict(), "misspelled": 1}))
     err = _refused_config(tmp_path, capsys, command, config_path)
     assert "'misspelled'" in err, err
+
+
+def test_failed_gen_data_leaves_no_manifest_behind(tmp_path, config_path, capsys):
+    """Generating over a dataset and failing part-way removes its manifest, so
+    nothing reads the truncated files as a dataset."""
+    manifest = gen_data(tmp_path, config_path)
+    overflowing = tmp_path / "overflow.json"
+    replace(TINY, noise_sigma=1e39).save(overflowing)
+    assert main(["gen-data", "--config", str(overflowing),
+                 "--out-dir", str(manifest.parent)]) == 2
+    assert not manifest.exists()
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path), "--data", str(manifest),
+                 "--out", str(tmp_path / "metrics.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 def test_corrupt_dataset_exits_one(tmp_path, config_path, capsys):

@@ -12,7 +12,7 @@ from vqcontrast.contrastive import (
     clip_loss_op,
 )
 from vqcontrast.diffnet import Tape, Tensor
-from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
+from vqcontrast.errors import ConfigurationError, NumericError
 
 
 def unit_rows(rng, b, d):
@@ -52,7 +52,7 @@ def test_logits_rectangular_for_retrieval():
 
 
 def test_logits_feature_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         clip_logits(np.eye(3), np.eye(4), 0.0)
 
 
@@ -98,7 +98,7 @@ def test_loss_decreases_with_temperature_at_perfect_alignment():
 
 
 def test_loss_requires_square():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         clip_loss(np.ones((3, 4)))
 
 
@@ -179,15 +179,15 @@ def test_batch_validates_unit_rows():
     rng = np.random.default_rng(6)
     good = ContrastiveBatch(unit_rows(rng, 3, 5), unit_rows(rng, 3, 5), 0.0)
     assert good.size == 3
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         ContrastiveBatch(2.0 * unit_rows(rng, 3, 5), unit_rows(rng, 3, 5), 0.0)
 
 
 def test_batch_validates_shapes_and_temperature():
     rng = np.random.default_rng(7)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         ContrastiveBatch(unit_rows(rng, 3, 5), unit_rows(rng, 4, 5), 0.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         ContrastiveBatch(np.zeros((0, 5)), np.zeros((0, 5)), 0.0)
     with pytest.raises(ConfigurationError):
         ContrastiveBatch(unit_rows(rng, 2, 5), unit_rows(rng, 2, 5), np.inf)
@@ -250,7 +250,7 @@ def test_topk_rejects_non_finite_scores():
 
 
 def test_topk_label_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         topk_accuracy(np.eye(3), np.arange(2), 1)
     with pytest.raises(ConfigurationError):
         topk_accuracy(np.eye(3), np.array([0, 1, 3]), 1)
@@ -262,5 +262,5 @@ def test_topk_label_validation():
 
 
 def test_topk_rejects_zero_queries():
-    with pytest.raises(ShapeError, match="at least one query"):
+    with pytest.raises(ConfigurationError, match="at least one query"):
         topk_accuracy(np.zeros((0, 4)), np.zeros(0, int), 1)

@@ -6,7 +6,7 @@ import pytest
 from vqcontrast import RunConfig
 from vqcontrast.diffnet import Tape, Tensor
 from vqcontrast.encoders import EegConvEncoder, ImageEmbedHead, quantum_layer
-from vqcontrast.errors import ConfigurationError, ShapeError
+from vqcontrast.errors import ConfigurationError
 from vqcontrast.oracles import circuit_gates
 from vqcontrast.vqc import MAX_QUBITS
 
@@ -75,7 +75,7 @@ def test_quantum_layer_matches_scalar_circuit(oracle_z):
 
 
 def test_quantum_layer_rejects_flat_weights():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         quantum_layer(Tape(), Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
 
 
@@ -147,7 +147,7 @@ def test_eeg_encoder_single_sample_train_pools_over_time():
 def test_eeg_encoder_rejects_wrong_input_shape():
     enc = EegConvEncoder(TINY, np.random.default_rng(6))
     for shape in ((4, 1, 4, 32), (4, 5, 32)):  # a singleton channel axis; wrong electrodes
-        with pytest.raises(ShapeError, match=r"expected \(B, 4, 32\) input"):
+        with pytest.raises(ConfigurationError, match=r"expected \(B, 4, 32\) input"):
             enc.forward(Tape(), Tensor(np.zeros(shape)), train=False)
 
 
@@ -186,7 +186,7 @@ def test_image_head_output_is_unit_rows():
 
 def test_image_head_rejects_wrong_width():
     head = ImageEmbedHead(TINY, np.random.default_rng(10))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigurationError):
         head.forward(Tape(), Tensor(np.zeros((5, 4))))
 
 

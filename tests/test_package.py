@@ -25,8 +25,6 @@ EXPORTED = [
     "NumericError",
     "RetrievalModel",
     "RunConfig",
-    "ShapeError",
-    "TensorFormatError",
     "clip_logits",
     "clip_loss",
     "evaluate_zero_shot",
@@ -176,6 +174,29 @@ def test_src_reads_every_private_module_name():
                 read.update(alias.name for alias in node.names)
     assert defined, "the scan found no private names"
     assert sorted(f"{where} {name}" for name, where in defined.items() if name not in read) == []
+
+
+def test_errors_are_one_type_per_exit_code():
+    """``errors.py`` defines the two types the CLI maps to exit 1 and 2, and
+    every ``raise Name(...)`` in the package names one of them.  The CLI may
+    raise ``SystemExit``; ``oracles.py``, the test-only reference, keeps the
+    ``IndexError``s its tests expect."""
+    package = Path(vqcontrast.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    assert [node.name for node in errors.body if isinstance(node, ast.ClassDef)] == [
+        "ConfigurationError", "NumericError"]
+    raised = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                raised[f"{path.name}:{node.lineno}"] = node.exc.func.id
+    assert [f"{where} {name}" for where, name in raised.items()
+            if name not in ("ConfigurationError", "NumericError")
+            and (where.split(":")[0], name) != ("cli.py", "SystemExit")] == []
+    assert set(raised.values()) == {"ConfigurationError", "NumericError", "SystemExit"}
 
 
 def test_every_dataclass_is_frozen():

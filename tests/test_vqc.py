@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vqcontrast import vqc
-from vqcontrast.errors import ConfigurationError, NumericError, ShapeError
+from vqcontrast.errors import ConfigurationError, NumericError
 from vqcontrast.gradcheck import central_difference
 from vqcontrast.oracles import circuit_gates, cnot, cnot_index, expect_z, ry, run_gates
 from vqcontrast.vqc import (
@@ -364,7 +364,7 @@ def test_parameter_shift_matches_finite_differences():
 
 class TestValidation:
     def test_weights_shape(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigurationError):
             QuantumLayerParams(2, 2, np.zeros((2, 3)))
 
     def test_qubit_range(self):
@@ -389,9 +389,9 @@ class TestValidation:
 
     def test_input_shape(self):
         params = QuantumLayerParams(2, 1, np.zeros((1, 2)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigurationError):
             vqc_batched_forward([0.1, 0.2], params)  # one row must still be 2-D
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigurationError):
             vqc_batched_forward(np.zeros((4, 3)), params)
 
     def test_non_finite_input(self):
@@ -401,5 +401,5 @@ class TestValidation:
 
     def test_vjp_upstream_shape(self):
         params = QuantumLayerParams(2, 1, np.zeros((1, 2)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigurationError):
             vqc_batched_vjp(np.zeros((3, 2)), params, np.zeros((2, 2)))
