@@ -102,9 +102,10 @@ class DatasetManifest:
                 f"classes {sorted(overlap)} appear in both train and test splits"
             )
 
-    def save(self, path) -> None:
+    def save(self) -> None:
+        """Write the manifest into ``root``, beside the tensor files it describes."""
         doc = {key: getattr(self, key) for key in _MANIFEST_KEYS}
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        (self.root / MANIFEST_FILE).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
@@ -150,10 +151,10 @@ class DatasetManifest:
         if np.any(labels_f != labels):
             raise ConfigurationError("labels must be integral class indices")
         known = set(self.train_classes) | set(self.test_classes)
-        if labels.size and not set(np.unique(labels)) <= known:
+        if not set(np.unique(labels)) <= known:
             raise ConfigurationError("labels reference classes outside both splits")
         # training indexes the table by label, evaluation by every test class
-        top = max(labels.max(initial=0), *self.test_classes)
+        top = max(labels.max(), *self.test_classes)
         if top >= emb.shape[0]:
             raise ConfigurationError(f"class {top} indexes past the image embedding table")
         return eeg, emb, labels
@@ -223,5 +224,5 @@ def generate_dataset(
         test_classes=list(range(n_train_classes, n_classes)),
         root=out_dir,
     )
-    manifest.save(out_dir / MANIFEST_FILE)
+    manifest.save()
     return manifest

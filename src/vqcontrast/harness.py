@@ -22,7 +22,7 @@ depend on the CPU count, and an error raised in any block reaches the
 caller as it was raised, once every thread has stopped.
 
 Metrics are emitted as JSON lines, and the package never reads a stream
-back.  Wall time is tracked on the records but deliberately left out of the
+back.  Wall time is tracked on epoch records but deliberately left out of the
 serialized form so that identical seed + config reproduce the stream byte
 for byte.
 """
@@ -190,37 +190,26 @@ class RetrievalModel:
             state[f"eeg.buffers.{k}"] = buf
         return state
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        expected = self.named_state()
-        missing = set(expected) - set(state)
-        extra = set(state) - set(expected)
-        if missing or extra:
-            raise ConfigurationError(
-                f"parameter set mismatch: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}"
-            )
-        # Copies: training this model must not move the caller's arrays.
-        values = {name: np.array(state[name], dtype=np.float64) for name in expected}
-        for name, value in values.items():
-            if value.shape != expected[name].shape:
-                raise ConfigurationError(
-                    f"parameter mismatch for {name!r}: got shape {value.shape}, "
-                    f"expected {expected[name].shape}"
-                )
-            if not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"parameter {name!r} contains non-finite values")
-        for name, t in self.named_parameters().items():
-            t.data = values[name]
-        for k in self.eeg_encoder.buffers:
-            self.eeg_encoder.buffers[k] = values[f"eeg.buffers.{k}"]
-
     def save(self, path) -> None:
         save_params(path, self.named_state())
 
     @classmethod
     def from_saved(cls, config: RunConfig, path) -> "RetrievalModel":
+        """The model of ``config``'s geometry holding the parameters ``save``
+        wrote to ``path``, each record copied into the model's own array."""
         model = cls(config, np.random.default_rng(config.seed))
-        model.load_state(load_params(path, model.named_state()))
+        state = model.named_state()
+        loaded = load_params(path, state)
+        for name, array in state.items():  # a refusal names the first bad record in this order
+            value = loaded[name]
+            if value.shape != array.shape:
+                raise ConfigurationError(
+                    f"parameter mismatch for {name!r}: got shape {value.shape}, "
+                    f"expected {array.shape}"
+                )
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"parameter {name!r} contains non-finite values")
+            array[...] = value
         return model
 
     def embed_eeg(self, eeg: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -340,7 +329,6 @@ def evaluate_zero_shot(model: RetrievalModel, manifest: DatasetManifest) -> Metr
     config = model.config
     eeg, emb, labels = _load_and_check(config, manifest)
     test_classes = sorted(manifest.test_classes)
-    started = time.perf_counter()
     mask = np.isin(labels, test_classes)
     if not mask.any():
         raise ConfigurationError("no samples belong to the test classes")
@@ -354,7 +342,6 @@ def evaluate_zero_shot(model: RetrievalModel, manifest: DatasetManifest) -> Metr
         run_id=config.seed,
         top1=topk_accuracy(scores, true_idx, 1),
         top5=topk_accuracy(scores, true_idx, min(5, len(test_classes))),
-        wall_time=time.perf_counter() - started,
     )
 
 

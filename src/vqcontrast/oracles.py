@@ -65,7 +65,7 @@ class GateOp:
             if self.control is None:
                 raise ConfigurationError("cnot gate needs a control qubit")
             if self.control == self.qubit:
-                raise IndexError("cnot control and target must differ")
+                raise ConfigurationError("cnot control and target must differ")
         else:
             raise ConfigurationError(f"unknown gate kind {self.kind!r}")
 
@@ -117,11 +117,11 @@ def gate_matrix(op: GateOp, n_qubits: int) -> np.ndarray:
     """Full-space matrix of a single gate."""
     if op.kind == "ry":
         if not 0 <= op.qubit < n_qubits:
-            raise IndexError(f"qubit {op.qubit} out of range")
+            raise ConfigurationError(f"qubit {op.qubit} out of range")
         return _kron_embed({op.qubit: ry_matrix(op.angle)}, n_qubits)
     for q in (op.control, op.qubit):
         if not 0 <= q < n_qubits:
-            raise IndexError(f"qubit {q} out of range")
+            raise ConfigurationError(f"qubit {q} out of range")
     # CNOT = |0><0|_c (x) I  +  |1><1|_c (x) X_t
     return _kron_embed({op.control: _P0}, n_qubits) + _kron_embed(
         {op.control: _P1, op.qubit: _PAULI_X}, n_qubits

@@ -599,25 +599,12 @@ def test_model_save_load_round_trip(tiny_data, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.params", "model2.params"]
 
 
-def test_load_state_rejects_mismatched_names(tiny_data):
-    model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
-    with pytest.raises(ConfigurationError, match="mismatch"):
-        model.load_state({})
-
-
-def test_load_state_rejects_non_finite_values():
-    model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
-    state = model.named_state()
-    state["log_tau"] = np.array(np.nan)
-    with pytest.raises(ConfigurationError, match="'log_tau'.*non-finite"):
-        model.load_state(state)
-
-
-def test_training_a_loaded_model_leaves_its_source_unchanged():
-    source = RetrievalModel(TINY_RUN, np.random.default_rng(0))
+def test_training_a_loaded_model_leaves_its_source_unchanged(tmp_path):
+    # two loads of one file: each model owns the arrays its records were copied into
+    path = tmp_path / "model.params"
+    RetrievalModel(TINY_RUN, np.random.default_rng(0)).save(path)
+    source, loaded = (RetrievalModel.from_saved(TINY_RUN, path) for _ in range(2))
     before = {name: value.copy() for name, value in source.named_state().items()}
-    loaded = RetrievalModel(TINY_RUN, np.random.default_rng(1))
-    loaded.load_state(source.named_state())
     eeg = np.random.default_rng(2).normal(
         size=(4, TINY_RUN.electrodes, TINY_RUN.time_samples))
     loaded.eeg_encoder.forward(Tape(), Tensor(eeg), train=True)
@@ -628,15 +615,18 @@ def test_training_a_loaded_model_leaves_its_source_unchanged():
 
 
 def test_from_saved_rejects_a_transposed_tensor(tmp_path):
-    # same element count, other shape: refused, not reshaped into scrambled weights
+    # same element count, other shape: refused, not reshaped into scrambled weights;
+    # a NaN is refused too, the message naming its record
     model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
-    state = model.named_state()
-    assert state["img.angle_w"].shape == (TINY_RUN.image_dim, TINY_RUN.n_qubits)
-    state["img.angle_w"] = state["img.angle_w"].T
-    path = tmp_path / "model.params"
-    save_params(path, state)
-    with pytest.raises(ConfigurationError, match="mismatch for 'img.angle_w'"):
-        RetrievalModel.from_saved(TINY_RUN, path)
+    assert model.named_state()["img.angle_w"].shape == (TINY_RUN.image_dim, TINY_RUN.n_qubits)
+    for name, value, message in [
+        ("img.angle_w", model.named_state()["img.angle_w"].T, "mismatch for 'img.angle_w'"),
+        ("log_tau", np.array(np.nan), "'log_tau'.*non-finite"),
+    ]:
+        path = tmp_path / "model.params"
+        save_params(path, {**model.named_state(), name: value})
+        with pytest.raises(ConfigurationError, match=message):
+            RetrievalModel.from_saved(TINY_RUN, path)
 
 
 def test_from_saved_rejects_other_geometry(tmp_path):

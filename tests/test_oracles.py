@@ -137,15 +137,15 @@ def test_gate_matrix_tensor_placement():
 
 class TestValidation:
     def test_qubit_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigurationError):
             gate_matrix(ry(2, 0.1), 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigurationError):
             dense_unitary_oracle([cnot(0, 5)], 2)
 
     def test_cnot_needs_distinct_qubits(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigurationError):
             cnot(0, 0)
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigurationError):
             GateOp("cnot", 1, control=1)
 
     def test_bad_qubit_count(self):

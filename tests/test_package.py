@@ -179,16 +179,13 @@ def test_src_reads_every_private_module_name():
 def test_errors_are_one_type_per_exit_code():
     """``errors.py`` defines the two types the CLI maps to exit 1 and 2, and
     every ``raise Name(...)`` in the package names one of them.  The CLI may
-    raise ``SystemExit``; ``oracles.py``, the test-only reference, keeps the
-    ``IndexError``s its tests expect."""
+    raise ``SystemExit``."""
     package = Path(vqcontrast.__file__).parent
     errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
     assert [node.name for node in errors.body if isinstance(node, ast.ClassDef)] == [
         "ConfigurationError", "NumericError"]
     raised = {}
     for path in sorted(package.glob("*.py")):
-        if path.name == "oracles.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                     and isinstance(node.exc.func, ast.Name)):

@@ -3,7 +3,8 @@ valid input gives a typed error or a valid object, never another exception.
 
 The parsers are the QTNS record reader (``load_tensor_file``, and
 ``_read_records`` for any record count), ``load_params``,
-``DatasetManifest.load`` and ``RunConfig.from_dict``.  Example counts and
+``DatasetManifest.load`` and ``RunConfig.from_dict``; the whole restore path
+``RetrievalModel.from_saved`` is driven the same way.  Example counts and
 seeds come from the ``tier1`` profile in ``conftest.py``.
 """
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vqcontrast import RunConfig, load_params, load_tensor_file, save_params
+from vqcontrast import RetrievalModel, RunConfig, load_params, load_tensor_file, save_params
 from vqcontrast.data import DatasetManifest
 from vqcontrast.errors import ConfigurationError, NumericError
 from vqcontrast.qtns import _read_records, tensor_record_bytes
@@ -136,6 +137,26 @@ def test_load_params_on_mutated_files(scratch, data):
         return
     assert sorted(state) == sorted(names)
     assert all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in state.values())
+
+
+TINY = RunConfig(n_qubits=2, n_layers=1, electrodes=3, time_samples=16, spatial_maps=2,
+                 temporal_maps=2, temporal_kernel=4, embed_dim=4, image_dim=6)
+TINY_SHAPES = {name: value.shape for name, value
+               in RetrievalModel(TINY, np.random.default_rng(0)).named_state().items()}
+
+
+@given(data=st.data())
+def test_from_saved_on_mutated_files(scratch, data):
+    path = scratch / "tiny.params"
+    RetrievalModel(TINY, np.random.default_rng(0)).save(path)
+    path.write_bytes(data.draw(mutated(path.read_bytes())))
+    try:
+        model = RetrievalModel.from_saved(TINY, path)
+    except TYPED:
+        return
+    state = model.named_state()
+    assert {name: value.shape for name, value in state.items()} == TINY_SHAPES
+    assert all(np.isfinite(value).all() for value in state.values())
 
 
 MANIFEST = {"train_classes": [0, 1], "test_classes": [2, 3]}

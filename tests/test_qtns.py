@@ -203,7 +203,7 @@ def test_params_names_must_be_distinct(tmp_path):
 
 def test_params_with_a_signaling_nan_load_as_nan_without_a_warning(tmp_path):
     # widening a float32 signaling NaN warns unless asked not to; the NaN
-    # itself is refused later, by RetrievalModel.load_state
+    # itself is refused later, by RetrievalModel.from_saved
     path = tmp_path / "model.params"
     save_params(path, {"w": np.zeros(2)})
     path.write_bytes(path.read_bytes()[:-4] + bytes.fromhex("0100807f"))
