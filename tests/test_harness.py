@@ -614,19 +614,24 @@ def test_training_a_loaded_model_leaves_its_source_unchanged(tmp_path):
         assert value.tobytes() == before[name].tobytes(), name
 
 
-def test_from_saved_rejects_a_transposed_tensor(tmp_path):
-    # same element count, other shape: refused, not reshaped into scrambled weights;
-    # a NaN is refused too, the message naming its record
+def test_load_state_rejects_non_finite_values(tmp_path):
+    # loading a saved state refuses a NaN, the message naming its record
     model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
-    assert model.named_state()["img.angle_w"].shape == (TINY_RUN.image_dim, TINY_RUN.n_qubits)
-    for name, value, message in [
-        ("img.angle_w", model.named_state()["img.angle_w"].T, "mismatch for 'img.angle_w'"),
-        ("log_tau", np.array(np.nan), "'log_tau'.*non-finite"),
-    ]:
-        path = tmp_path / "model.params"
-        save_params(path, {**model.named_state(), name: value})
-        with pytest.raises(ConfigurationError, match=message):
-            RetrievalModel.from_saved(TINY_RUN, path)
+    path = tmp_path / "model.params"
+    save_params(path, {**model.named_state(), "log_tau": np.array(np.nan)})
+    with pytest.raises(ConfigurationError, match="'log_tau'.*non-finite"):
+        RetrievalModel.from_saved(TINY_RUN, path)
+
+
+def test_from_saved_rejects_a_transposed_tensor(tmp_path):
+    # same element count, other shape: refused, not reshaped into scrambled weights
+    model = RetrievalModel(TINY_RUN, np.random.default_rng(0))
+    state = model.named_state()
+    assert state["img.angle_w"].shape == (TINY_RUN.image_dim, TINY_RUN.n_qubits)
+    path = tmp_path / "model.params"
+    save_params(path, {**state, "img.angle_w": state["img.angle_w"].T})
+    with pytest.raises(ConfigurationError, match="mismatch for 'img.angle_w'"):
+        RetrievalModel.from_saved(TINY_RUN, path)
 
 
 def test_from_saved_rejects_other_geometry(tmp_path):
